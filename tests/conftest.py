@@ -7,6 +7,10 @@ populations) are session-scoped.
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+
 import pytest
 
 from repro.core.executor import CampaignExecutor
@@ -17,6 +21,43 @@ from repro.soc.corners import ProcessCorner
 from repro.soc.xgene2 import build_platform, build_reference_chips
 
 TEST_SEED = 1234
+
+#: Per-test hang guard (seconds) when pytest-timeout is not installed;
+#: the same bound as the ``timeout`` option in pyproject.toml.
+HANG_GUARD_S = 300
+
+#: Duplicate of the terminal's stderr for the guard's traceback dump
+#: (test output capture redirects the real one); None with the plugin.
+_guard_stderr = None
+
+
+def pytest_configure(config):
+    global _guard_stderr
+    if not config.pluginmanager.hasplugin("timeout"):
+        _guard_stderr = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    global _guard_stderr
+    if _guard_stderr is not None:
+        os.close(_guard_stderr)
+        _guard_stderr = None
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Without pytest-timeout, a test that runs past :data:`HANG_GUARD_S`
+    dumps every thread's traceback and exits the run instead of wedging
+    it. With the plugin this does nothing."""
+    if _guard_stderr is None:
+        yield
+        return
+    faulthandler.dump_traceback_later(HANG_GUARD_S, exit=True,
+                                      file=_guard_stderr)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")
