@@ -32,7 +32,13 @@ brings that property to our own process pool: where
 - **graceful degradation** -- if the pool cannot be rebuilt, execution
   falls back to inline serial mode (injected process-level faults are
   simulated there, since a real ``os._exit`` would take down the
-  supervisor itself).
+  supervisor itself);
+- **single-threaded BLAS in every unit** -- units run with OpenBLAS
+  pinned to one thread, inline (restored to the caller's setting when
+  the map returns) and in every pool worker (pinned at worker start).
+  A unit is one process's worth of work: a multithreaded BLAS inside it
+  only spins a second thread against the other units, or against the
+  unit's own Python code, for GEMMs far too small to gain from it.
 
 Because work units are deterministic and results are collected by unit
 index, a run under any real-fault schedule converges to results
@@ -43,12 +49,16 @@ down end to end.
 
 from __future__ import annotations
 
+import ctypes
+import sys
 import time
 from collections import deque
+from contextlib import contextmanager
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.faults import (
     SPURIOUS_ESCALATION,
@@ -236,6 +246,82 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
             pass
 
 
+#: (getter, setter) symbol pairs of the OpenBLAS thread count: the
+#: scipy-openblas build bundled with numpy wheels, then plain OpenBLAS.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=None)
+def _blas_handles() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
+    """ctypes (getter, setter) of the loaded OpenBLAS's thread count.
+
+    Looked up once, in the first process that maps units, over the
+    OpenBLAS libraries listed in ``/proc/self/maps``; forked workers
+    inherit the handles. ``None`` where there is no such file or no
+    OpenBLAS is loaded -- pinning then does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    paths = set()
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            for line in maps:
+                fields = line.split(None, 5)   # address perms ... pathname
+                if len(fields) == 6 and "openblas" in fields[5].lower():
+                    paths.add(fields[5].strip())
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            getter = getattr(library, get_name, None)
+            setter = getattr(library, set_name, None)
+            if getter is not None and setter is not None:
+                getter.restype = ctypes.c_int
+                getter.argtypes = []
+                setter.restype = None
+                setter.argtypes = [ctypes.c_int]
+                return getter, setter
+    return None
+
+
+def blas_threads() -> Optional[int]:
+    """The loaded OpenBLAS's current thread count, ``None`` if unknown."""
+    handles = _blas_handles()
+    return None if handles is None else int(handles[0]())
+
+
+@contextmanager
+def single_threaded_blas() -> Iterator[None]:
+    """Pin BLAS to one thread for the block, then restore the caller's
+    thread count (also when the block raises)."""
+    handles = _blas_handles()
+    if handles is None:
+        yield
+        return
+    getter, setter = handles
+    previous = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
+def _pin_worker_blas() -> None:
+    """Pool-worker initializer: one BLAS thread for the worker's life."""
+    handles = _blas_handles()
+    if handles is not None:
+        handles[1](1)
+
+
 class SupervisedPool:
     """A future-based process pool that guarantees forward progress.
 
@@ -283,7 +369,8 @@ class SupervisedPool:
     # ------------------------------------------------------------------
     def _pool_factory(self) -> ProcessPoolExecutor:
         """Build the worker pool (overridable in tests)."""
-        return ProcessPoolExecutor(max_workers=self.jobs)
+        return ProcessPoolExecutor(max_workers=self.jobs,
+                                   initializer=_pin_worker_blas)
 
     def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
         """The live pool, building one on demand; ``None`` if unbuildable."""
@@ -328,7 +415,8 @@ class SupervisedPool:
         unit, or ``None`` for a clean attempt. Results come back by unit
         index, so completion order never reorders downstream
         aggregation; quarantined units are enumerated in
-        :attr:`MapOutcome.failures`, sorted by index.
+        :attr:`MapOutcome.failures`, sorted by index. Units run with
+        single-threaded BLAS (see :func:`single_threaded_blas`).
         """
         items = list(items)
         stats = SupervisorStats()
@@ -336,12 +424,13 @@ class SupervisedPool:
         states = [_UnitState(index) for index in range(len(items))]
         results: List[object] = [None] * len(items)
         done = [False] * len(items)
-        if self.jobs <= 1 or len(items) <= 1:
-            self._run_inline(fn, items, list(range(len(items))), inject,
-                             states, results, done, stats, ledger)
-        else:
-            self._run_pooled(fn, items, inject, hang_seconds,
-                             states, results, done, stats, ledger)
+        with single_threaded_blas():
+            if self.jobs <= 1 or len(items) <= 1:
+                self._run_inline(fn, items, list(range(len(items))), inject,
+                                 states, results, done, stats, ledger)
+            else:
+                self._run_pooled(fn, items, inject, hang_seconds,
+                                 states, results, done, stats, ledger)
         failures = tuple(sorted((s.failure for s in states
                                  if s.failure is not None),
                                 key=lambda f: f.index))

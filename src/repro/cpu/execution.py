@@ -14,12 +14,19 @@ the pipeline for its ``cycles`` and contributes its ``current`` during
 that occupancy, with a one-pole low-pass smoothing that stands in for
 pipeline overlap and the package's local decoupling.
 
-Waveform synthesis is fully vectorized: one loop traversal is assembled
-from precomputed per-class (occupancy, level) signatures with
-``np.repeat`` and tiled across the window, and the smoothing filter runs
-as a blocked parallel scan. :meth:`ExecutionModel.waveform_block` stacks
-the waveforms of a whole batch of loops -- the GA's batched fitness path
--- with every row bit-identical to the serial :meth:`profile` output.
+There is one synthesis path, :func:`_synthesize`, and it works on a
+whole batch of loops: one ``np.repeat`` expands every loop's class codes
+(:attr:`InstructionLoop.code`) into one traversal per loop, a gather
+lays each traversal periodically across the window, and the smoothing
+filter runs as a blocked scan -- a stacked 3-D matmul of the rows'
+``(window/128, 128)`` chunks against a ``128 x 128`` Toeplitz operator,
+plus a carry recurrence over chunk boundaries vectorized across rows.
+:meth:`ExecutionModel.waveform_block` (the GA's batched fitness path)
+is that pass for N loops; :meth:`profile` and :meth:`smoothed_waveform`
+are the one-row case. Every float operation a row sees is the same
+whatever else is in the batch -- in particular each row keeps its own
+``(window/128, 128) x (128, 128)`` GEMM -- so a row is bit-identical
+whether it is synthesized alone or in any batch.
 """
 
 from __future__ import annotations
@@ -47,9 +54,9 @@ STATIC_CURRENT = 0.05
 #: resonant component of the waveform survives.
 SMOOTHING_CYCLES = 4.0
 
-#: Per-class synthesis signatures, precomputed once: pipeline occupancy
-#: in whole cycles and the waveform level held during that occupancy.
-_CLASS_INDEX = {klass: i for i, klass in enumerate(INSTRUCTION_SPECS)}
+#: Per-class synthesis signatures, precomputed once and indexed by
+#: :data:`~repro.cpu.kernels.CLASS_CODE`: pipeline occupancy in whole
+#: cycles and the waveform level held during that occupancy.
 _CLASS_OCCUPANCY = np.array(
     [max(1, round(spec.cycles)) for spec in INSTRUCTION_SPECS.values()],
     dtype=np.intp)
@@ -57,11 +64,15 @@ _CLASS_LEVEL = np.array(
     [STATIC_CURRENT + (1.0 - STATIC_CURRENT) * spec.current
      for spec in INSTRUCTION_SPECS.values()])
 
-#: Block size of the low-pass parallel scan. The per-row kernel shape is
-#: fixed by this constant (never by the batch size), so a waveform's
-#: filtered samples are bit-identical whether it is smoothed alone or as
-#: one row of a batch.
+#: Block size of the low-pass scan. Each row is smoothed by its own GEMM
+#: of shape ``(window/128, 128) x (128, 128)`` whatever the batch size:
+#: the batch is a stacked 3-D matmul, never one flattened
+#: ``(N*window/128, 128)`` GEMM, because BLAS may pick a different
+#: kernel (and round differently) when the row count of a GEMM changes.
 _SCAN_CHUNK = 128
+
+#: Scratch-buffer budget (bytes) of one block of rows in synthesis.
+_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -125,30 +136,19 @@ class ExecutionModel:
         self.freq_ghz = freq_ghz
         self.window_cycles = window_cycles
 
-    def raw_waveform(self, loop: InstructionLoop) -> np.ndarray:
-        """Unsmoothed per-cycle current over one window (values [0,1])."""
-        idx = np.fromiter((_CLASS_INDEX[k] for k in loop.body),
-                          dtype=np.intp, count=len(loop))
-        one_pass = np.repeat(_CLASS_LEVEL[idx], _CLASS_OCCUPANCY[idx])
-        repeats = -(-self.window_cycles // len(one_pass))  # ceil division
-        return np.tile(one_pass, repeats)[: self.window_cycles]
-
     def smoothed_waveform(self, loop: InstructionLoop) -> np.ndarray:
         """The filtered per-cycle waveform (the :meth:`profile` waveform
-        without the counter computation -- the fitness hot path)."""
-        return _one_pole_lowpass(self.raw_waveform(loop), SMOOTHING_CYCLES)
+        without the counter computation)."""
+        return _synthesize([loop.code], self.window_cycles)[0]
 
     def waveform_block(self, loops: Sequence[InstructionLoop]) -> np.ndarray:
         """Stacked smoothed waveforms of ``loops``, shape ``(N, window)``.
 
-        Row ``i`` is bit-identical to ``profile(loops[i]).waveform``:
-        synthesis and smoothing run per row with batch-size-independent
-        kernels, so batched and serial fitness evaluations agree exactly
-        (the property ``tests/test_em_batch.py`` asserts).
+        Row ``i`` is bit-identical to ``profile(loops[i]).waveform`` at
+        any batch size and composition (the property
+        ``tests/test_em_batch.py`` asserts).
         """
-        if not loops:
-            return np.empty((0, self.window_cycles))
-        return np.stack([self.smoothed_waveform(loop) for loop in loops])
+        return _synthesize([loop.code for loop in loops], self.window_cycles)
 
     def profile(self, loop: InstructionLoop) -> ExecutionProfile:
         """Simulate ``loop`` and return waveform + counters."""
@@ -190,6 +190,81 @@ class ExecutionModel:
         return min(1.0, swing / headroom)
 
 
+def _synthesize(codes: Sequence[bytes], window: int) -> np.ndarray:
+    """Smoothed waveforms, shape ``(N, window)``, of the loops whose
+    :attr:`~repro.cpu.kernels.InstructionLoop.code` are ``codes``.
+
+    The smoothing is the first-order IIR low-pass
+    ``y[i] = beta * y[i-1] + alpha * x[i]`` (primed with ``y[-1] = x[0]``)
+    as a blocked scan: each chunk's response to its own input is one
+    matmul against a precomputed lower-triangular Toeplitz operator, and
+    the carried filter state is a short recurrence over chunk boundaries.
+    """
+    rows = len(codes)
+    if not rows:
+        return np.empty((0, window))
+    chunk = _SCAN_CHUNK
+    padded = -(-window // chunk) * chunk
+    chunks = padded // chunk
+    out = np.empty((rows, chunks, chunk))
+    classes = np.frombuffer(b"".join(codes), dtype=np.uint8)
+    occupancy = _CLASS_OCCUPANCY[classes]
+    # One traversal of every loop, back to back: loop i's traversal is
+    # period[i] cycles long and starts at start[i].
+    traversals = np.repeat(_CLASS_LEVEL[classes], occupancy)
+    lengths = np.fromiter(map(len, codes), dtype=np.intp, count=rows)
+    ends = np.cumsum(occupancy)[np.cumsum(lengths) - 1]
+    period = np.diff(ends, prepend=0)
+    start = ends - period
+    # int32 makes the phase modulo several times cheaper than intp.
+    cycle = np.arange(window, dtype=np.int32)
+    period = period.astype(np.int32)
+    alpha, toeplitz, powers = _scan_kernel(SMOOTHING_CYCLES, chunk)
+
+    # Rows go through in blocks of _BLOCK_BYTES of scratch, which the
+    # allocator recycles between blocks and calls; batch-sized
+    # temporaries would be page-faulted in afresh on every call, at a
+    # cost above that of the arithmetic.
+    block = max(1, min(rows, _BLOCK_BYTES // (8 * padded)))
+    raw = np.zeros((block, chunks, chunk))  # zero tail = the scan padding
+    phase = np.empty((block, window), dtype=np.int32)
+    lo, hi, first = np.empty(rows), np.empty(rows), np.empty(rows)
+    for i in range(0, rows, block):
+        n = min(block, rows - i)
+        x = raw[:n].reshape(n, padded)[:, :window]
+        np.remainder(cycle, period[i:i + n, None], out=phase[:n])
+        x[...] = traversals[start[i:i + n, None] + phase[:n]]
+        lo[i:i + n], hi[i:i + n] = x.min(axis=1), x.max(axis=1)
+        first[i:i + n] = x[:, 0]
+        local = out[i:i + n]
+        np.matmul(raw[:n], toeplitz.T, out=local)
+        local *= alpha
+
+    # Carry the filter state across chunks: the carry into chunk c+1 is
+    # the last sample of chunk c, its local response plus decayed carry.
+    decay = powers[-1]
+    last = out[:, :, -1].T.copy()
+    carries = np.empty_like(last)
+    carry = first
+    for c in range(chunks):
+        carries[c] = carry
+        carry = last[c] + decay * carry
+
+    for i in range(0, rows, block):
+        n = min(block, rows - i)
+        local = out[i:i + n]
+        np.multiply(powers, carries[:, i:i + n].T[:, :, None], out=raw[:n])
+        local += raw[:n]
+        # The filter output is a convex combination of input samples,
+        # so it can never legitimately leave the input's range; clamp
+        # the ~1-ulp excursions the Toeplitz matmul's rounding introduces.
+        y = local.reshape(n, padded)[:, :window]
+        np.maximum(y, lo[i:i + n, None], out=y)
+        np.minimum(y, hi[i:i + n, None], out=y)
+    smoothed = out.reshape(rows, padded)[:, :window]
+    return smoothed if padded == window else np.ascontiguousarray(smoothed)
+
+
 @lru_cache(maxsize=8)
 def _scan_kernel(tau_cycles: float, chunk: int):
     """Precomputed blocked-scan operators for one smoothing constant.
@@ -207,34 +282,3 @@ def _scan_kernel(tau_cycles: float, chunk: int):
     toeplitz.setflags(write=False)
     powers.setflags(write=False)
     return alpha, toeplitz, powers
-
-
-def _one_pole_lowpass(signal: np.ndarray, tau_cycles: float) -> np.ndarray:
-    """First-order IIR low-pass as a blocked parallel scan.
-
-    Computes ``y[i] = beta * y[i-1] + alpha * x[i]`` (primed with
-    ``y[-1] = x[0]``) without a per-sample Python loop: each chunk's
-    response to its own input is one matmul against a precomputed
-    lower-triangular Toeplitz operator, and the carried filter state is
-    a short scalar recurrence over chunk boundaries.
-    """
-    x = np.asarray(signal, dtype=float)
-    n = x.shape[-1]
-    alpha, toeplitz, powers = _scan_kernel(tau_cycles, _SCAN_CHUNK)
-    pad = (-n) % _SCAN_CHUNK
-    padded = np.concatenate([x, np.zeros(pad)]) if pad else x
-    chunks = padded.reshape(-1, _SCAN_CHUNK)
-    local = alpha * (chunks @ toeplitz.T)
-    # Carry the filter state across chunks: carry into chunk c+1 is the
-    # last sample of chunk c, itself local response + decayed carry.
-    decay = powers[-1]
-    carries = np.empty(len(chunks))
-    carry = float(x[0])
-    for c in range(len(chunks)):
-        carries[c] = carry
-        carry = local[c, -1] + decay * carry
-    out = local + powers * carries[:, None]
-    # The filter output is a convex combination of input samples, so it
-    # can never legitimately leave the input's range; clamp the ~1-ulp
-    # excursions the Toeplitz matmul's rounding can introduce.
-    return np.clip(out.reshape(-1)[:n], x.min(), x.max())

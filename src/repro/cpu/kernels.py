@@ -9,14 +9,18 @@ component micro-viruses hand-craft.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Tuple
 
-from repro.cpu.isa import InstrClass, spec_of
+from repro.cpu.isa import INSTRUCTION_SPECS, InstrClass, spec_of
 from repro.errors import ConfigurationError
 
 #: Loop-body length bounds accepted by the execution model and the GA.
 MIN_LOOP_LEN = 2
 MAX_LOOP_LEN = 256
+
+#: Byte code of each instruction class: its position in the ISA table.
+CLASS_CODE = {klass: code for code, klass in enumerate(INSTRUCTION_SPECS)}
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,16 @@ class InstructionLoop:
 
     def __len__(self) -> int:
         return len(self.body)
+
+    @cached_property
+    def code(self) -> bytes:
+        """The body as one :data:`CLASS_CODE` byte per instruction.
+
+        Computed once per genome and equal in every process (unlike
+        ``hash(body)``), it keys the GA's fitness memo and feeds
+        waveform synthesis without re-hashing the classes.
+        """
+        return bytes(map(CLASS_CODE.__getitem__, self.body))
 
     def __iter__(self):
         return iter(self.body)

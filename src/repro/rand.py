@@ -13,7 +13,8 @@ consumer of randomness does not perturb the draws seen by existing ones.
 from __future__ import annotations
 
 import zlib
-from typing import Optional, Union
+from functools import lru_cache
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -21,6 +22,8 @@ SeedLike = Union[int, np.random.Generator, None]
 
 #: Default seed used by experiment entry points when the caller passes none.
 DEFAULT_SEED = 20180625  # DSN 2018 conference week.
+
+_WORD_MASK = 0xFFFFFFFF
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -48,6 +51,11 @@ def substream(seed: SeedLike, label: str, *indices: int,
     draws read ``r`` of evaluation ``e`` from
     ``substream(seed, "em-read", e, r)``, so a batched evaluator and a
     serial one consume identical noise regardless of call grouping.
+
+    The stream is ``default_rng(SeedSequence([base, crc32(label),
+    *indices, index]))``; the entropy is handed to ``SeedSequence`` as
+    the ``uint32`` words it would derive from those integers itself,
+    which gives the same generator state for half the construction cost.
     """
     base = seed if isinstance(seed, int) else DEFAULT_SEED if seed is None else None
     if base is None:
@@ -56,12 +64,32 @@ def substream(seed: SeedLike, label: str, *indices: int,
         # parent state agrees. Draw the base from the parent.
         assert isinstance(seed, np.random.Generator)
         base = int(seed.integers(0, 2**31 - 1))
-    key = zlib.crc32(label.encode("utf-8")) & 0xFFFFFFFF
-    parts = [base, key]
-    parts.extend(int(i) for i in indices)
+    words: List[int] = []
+    _append_words(words, int(base))
+    words.append(_label_key(label))
+    for part in indices:
+        _append_words(words, int(part))
     if index is not None:
-        parts.append(int(index))
-    return np.random.default_rng(np.random.SeedSequence(parts))
+        _append_words(words, int(index))
+    entropy = np.array(words, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+@lru_cache(maxsize=None)
+def _label_key(label: str) -> int:
+    return zlib.crc32(label.encode("utf-8")) & _WORD_MASK
+
+
+def _append_words(words: List[int], value: int) -> None:
+    """Append ``value`` as ``SeedSequence`` reads an integer: its 32-bit
+    words, least significant first, and one zero word for zero."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words.append(value & _WORD_MASK)
+    value >>= 32
+    while value:
+        words.append(value & _WORD_MASK)
+        value >>= 32
 
 
 def derive_seed(seed: SeedLike, label: str, *indices: int) -> int:

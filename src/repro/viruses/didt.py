@@ -68,7 +68,8 @@ class EmFitness:
     radiated amplitude (a pure function of the genome) and the noise of
     read ``r`` within evaluation ``e`` comes from the sensor's
     counter-based protocol. ``clean`` is cached across generations and
-    computed once per distinct genome within a batch; noise is always
+    computed once per distinct genome within a batch, keyed by the
+    genome's byte code (:attr:`InstructionLoop.code`); noise is always
     drawn per evaluation, so serial (:meth:`__call__`) and batched
     (:meth:`batch`) scoring consume identical counters and return
     identical values.
@@ -80,7 +81,8 @@ class EmFitness:
         self.sensor = sensor
         self.freq_ghz = freq_ghz
         self.repeats = repeats
-        self._clean_cache: Dict[Tuple[InstrClass, ...], float] = {}
+        #: Noise-free amplitude by genome, keyed by ``InstructionLoop.code``.
+        self._clean_cache: Dict[bytes, float] = {}
 
     def __call__(self, loop: InstructionLoop) -> float:
         """Serial entry point: one evaluation, one counter value."""
@@ -89,19 +91,16 @@ class EmFitness:
     def batch(self, loops: Sequence[InstructionLoop]) -> List[float]:
         """Score a whole cohort in one stacked waveform + FFT pass."""
         loops = list(loops)
-        missing: List[InstructionLoop] = []
-        seen = set()
+        cache = self._clean_cache
+        missing: Dict[bytes, InstructionLoop] = {}
         for loop in loops:
-            key = loop.body
-            if key not in self._clean_cache and key not in seen:
-                seen.add(key)
-                missing.append(loop)
+            if loop.code not in cache:
+                missing.setdefault(loop.code, loop)
         if missing:
-            block = self.exec_model.waveform_block(missing)
+            block = self.exec_model.waveform_block(list(missing.values()))
             amplitudes, _ = self.sensor.clean_block(block, self.freq_ghz)
-            for loop, amplitude in zip(missing, amplitudes):
-                self._clean_cache[loop.body] = float(amplitude)
-        return [self.sensor.read_amplitude(self._clean_cache[loop.body],
+            cache.update(zip(missing, amplitudes.tolist()))
+        return [self.sensor.read_amplitude(cache[loop.code],
                                            repeats=self.repeats)
                 for loop in loops]
 

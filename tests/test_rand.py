@@ -1,6 +1,10 @@
 """Deterministic random-stream management."""
 
+import zlib
+
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rand import DEFAULT_SEED, make_rng, substream
 
@@ -69,3 +73,50 @@ def test_substream_none_uses_default_seed():
     a = substream(None, "x").random(4)
     b = substream(DEFAULT_SEED, "x").random(4)
     assert np.array_equal(a, b)
+
+
+# ----------------------------------------------------------------------
+# substream == default_rng(SeedSequence([base, crc32(label), *indices]))
+# ----------------------------------------------------------------------
+bases = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                  st.integers(2**32, 2**64 - 1), st.just(2**64 - 1))
+parts = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+labels = st.text(max_size=12)
+
+
+def _reference(base, label, *indices, index=None):
+    key = zlib.crc32(label.encode("utf-8")) & 0xFFFFFFFF
+    entropy = [base, key, *indices] + ([] if index is None else [index])
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+@given(base=bases, label=labels, indices=st.lists(parts, max_size=3),
+       index=st.none() | parts)
+@settings(max_examples=100, deadline=None)
+def test_substream_state_matches_seed_sequence_of_the_parts(base, label,
+                                                             indices, index):
+    got = substream(base, label, *indices, index=index)
+    want = _reference(base, label, *indices, index=index)
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("base", [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1])
+def test_substream_state_at_word_boundaries(base):
+    for args, index in (((), None), ((0,), None), ((2**32, 0), 2**33)):
+        got = substream(base, "em-read", *args, index=index)
+        want = _reference(base, "em-read", *args, index=index)
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((-1, "x"), {}),
+    ((1, "x", -2), {}),
+    ((1, "x", 3, -1), {}),
+    ((1, "x"), {"index": -5}),
+])
+def test_negative_parts_raise_like_seed_sequence(args, kwargs):
+    with pytest.raises(ValueError) as new:
+        substream(*args, **kwargs)
+    with pytest.raises(ValueError) as reference:
+        _reference(*args, **kwargs)
+    assert str(new.value) == str(reference.value)
