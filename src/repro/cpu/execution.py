@@ -71,8 +71,13 @@ _CLASS_LEVEL = np.array(
 #: kernel (and round differently) when the row count of a GEMM changes.
 _SCAN_CHUNK = 128
 
-#: Scratch-buffer budget (bytes) of one block of rows in synthesis.
-_BLOCK_BYTES = 128 * 1024
+#: Scratch budget (bytes) of one block of rows in the batched fitness
+#: kernels: waveform synthesis here and the spectral read in
+#: :meth:`repro.pdn.em.EmSensor.clean_block`. Blocks this small are
+#: recycled by the allocator between blocks and calls; batch-sized
+#: temporaries are page-faulted in afresh on every call, at a cost above
+#: that of the arithmetic.
+BLOCK_SCRATCH_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -221,11 +226,8 @@ def _synthesize(codes: Sequence[bytes], window: int) -> np.ndarray:
     period = period.astype(np.int32)
     alpha, toeplitz, powers = _scan_kernel(SMOOTHING_CYCLES, chunk)
 
-    # Rows go through in blocks of _BLOCK_BYTES of scratch, which the
-    # allocator recycles between blocks and calls; batch-sized
-    # temporaries would be page-faulted in afresh on every call, at a
-    # cost above that of the arithmetic.
-    block = max(1, min(rows, _BLOCK_BYTES // (8 * padded)))
+    # Rows go through in blocks of BLOCK_SCRATCH_BYTES of scratch.
+    block = max(1, min(rows, BLOCK_SCRATCH_BYTES // (8 * padded)))
     raw = np.zeros((block, chunks, chunk))  # zero tail = the scan padding
     phase = np.empty((block, window), dtype=np.int32)
     lo, hi, first = np.empty(rows), np.empty(rows), np.empty(rows)

@@ -35,6 +35,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.cpu.execution import BLOCK_SCRATCH_BYTES
 from repro.errors import ConfigurationError
 from repro.pdn.rlc import DEFAULT_PDN, PdnModel
 from repro.rand import DEFAULT_SEED, SeedLike, substream
@@ -109,25 +110,36 @@ class EmSensor:
         """Noise-free amplitudes + peak frequencies of stacked waveforms.
 
         ``waveforms`` is one waveform or an ``(N, n)`` stack of
-        same-length waveforms; the whole stack goes through a single
+        same-length waveforms; the stack goes through
         ``np.fft.rfft(..., axis=-1)`` against the cached impedance curve
-        and receiver window. Per-row results are bit-identical at any
-        stack size, so callers may group however they like.
+        and receiver window a block of rows at a time (see
+        :data:`~repro.cpu.execution.BLOCK_SCRATCH_BYTES`). Per-row results
+        are bit-identical at any stack size, so callers may group however
+        they like.
         """
         block = np.atleast_2d(np.asarray(waveforms, dtype=float))
-        n = block.shape[-1]
+        rows, n = block.shape
         sample_rate_hz = freq_ghz * 1e9
         freqs, impedance = self.pdn.spectral_grid(n, sample_rate_hz)
         window = self._receiver_window(n, sample_rate_hz, freqs)
-        current = (block - block.mean(axis=-1, keepdims=True)) * current_scale_a
-        spectrum = np.abs(np.fft.rfft(current, axis=-1)) / n * 2.0
-        radiated = impedance * spectrum * window
-        peak_idx = np.argmax(radiated, axis=-1)
-        rows = np.arange(block.shape[0])
         # Normalize to convenient units (~1 for a full-swing resonant
         # square wave at the resonance).
-        amplitudes = radiated[rows, peak_idx] / (
-            self.pdn.peak_impedance_ohm() * current_scale_a)
+        scale = self.pdn.peak_impedance_ohm() * current_scale_a
+        amplitudes = np.empty(rows)
+        peak_idx = np.empty(rows, dtype=np.intp)
+        step = max(1, BLOCK_SCRATCH_BYTES // (8 * n))
+        for i in range(0, rows, step):
+            part = block[i:i + step]
+            current = part - part.mean(axis=-1, keepdims=True)
+            current *= current_scale_a
+            radiated = np.abs(np.fft.rfft(current, axis=-1))
+            radiated /= n
+            radiated *= 2.0
+            radiated *= impedance
+            radiated *= window
+            peaks = np.argmax(radiated, axis=-1)
+            peak_idx[i:i + step] = peaks
+            amplitudes[i:i + step] = radiated[np.arange(len(part)), peaks] / scale
         return amplitudes, freqs[peak_idx]
 
     # ------------------------------------------------------------------
