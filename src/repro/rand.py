@@ -75,7 +75,7 @@ def substream(seed: SeedLike, label: str, *indices: int,
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # bounded: some callers derive per-run labels
 def _label_key(label: str) -> int:
     return zlib.crc32(label.encode("utf-8")) & _WORD_MASK
 
