@@ -250,7 +250,6 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 #: scipy-openblas build bundled with numpy wheels, then plain OpenBLAS.
 _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 

@@ -230,14 +230,13 @@ def _synthesize(codes: Sequence[bytes], window: int) -> np.ndarray:
     block = max(1, min(rows, BLOCK_SCRATCH_BYTES // (8 * padded)))
     raw = np.zeros((block, chunks, chunk))  # zero tail = the scan padding
     phase = np.empty((block, window), dtype=np.int32)
-    lo, hi, first = np.empty(rows), np.empty(rows), np.empty(rows)
+    lo, hi = np.empty(rows), np.empty(rows)
     for i in range(0, rows, block):
         n = min(block, rows - i)
         x = raw[:n].reshape(n, padded)[:, :window]
         np.remainder(cycle, period[i:i + n, None], out=phase[:n])
         x[...] = traversals[start[i:i + n, None] + phase[:n]]
         lo[i:i + n], hi[i:i + n] = x.min(axis=1), x.max(axis=1)
-        first[i:i + n] = x[:, 0]
         local = out[i:i + n]
         np.matmul(raw[:n], toeplitz.T, out=local)
         local *= alpha
@@ -247,7 +246,7 @@ def _synthesize(codes: Sequence[bytes], window: int) -> np.ndarray:
     decay = powers[-1]
     last = out[:, :, -1].T.copy()
     carries = np.empty_like(last)
-    carry = first
+    carry = traversals[start]  # x[:, 0], the filter's priming sample
     for c in range(chunks):
         carries[c] = carry
         carry = last[c] + decay * carry
