@@ -14,11 +14,10 @@ Usage::
 ``--fast`` trims repetitions/GA budgets for a quick smoke pass;
 ``--jobs`` fans the shardable experiments (fig4/fig6/fig7/table1) out
 across worker processes -- results are bit-identical at any worker
-count. ``--faults SEED`` injects a deterministic *simulated*
-worker-failure schedule into the shardable experiments and
-``--real-faults SEED`` a schedule of *real* process-level faults
-(worker ``os._exit``, deadline hangs) the supervised engine recovers
-from -- either way, results are unchanged. ``--unit-timeout`` and
+count. ``--faults SEED`` injects a deterministic schedule of real
+worker exits into the shardable experiments and ``--real-faults SEED``
+one of worker exits, deadline hangs and poison units that replaces it;
+the supervised engine recovers from both and results are unchanged. ``--unit-timeout`` and
 ``--max-retries`` tune the supervisor's per-unit deadline and retry
 budget (see :mod:`repro.core.supervisor`). ``--thermal-faults SEED``
 injects a deterministic *thermal rig* fault schedule (stuck/drifting
@@ -193,8 +192,7 @@ def main(argv=None) -> int:
                       default="network", help="lossy link to upload through")
     pipe.add_argument("--faults", type=int, default=None, metavar="SEED",
                       help="inject a deterministic fault schedule (worker "
-                      "kills, spurious escalations, transport bursts, "
-                      "study interruption) seeded by SEED")
+                      "exits, transport bursts) seeded by SEED")
     _add_supervision_flags(pipe)
     pipe.add_argument("--resume", default=None, metavar="DIR",
                       help="checkpoint directory: completed and "

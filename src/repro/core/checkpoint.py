@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 
 from repro.core.campaign import Campaign
 from repro.core.results import ResultRow, ResultStore
-from repro.core.supervisor import UnitFailure
+from repro.core.supervisor import CRASH, UnitFailure
 from repro.errors import CampaignError
 
 #: Manifest ``status`` values. Manifests written before quarantine
@@ -157,7 +157,7 @@ class CampaignCheckpoint:
         failure = manifest.get("failure", {})
         return UnitFailure(
             index=-1,
-            kind=failure.get("kind", "pool-broken"),
+            kind=failure.get("kind", CRASH),
             attempts=int(failure.get("attempts", 0)),
             detail=failure.get("detail", ""),
             label=failure.get("label", manifest.get("campaign", "")),

@@ -7,19 +7,14 @@ the final CSV. This module makes that guarantee *testable*: a
 :class:`FaultPlan` declares a reproducible schedule of harness-level
 faults and a :class:`FaultInjector` feeds it to the pipeline --
 
-- **worker kills**: a campaign shard's worker process dies before
-  reporting (the parallel engine must re-execute the shard);
-- **spurious watchdog escalations**: the watchdog wrongly power-cycles
-  the board mid-shard, losing the attempt's telemetry (again: retry);
 - **transport corruption/loss bursts**: windows of uploaded rows whose
   first ``depth`` transmit attempts are forcibly corrupted
   (:class:`~repro.core.transport.SerialLink`) or dropped
   (:class:`~repro.core.transport.NetworkLink`);
-- **real process-level faults**: attempts that actually ``os._exit`` the
-  worker (breaking the whole pool), sleep past the supervision deadline,
-  or raise a poison exception -- exercising the *recovery machinery* of
-  :class:`repro.core.supervisor.SupervisedPool` for real instead of
-  simulating the loss;
+- **process-level faults**: attempts that actually ``os._exit`` their
+  worker, sleep past the supervision deadline, or raise a poison
+  exception -- exercising the *recovery machinery* of
+  :class:`repro.core.supervisor.SupervisedPool` for real;
 - **thermal rig faults**: time-scheduled sensor and actuator failures of
   the DRAM thermal testbed (stuck/drifting/dropped-out thermocouples,
   SPD read timeouts, welded-on and stuck-open relays, dead heater
@@ -41,17 +36,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import CampaignError
 from repro.rand import SeedLike, substream
 
-#: Fault kinds reported by :meth:`FaultInjector.shard_fault` and
-#: :meth:`FaultInjector.unit_fault`. The first two simulate a lost
-#: attempt inside a healthy worker; the ``UNIT_*`` kinds really happen
-#: in the worker process.
-WORKER_KILL = "worker-kill"
-SPURIOUS_ESCALATION = "spurious-escalation"
+#: Fault kinds reported by :meth:`FaultInjector.unit_fault`; they really
+#: happen in the worker process.
 UNIT_EXIT = "unit-exit"          #: worker calls ``os._exit`` mid-unit
 UNIT_HANG = "unit-hang"          #: worker sleeps past its deadline
 UNIT_POISON = "unit-poison"      #: worker raises :class:`PoisonError`
@@ -85,25 +76,20 @@ class PoisonError(CampaignError):
     """The injected exception a poison work unit raises in its worker."""
 
 
-def run_injected_real_fault(directive: str, hang_seconds: float) -> str:
+def run_injected_real_fault(directive: str, hang_seconds: float) -> None:
     """Actually perform an injected fault inside a worker process.
 
-    Legacy directives (:data:`WORKER_KILL`, :data:`SPURIOUS_ESCALATION`)
-    only *report* the loss -- the worker stays healthy and the caller
-    returns a tagged envelope. The real kinds act: :data:`UNIT_EXIT`
-    never returns (the process dies and the pool breaks),
+    :data:`UNIT_EXIT` never returns (the worker process dies),
     :data:`UNIT_HANG` sleeps ``hang_seconds`` (tripping the supervisor's
-    deadline when one is armed, else returning a marker that is charged
-    as a hang), and :data:`UNIT_POISON` raises :class:`PoisonError`.
+    deadline when one is armed, else returning so the caller reports a
+    hang), and :data:`UNIT_POISON` raises :class:`PoisonError`.
     """
     if directive == UNIT_EXIT:
         os._exit(13)
     if directive == UNIT_HANG:
         time.sleep(hang_seconds)
-        return UNIT_HANG
-    if directive == UNIT_POISON:
+    elif directive == UNIT_POISON:
         raise PoisonError("injected poison work unit")
-    return directive
 
 
 @dataclass(frozen=True)
@@ -221,18 +207,13 @@ class FaultPlan:
 
     Parameters
     ----------
-    shard_kills / shard_escalations:
-        ``(shard_index, count)`` pairs: the shard's first ``count``
-        attempts die as a killed worker / a spurious watchdog power
-        cycle. Both lose the attempt; they differ in what the stats
-        blame.
     corruption_bursts / loss_bursts:
         Row windows whose early transmit attempts are corrupted on the
         serial link / dropped on the network link.
     unit_exits / unit_hangs:
         ``(unit_index, count)`` pairs of *real* process-level faults:
-        the unit's next ``count`` attempts (after any simulated losses)
-        really ``os._exit`` the worker / really sleep ``hang_seconds``.
+        the unit's first ``count`` attempts (exits before hangs) really
+        ``os._exit`` the worker / really sleep ``hang_seconds``.
         Both charge the supervisor's retry budget, so keeping
         ``exits + hangs <= max_retries`` per unit guarantees the plan
         converges to clean results.
@@ -254,8 +235,6 @@ class FaultPlan:
         :class:`repro.thermal.faults.ThermalFaultInjector`.
     """
 
-    shard_kills: Tuple[Tuple[int, int], ...] = ()
-    shard_escalations: Tuple[Tuple[int, int], ...] = ()
     corruption_bursts: Tuple[FaultBurst, ...] = ()
     loss_bursts: Tuple[FaultBurst, ...] = ()
     unit_exits: Tuple[Tuple[int, int], ...] = ()
@@ -266,9 +245,7 @@ class FaultPlan:
     thermal_faults: Tuple[ThermalFault, ...] = ()
 
     def __post_init__(self) -> None:
-        for name, pairs in (("shard_kills", self.shard_kills),
-                            ("shard_escalations", self.shard_escalations),
-                            ("unit_exits", self.unit_exits),
+        for name, pairs in (("unit_exits", self.unit_exits),
                             ("unit_hangs", self.unit_hangs)):
             for shard, count in pairs:
                 if shard < 0 or count < 1:
@@ -301,21 +278,24 @@ class FaultPlan:
     def random(cls, seed: SeedLike, shards: int, rows: int = 0,
                max_depth: int = 3,
                interrupt_after_shards: Optional[int] = None) -> "FaultPlan":
-        """A seeded plan covering every fault kind.
+        """A seeded plan of worker exits and transport bursts.
 
         ``shards`` is the campaign count of the study; ``rows`` the
         (approximate) number of rows the upload will push -- bursts are
-        placed inside that range. The same seed always produces the same
-        plan, so a faulted run is exactly reproducible.
+        placed inside that range. Each shard gets at most 3 real worker
+        exits, so the plan converges under the supervisor's default
+        retry budget. The same seed always produces the same plan, so a
+        faulted run is exactly reproducible.
         """
         if shards < 1:
             raise CampaignError("a fault plan needs at least one shard")
         rng = substream(seed, "fault-plan")
-        kills = tuple(
+        exits = dict(
             (shard, int(rng.integers(1, 3)))
             for shard in range(shards) if rng.random() < 0.5)
-        escalations = tuple(
-            (shard, 1) for shard in range(shards) if rng.random() < 0.35)
+        for shard in range(shards):
+            if rng.random() < 0.35:
+                exits[shard] = exits.get(shard, 0) + 1
         corruption = []
         loss = []
         if rows > 0:
@@ -325,7 +305,7 @@ class FaultPlan:
                     length = int(rng.integers(1, max(2, rows // 4 + 1)))
                     depth = int(rng.integers(1, max_depth + 1))
                     bursts.append(FaultBurst(first, length, depth))
-        return cls(shard_kills=kills, shard_escalations=escalations,
+        return cls(unit_exits=tuple(sorted(exits.items())),
                    corruption_bursts=tuple(corruption),
                    loss_bursts=tuple(loss),
                    interrupt_after_shards=interrupt_after_shards)
@@ -423,8 +403,6 @@ class FaultPlan:
 class FaultStats:
     """What the injector actually fired, for reporting."""
 
-    worker_kills: int = 0
-    spurious_escalations: int = 0
     corrupted_frames: int = 0
     dropped_packets: int = 0
     unit_exits: int = 0
@@ -436,8 +414,7 @@ class FaultStats:
 
     @property
     def total(self) -> int:
-        return (self.worker_kills + self.spurious_escalations
-                + self.corrupted_frames + self.dropped_packets
+        return (self.corrupted_frames + self.dropped_packets
                 + self.unit_exits + self.unit_hangs + self.poison_raises
                 + self.thermal_sensor_faults + self.thermal_actuator_faults
                 + self.thermal_disturbances)
@@ -463,55 +440,28 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.stats = FaultStats()
-        self._kills: Dict[int, int] = dict(plan.shard_kills)
-        self._escalations: Dict[int, int] = dict(plan.shard_escalations)
         self._exits: Dict[int, int] = dict(plan.unit_exits)
         self._hangs: Dict[int, int] = dict(plan.unit_hangs)
         self._poisoned = set(plan.poison_units)
-        self._seen: Set[Tuple[int, int]] = set()
-
-    def shard_fault(self, shard_index: int, attempt: int) -> Optional[str]:
-        """Fate of one shard attempt: kill, escalation, or survival."""
-        kills = self._kills.get(shard_index, 0)
-        if attempt < kills:
-            self.stats.worker_kills += 1
-            return WORKER_KILL
-        if attempt < kills + self._escalations.get(shard_index, 0):
-            self.stats.spurious_escalations += 1
-            return SPURIOUS_ESCALATION
-        return None
 
     def unit_fault(self, unit_index: int, attempt: int) -> Optional[str]:
-        """Fate of one *attributed* attempt of one supervised work unit.
+        """Fate of one attempt of one supervised work unit.
 
-        Pure in ``(unit_index, attempt)``: simulated losses first (kills,
-        then escalations), then real worker exits, then real hangs, then
-        -- for poison units -- an unconditional poison raise. The
-        supervisor consults the same attempt number again when an
-        attempt is lost collaterally (another unit broke the shared
-        pool), so stats are deduplicated on ``(unit, attempt)`` and the
-        injected schedule replays identically at any worker count.
+        Pure in ``(unit_index, attempt)``: real worker exits first, then
+        real hangs, then -- for poison units -- an unconditional poison
+        raise. The supervisor consults each attempt once, so the stats
+        count what fired, identically at any worker count.
         """
-        first = (unit_index, attempt) not in self._seen
-        self._seen.add((unit_index, attempt))
-        kills = self._kills.get(unit_index, 0)
-        escalations = kills + self._escalations.get(unit_index, 0)
-        exits = escalations + self._exits.get(unit_index, 0)
+        exits = self._exits.get(unit_index, 0)
         hangs = exits + self._hangs.get(unit_index, 0)
-        if attempt < kills:
-            self.stats.worker_kills += first
-            return WORKER_KILL
-        if attempt < escalations:
-            self.stats.spurious_escalations += first
-            return SPURIOUS_ESCALATION
         if attempt < exits:
-            self.stats.unit_exits += first
+            self.stats.unit_exits += 1
             return UNIT_EXIT
         if attempt < hangs:
-            self.stats.unit_hangs += first
+            self.stats.unit_hangs += 1
             return UNIT_HANG
         if unit_index in self._poisoned:
-            self.stats.poison_raises += first
+            self.stats.poison_raises += 1
             return UNIT_POISON
         return None
 

@@ -23,17 +23,19 @@ identical records and identical result rows -- the property
 
 On top of that, the engine is the robustness layer of the result
 pipeline (the reason the paper's framework exists at all). Execution is
-*supervised* (:class:`repro.core.supervisor.SupervisedPool`): a worker
-that really dies (``os._exit``, segfault, OOM kill), really hangs past
-its ``unit_timeout`` deadline, or raises is handled by pool rebuild +
-deterministic re-issue, with bounded retries and a typed
-:class:`~repro.core.supervisor.UnitFailure` quarantine instead of a raw
-``BrokenProcessPool`` escaping to the caller. Injected faults
-(:class:`~repro.core.faults.FaultInjector`) ride the same machinery, a
-:class:`~repro.core.checkpoint.CampaignCheckpoint` persists every
-completed shard (and every quarantined one, as a typed manifest), so an
-interrupted ``--jobs N`` study resumes without re-executing finished
-shards -- and reproduces the same rows when it does.
+*supervised* (:class:`repro.core.supervisor.SupervisedPool`): every
+shard runs in a worker process on its own pipe, and a worker that
+really dies (``os._exit``, segfault, OOM kill), really hangs past its
+``unit_timeout`` deadline, or raises costs that one shard an attempt --
+the worker is replaced, the shard re-issued, and after bounded retries
+it is quarantined as a typed
+:class:`~repro.core.supervisor.UnitFailure` instead of a raw exception
+escaping to the caller. Injected faults
+(:class:`~repro.core.faults.FaultInjector`) really happen in those
+workers. A :class:`~repro.core.checkpoint.CampaignCheckpoint` persists
+every completed shard (and every quarantined one, as a typed manifest),
+so an interrupted ``--jobs N`` study resumes without re-executing
+finished shards -- and reproduces the same rows when it does.
 
 Seeds must be integers (or ``None``) for cross-process reproducibility:
 a live generator object cannot be re-derived identically on workers.
@@ -105,32 +107,29 @@ def parallel_map(fn: Callable[[_T], _R], items: Sequence[_T],
                  max_retries: int = DEFAULT_MAX_RETRIES) -> List[_R]:
     """Order-preserving supervised map, optionally fanned out.
 
-    ``jobs <= 1`` (or a single item) runs inline with no pool -- the
+    ``jobs <= 1`` (or a single item) runs inline with no workers -- the
     deterministic reference path. ``fn`` and every item must be
     picklable when ``jobs > 1``; results return in item order, so a
     worker count never reorders downstream aggregation.
 
-    Execution is supervised: a worker that really crashes, hangs past
-    ``unit_timeout``, or raises is recovered by pool rebuild and
-    deterministic re-issue (see :mod:`repro.core.supervisor`), and
-    injected faults from a ``fault_injector`` -- simulated kills and
-    escalations as well as real exits / hangs / poison raises -- ride
-    the same machinery. Since work units are deterministic, the
-    returned results are identical to an injector-free serial run. A
-    unit that exhausts ``max_retries`` raises a typed
+    Execution is supervised: a unit whose worker really crashes, hangs
+    past ``unit_timeout``, or raises is re-issued on a fresh worker
+    (see :mod:`repro.core.supervisor`), and the real exits / hangs /
+    poison raises of a ``fault_injector`` ride the same machinery.
+    Since work units are deterministic, the returned results are
+    identical to an injector-free serial run. A unit that exhausts
+    ``max_retries`` raises a typed
     :class:`~repro.errors.SupervisionError` carrying the quarantined
     :class:`~repro.core.supervisor.UnitFailure` records -- never a raw
-    ``BrokenProcessPool`` or a worker traceback. That contract holds at
-    every worker count: the inline ``jobs=1`` path supervises too, so a
-    raising unit surfaces the same typed failure it would in a pool.
+    worker traceback. That contract holds at every worker count: the
+    inline ``jobs=1`` path supervises too, so a raising unit surfaces
+    the same typed failure it would in a worker.
     """
     items = list(items)
     inject, hang_seconds = _injector_hooks(fault_injector)
-    with SupervisedPool(jobs=min(jobs, max(1, len(items))),
-                        unit_timeout=unit_timeout,
-                        max_retries=max_retries) as pool:
-        outcome = pool.map(fn, items, inject=inject,
-                           hang_seconds=hang_seconds)
+    pool = SupervisedPool(jobs=min(jobs, max(1, len(items))),
+                          unit_timeout=unit_timeout, max_retries=max_retries)
+    outcome = pool.map(fn, items, inject=inject, hang_seconds=hang_seconds)
     if outcome.failures:
         raise SupervisionError(outcome.failures)
     return list(outcome.values)
@@ -189,8 +188,7 @@ class ParallelCampaignExecutor:
         results are identical at every value.
     fault_injector:
         Optional :class:`~repro.core.faults.FaultInjector`; shard
-        attempts it dooms -- simulated worker kills and watchdog
-        escalations as well as *real* worker exits, deadline hangs and
+        attempts it dooms -- *real* worker exits, deadline hangs and
         poison raises -- are recovered by the supervisor, and its plan
         may inject a study-level interruption
         (:class:`~repro.errors.CampaignInterrupted`).
@@ -204,15 +202,15 @@ class ParallelCampaignExecutor:
         detection); a shard still running at its deadline is charged a
         hang and deterministically re-issued.
     max_retries:
-        Attributed-failure budget per shard; a shard whose attempts
+        Failure budget per shard; a shard whose attempts
         crash/hang/poison ``max_retries + 1`` times is quarantined as a
         typed :class:`~repro.core.supervisor.UnitFailure` in
         :attr:`failures` (its record list comes back empty and its rows
         are omitted from :attr:`store`) instead of killing the study.
 
-    One supervised pool serves the whole :meth:`execute_campaigns`
-    call -- every retry round included -- and :attr:`supervision`
-    reports what it did (attempts, retries, rebuilds, quarantines).
+    One supervised map serves the whole :meth:`execute_campaigns`
+    call -- every retry included -- and :attr:`supervision` reports
+    what it did (attempts, retries, workers replaced, quarantines).
     The watchdog recovery ladder is campaign-local: every campaign shard
     gets a fresh :class:`~repro.core.watchdog.Watchdog`, matching a
     serial loop that builds one executor per campaign.
@@ -296,12 +294,11 @@ class ParallelCampaignExecutor:
                 pending_inject = None
             tasks = [(self.chip, self._seed, campaigns[index], stop_on_unsafe)
                      for index in pending]
-            with SupervisedPool(jobs=min(self.jobs, len(tasks)),
-                                unit_timeout=self.unit_timeout,
-                                max_retries=self.max_retries) as pool:
-                outcome = pool.map(_campaign_shard, tasks,
-                                   inject=pending_inject,
-                                   hang_seconds=hang_seconds)
+            pool = SupervisedPool(jobs=min(self.jobs, len(tasks)),
+                                  unit_timeout=self.unit_timeout,
+                                  max_retries=self.max_retries)
+            outcome = pool.map(_campaign_shard, tasks, inject=pending_inject,
+                               hang_seconds=hang_seconds)
             self.supervision = outcome.stats
             pool_failures = {f.index: f for f in outcome.failures}
 

@@ -1,72 +1,65 @@
-"""Supervised process-pool execution: real crash/hang/poison tolerance.
+"""Supervised execution: one worker per pipe, real crash/hang/poison tolerance.
 
 The paper's characterization framework (Fig. 2) exists because
 sub-guardband runs crash, hang and wedge the harness -- the supervisor,
-not the benchmark, must guarantee forward progress (the system-level
-frameworks of Papadimitriou et al., arXiv:2106.09975, and the Scrooge
-undervolting study, arXiv:2107.00416, make the same point). This module
-brings that property to our own process pool: where
-:func:`repro.core.parallel.parallel_map` used to die with a raw
-``BrokenProcessPool`` the moment a worker really crashed, the
-:class:`SupervisedPool` keeps the study moving:
+not the benchmark, must guarantee forward progress. The system-level
+frameworks of Papadimitriou et al. (arXiv:2106.09975) and the Scrooge
+undervolting study (arXiv:2107.00416) isolate every run in its own
+worker process for that reason. :class:`SupervisedPool` gives our work
+units the same guarantee:
 
-- **per-unit deadlines** -- every submitted work unit carries a
-  ``unit_timeout`` deadline; a unit that is still running past it is
-  treated as hung, the wedged pool is torn down (worker processes
-  terminated) and the unit is deterministically re-issued;
-- **bounded retries** -- every attributed failure (crash, hang, poison
-  exception) charges the unit's retry budget and lands in a structured
-  attempt ledger; after ``max_retries`` charged failures the unit is
+- **one pipe per worker** -- a pooled map starts ``min(jobs, units)``
+  long-lived worker processes, each with its own ``Pipe`` and at most
+  one unit in flight, and waits on all the pipes with
+  :func:`multiprocessing.connection.wait`. A worker that dies
+  (``os._exit``, segfault, OOM kill) shows up as the EOF on its own
+  pipe, so the crash belongs to the one unit that worker was running;
+- **per-unit deadlines** -- a unit still running ``unit_timeout``
+  seconds after it was sent is charged a hang and its worker is
+  terminated. After a crash or a hang only that one worker is replaced;
+  the others keep running;
+- **bounded retries** -- every failure (crash, hang, poison exception)
+  is charged to its unit's retry budget and lands in a structured
+  attempt ledger; after ``max_retries`` + 1 failures the unit is
   *quarantined* and reported as a typed :class:`UnitFailure` instead of
   a stack trace;
-- **transparent pool rebuild** -- a worker death (``os._exit``,
-  segfault, OOM kill) breaks the whole ``ProcessPoolExecutor``; the
-  supervisor rebuilds it and re-issues every unit that was in flight.
-  Units lost *collaterally* (they shared the pool with the one that
-  died) are re-issued free of charge, so retry budgets -- and therefore
-  quarantine decisions -- do not depend on the worker count;
-- **crash attribution** -- when several units were in flight during a
-  break, the supervisor cannot know which one killed the worker, so the
-  suspects re-run one at a time (attribution mode) until the culprit
-  breaks the pool alone and is charged;
-- **graceful degradation** -- if the pool cannot be rebuilt, execution
-  falls back to inline serial mode (injected process-level faults are
-  simulated there, since a real ``os._exit`` would take down the
-  supervisor itself);
+- **graceful degradation** -- if a worker cannot be started, the map
+  goes on with the workers it has, and inline once it has none
+  (injected process-level faults are simulated inline, since a real
+  ``os._exit`` would take down the supervisor itself);
 - **single-threaded BLAS in every unit** -- units run with OpenBLAS
   pinned to one thread, inline (restored to the caller's setting when
-  the map returns) and in every pool worker (pinned at worker start).
+  the map returns) and in every worker (pinned at worker start).
   A unit is one process's worth of work: a multithreaded BLAS inside it
   only spins a second thread against the other units, or against the
   unit's own Python code, for GEMMs far too small to gain from it.
 
-Because work units are deterministic and results are collected by unit
-index, a run under any real-fault schedule converges to results
-bit-identical to a clean run, with quarantined units enumerated
-deterministically -- the property ``tests/test_supervisor.py`` locks
-down end to end.
+Every failure is attributed to its unit by construction and the
+injected fault schedule is consulted once per ``(unit, attempt)``, so
+the attempt ledger, the retry budgets and the quarantine list are the
+same at any worker count. Work units are deterministic and results are
+collected by unit index, so a run under any real-fault schedule
+converges to results bit-identical to a clean run -- the property
+``tests/test_supervisor.py`` locks down end to end.
 """
 
 from __future__ import annotations
 
 import ctypes
+import multiprocessing
 import sys
 import time
 from collections import deque
 from contextlib import contextmanager
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.faults import (
-    SPURIOUS_ESCALATION,
     UNIT_EXIT,
     UNIT_HANG,
     UNIT_POISON,
-    WORKER_KILL,
-    PoisonError,
     run_injected_real_fault,
 )
 from repro.errors import CampaignError, SupervisionError
@@ -75,10 +68,12 @@ from repro.errors import CampaignError, SupervisionError
 CRASH = "crash"          #: the worker process died while running the unit
 HANG = "hang"            #: the unit ran past its deadline
 POISON = "poison"        #: the unit raised an exception
-POOL_BROKEN = "pool-broken"  #: the pool could not be rebuilt around the unit
+
+#: Ledger outcome (and worker message kind) of a completed attempt.
+_OK = "ok"
 
 #: Default retry budget: a unit is quarantined after ``max_retries + 1``
-#: attributed failures.
+#: failures.
 DEFAULT_MAX_RETRIES = 3
 
 #: Default sleep of an injected hang (seconds). Kept short so plans stay
@@ -86,14 +81,21 @@ DEFAULT_MAX_RETRIES = 3
 #: returns and is charged as a hang.
 DEFAULT_HANG_SECONDS = 1.0
 
+#: How an injected fault is charged when the unit runs inline.
+_SIMULATED = {
+    UNIT_EXIT: (CRASH, "injected worker os._exit (simulated inline)"),
+    UNIT_HANG: (HANG, "injected deadline hang (simulated inline)"),
+    UNIT_POISON: (POISON, "injected poison exception (simulated inline)"),
+}
+
 
 @dataclass(frozen=True)
 class UnitFailure:
     """One quarantined work unit, as a typed record (not a traceback)."""
 
     index: int              #: position of the unit in the submitted items
-    kind: str               #: one of CRASH / HANG / POISON / POOL_BROKEN
-    attempts: int           #: attributed failures charged before quarantine
+    kind: str               #: one of CRASH / HANG / POISON
+    attempts: int           #: failures charged before quarantine
     detail: str = ""        #: human-readable cause (e.g. the repr of the
     #: poison exception); never a multi-frame traceback
     label: str = ""         #: caller-assigned name (campaign, task id, ...)
@@ -109,10 +111,10 @@ class AttemptRecord:
     """One ledger entry: what happened to one submission of one unit."""
 
     index: int              #: unit index
-    attempt: int            #: attributed attempt number at submission
-    outcome: str            #: "ok", a taxonomy kind, an injected fault
-    #: kind, or "pool-broken" for a collateral loss
+    attempt: int            #: failures charged to the unit before it
+    outcome: str            #: "ok" or a taxonomy kind
     charged: bool = False   #: whether this outcome consumed retry budget
+    #: (every failure does)
     detail: str = ""
 
 
@@ -121,14 +123,13 @@ class SupervisorStats:
     """What the supervisor actually did, for reporting and manifests."""
 
     attempts: int = 0            #: work-unit submissions (incl. inline)
-    retries: int = 0             #: re-submissions after any kind of loss
-    rebuilds: int = 0            #: pool teardown + rebuild events
-    crashes: int = 0             #: attributed worker deaths
-    hangs: int = 0               #: attributed deadline overruns
-    poisoned: int = 0            #: attributed unit exceptions
-    collateral_losses: int = 0   #: units lost to another unit's fault
+    retries: int = 0             #: re-submissions after a failure
+    rebuilds: int = 0            #: workers replaced after a crash or hang
+    crashes: int = 0             #: worker deaths
+    hangs: int = 0               #: deadline overruns
+    poisoned: int = 0            #: unit exceptions
     quarantined: int = 0         #: units that exhausted their budget
-    degraded: bool = False       #: fell back to inline serial execution
+    degraded: bool = False       #: a worker could not be started
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -138,16 +139,15 @@ class SupervisorStats:
             "crashes": self.crashes,
             "hangs": self.hangs,
             "poisoned": self.poisoned,
-            "collateral_losses": self.collateral_losses,
             "quarantined": self.quarantined,
             "degraded": self.degraded,
         }
 
     def describe(self) -> str:
         text = (f"{self.attempts} attempts, {self.retries} retries, "
-                f"{self.rebuilds} pool rebuilds, "
+                f"{self.rebuilds} workers replaced, "
                 f"{self.quarantined} quarantined")
-        return text + (" [degraded to serial]" if self.degraded else "")
+        return text + (" [degraded]" if self.degraded else "")
 
 
 @dataclass(frozen=True)
@@ -167,83 +167,6 @@ class MapOutcome:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-@dataclass(frozen=True)
-class _UnitResult:
-    """Tagged envelope a worker returns instead of the bare value.
-
-    Results are recognised by ``isinstance``, never compared by value,
-    so a work unit may legitimately return *any* object -- including one
-    equal to a sentinel -- without being mistaken for a doomed attempt.
-    """
-
-    ok: bool
-    value: object = None
-    fault: Optional[str] = None
-
-
-def _supervised_unit(task):
-    """Worker body: execute one unit, honouring an injected fault.
-
-    ``directive`` is the parent-computed injected fault for this attempt
-    (or ``None``): simulated losses (legacy worker kills / spurious
-    escalations) return a tagged envelope; *real* process-level faults
-    actually happen in this process -- ``os._exit``, a deadline-busting
-    sleep, a raised poison exception -- so the supervisor's recovery
-    machinery is exercised for real, not simulated.
-    """
-    fn, item, directive, hang_seconds = task
-    if directive is not None:
-        marker = run_injected_real_fault(directive, hang_seconds)
-        return _UnitResult(ok=False, fault=marker)
-    return _UnitResult(ok=True, value=fn(item))
-
-
-class _UnitState:
-    """Mutable supervision state of one work unit."""
-
-    __slots__ = ("index", "attempt", "charged", "last_kind", "last_detail",
-                 "submissions", "failure")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.attempt = 0        # next injected-fault attempt to consult;
-        # advances on every *attributed* loss, never on collateral ones,
-        # so injected schedules replay identically at any worker count
-        self.charged = 0        # attributed real failures (retry budget)
-        self.last_kind = ""
-        self.last_detail = ""
-        self.submissions = 0
-        self.failure: Optional[UnitFailure] = None
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a (possibly wedged or broken) pool down, hard.
-
-    ``shutdown(wait=False)`` alone would leave a hung worker running its
-    ``time.sleep`` (or a real infinite loop) forever; terminating the
-    worker processes directly reclaims them. ``_processes`` is a CPython
-    implementation detail, so every touch is defensive.
-    """
-    try:
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-    except Exception:
-        processes = []
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-    for process in processes:
-        try:
-            process.terminate()
-        except Exception:
-            pass
-    for process in processes:
-        try:
-            process.join(timeout=2.0)
-        except Exception:
-            pass
 
 
 #: (getter, setter) symbol pairs of the OpenBLAS thread count: the
@@ -315,41 +238,234 @@ def single_threaded_blas() -> Iterator[None]:
 
 
 def _pin_worker_blas() -> None:
-    """Pool-worker initializer: one BLAS thread for the worker's life."""
+    """Worker bootstrap: one BLAS thread for the worker's life."""
     handles = _blas_handles()
     if handles is not None:
         handles[1](1)
 
 
+def _worker(conn) -> None:
+    """Worker-process body: run the units sent over ``conn`` until ``None``.
+
+    A unit arrives as ``(fn, item, directive, hang_seconds)`` and is
+    answered with one ``(kind, payload)`` message: ``("ok", value)``, or
+    ``(POISON, detail)`` when it raised. The message is tagged by
+    position, so no value a unit returns can pass for a failure.
+    ``directive`` is the injected fault of this attempt, and it really
+    happens here: ``os._exit`` (no answer -- the parent reads the EOF),
+    a sleep (answered as a hang if no deadline cut it short), or a
+    raised :class:`~repro.core.faults.PoisonError`.
+    """
+    _pin_worker_blas()
+    for fn, item, directive, hang_seconds in iter(conn.recv, None):
+        try:
+            if directive is None:
+                conn.send((_OK, fn(item)))
+            else:
+                run_injected_real_fault(directive, hang_seconds)
+                conn.send((HANG, "injected hang returned under the deadline"))
+        except Exception as exc:  # noqa: BLE001 -- typed quarantine
+            conn.send((POISON, repr(exc)))
+
+
+class _Worker:
+    """One worker process, the parent's end of its pipe, and its unit."""
+
+    def __init__(self) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(target=_worker, args=(child,))
+        try:
+            self.process.start()
+        except OSError:
+            self.conn.close()
+            raise
+        finally:
+            child.close()
+        self.index: Optional[int] = None        # unit in flight
+        self.deadline: Optional[float] = None
+
+    def stop(self) -> None:
+        """Let an idle worker exit, terminate a busy one, and reap it."""
+        if self.index is None:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass                            # already gone
+        else:
+            self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
+class _MapRun:
+    """The supervision state of one :meth:`SupervisedPool.map` call."""
+
+    def __init__(self, pool: "SupervisedPool", fn: Callable, items: List,
+                 inject: Optional[Callable[[int, int], Optional[str]]],
+                 hang_seconds: float) -> None:
+        self.pool = pool
+        self.fn = fn
+        self.items = items
+        self.inject = inject
+        self.hang_seconds = hang_seconds
+        self.attempts = [0] * len(items)    # failures charged, per unit
+        self.results: List[object] = [None] * len(items)
+        self.failures: Dict[int, UnitFailure] = {}
+        self.stats = SupervisorStats()
+        self.ledger: List[AttemptRecord] = []
+
+    def outcome(self) -> MapOutcome:
+        failures = tuple(self.failures[index] for index in sorted(self.failures))
+        return MapOutcome(values=tuple(self.results), failures=failures,
+                          stats=self.stats, ledger=tuple(self.ledger))
+
+    def submit(self, index: int) -> Optional[str]:
+        """Count one submission of a unit; its injected fault, if any."""
+        self.stats.attempts += 1
+        if self.attempts[index]:
+            self.stats.retries += 1
+        return self.inject(index, self.attempts[index]) if self.inject else None
+
+    def succeed(self, index: int, value: object) -> None:
+        self.results[index] = value
+        self.ledger.append(AttemptRecord(index, self.attempts[index], _OK))
+
+    def charge(self, index: int, kind: str, detail: str) -> bool:
+        """Charge one failure to the unit; True while it may be retried."""
+        attempt = self.attempts[index]
+        self.ledger.append(AttemptRecord(index, attempt, kind, charged=True,
+                                         detail=detail))
+        self.attempts[index] = attempt + 1
+        if kind == CRASH:
+            self.stats.crashes += 1
+        elif kind == HANG:
+            self.stats.hangs += 1
+        else:
+            self.stats.poisoned += 1
+        if attempt + 1 <= self.pool.max_retries:
+            return True
+        self.failures[index] = UnitFailure(index=index, kind=kind,
+                                           attempts=attempt + 1, detail=detail)
+        self.stats.quarantined += 1
+        return False
+
+    def run_inline(self, indices: Iterable[int]) -> None:
+        """Serial reference path, also the degradation target.
+
+        Injected faults are simulated here (an actual ``os._exit`` would
+        kill the supervisor itself; an actual sleep would stall it), but
+        they are charged exactly as a worker reports them -- which keeps
+        the ledger and the quarantine list identical between ``jobs=1``
+        and any pooled run.
+        """
+        for index in indices:
+            while index not in self.failures:
+                directive = self.submit(index)
+                if directive is not None:
+                    self.charge(index, *_SIMULATED[directive])
+                    continue
+                try:
+                    value = self.fn(self.items[index])
+                except Exception as exc:  # noqa: BLE001 -- typed quarantine
+                    self.charge(index, POISON, repr(exc))
+                    continue
+                self.succeed(index, value)
+                break
+
+    def start_worker(self, workers: List[_Worker]) -> bool:
+        """Start one more worker; if the OS refuses, mark the map
+        degraded and return False."""
+        try:
+            workers.append(_Worker())
+        except OSError:
+            self.stats.degraded = True
+            return False
+        return True
+
+    def send(self, worker: _Worker, index: int) -> None:
+        directive = self.submit(index)
+        timeout = self.pool.unit_timeout
+        worker.index = index
+        worker.deadline = (time.monotonic() + timeout
+                           if timeout is not None else None)
+        try:
+            worker.conn.send((self.fn, self.items[index], directive,
+                              self.hang_seconds))
+        except OSError:
+            pass    # the worker died idle: its EOF is read as this crash
+
+    def run_pooled(self, jobs: int) -> None:
+        """Run every unit on ``jobs`` workers, each with one unit in flight."""
+        queue = deque(range(len(self.items)))
+        workers: List[_Worker] = []
+        try:
+            for _ in range(jobs):
+                self.start_worker(workers)
+            while True:
+                for worker in workers:
+                    if worker.index is None and queue:
+                        self.send(worker, queue.popleft())
+                busy = [worker for worker in workers if worker.index is not None]
+                if not busy:
+                    break
+                deadlines = [w.deadline for w in busy if w.deadline is not None]
+                timeout = (max(0.0, min(deadlines) - time.monotonic())
+                           if deadlines else None)
+                ready = wait([worker.conn for worker in busy], timeout)
+                now = time.monotonic()
+                for worker in busy:
+                    index = worker.index
+                    if worker.conn in ready:
+                        try:
+                            kind, payload = worker.conn.recv()
+                            worker.index = None
+                        except (EOFError, OSError):
+                            worker.stop()
+                            kind, payload = CRASH, (
+                                "worker process died (exitcode "
+                                f"{worker.process.exitcode})")
+                    elif worker.deadline is not None and now >= worker.deadline:
+                        worker.stop()
+                        kind, payload = HANG, (
+                            f"no result within {self.pool.unit_timeout}s deadline")
+                    else:
+                        continue
+                    if kind == _OK:
+                        self.succeed(index, payload)
+                    elif self.charge(index, kind, payload):
+                        queue.append(index)
+                    if worker.index is not None:    # lost: replace it
+                        workers.remove(worker)
+                        if queue and self.start_worker(workers):
+                            self.stats.rebuilds += 1
+        finally:
+            for worker in workers:
+                worker.stop()
+        self.run_inline(queue)
+
+
 class SupervisedPool:
-    """A future-based process pool that guarantees forward progress.
+    """Supervised worker processes that guarantee forward progress.
 
     Parameters
     ----------
     jobs:
-        Worker-process count. ``1`` executes inline (no pool); the
+        Worker-process count. ``1`` executes inline (no workers); the
         returned values are identical at every count.
     unit_timeout:
         Per-unit deadline in seconds (``None`` disables hang detection).
         Must comfortably exceed a legitimate unit's runtime: a unit still
         running at its deadline is charged a hang and re-issued.
     max_retries:
-        Attributed-failure budget per unit; the unit is quarantined on
-        failure ``max_retries + 1``.
-    serial_fallback:
-        When the pool cannot be rebuilt, ``True`` (default) degrades to
-        inline serial execution; ``False`` quarantines the remaining
-        units as :data:`POOL_BROKEN`.
+        Failure budget per unit; the unit is quarantined on failure
+        ``max_retries + 1``.
 
-    One pool instance is reused across every retry round of a
-    :meth:`map` call (and across successive calls), instead of the old
-    build-and-tear-down-per-round cycle; it is only ever rebuilt when a
-    worker death or hang actually breaks it.
+    Each pooled :meth:`map` starts its workers and stops them before it
+    returns; no process outlives the call.
     """
 
     def __init__(self, jobs: int = 1, unit_timeout: Optional[float] = None,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 serial_fallback: bool = True) -> None:
+                 max_retries: int = DEFAULT_MAX_RETRIES) -> None:
         if jobs < 1:
             raise CampaignError(f"jobs must be >= 1, got {jobs}")
         if max_retries < 0:
@@ -360,49 +476,7 @@ class SupervisedPool:
         self.jobs = jobs
         self.unit_timeout = unit_timeout
         self.max_retries = max_retries
-        self.serial_fallback = serial_fallback
-        self._pool: Optional[ProcessPoolExecutor] = None
 
-    # ------------------------------------------------------------------
-    # Pool lifecycle
-    # ------------------------------------------------------------------
-    def _pool_factory(self) -> ProcessPoolExecutor:
-        """Build the worker pool (overridable in tests)."""
-        return ProcessPoolExecutor(max_workers=self.jobs,
-                                   initializer=_pin_worker_blas)
-
-    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
-        """The live pool, building one on demand; ``None`` if unbuildable."""
-        if self._pool is None:
-            try:
-                self._pool = self._pool_factory()
-            except Exception:
-                self._pool = None
-        return self._pool
-
-    def _teardown(self) -> None:
-        if self._pool is not None:
-            _terminate_pool(self._pool)
-            self._pool = None
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            try:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-            except Exception:
-                _terminate_pool(self._pool)
-            self._pool = None
-
-    def __enter__(self) -> "SupervisedPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Supervised map
-    # ------------------------------------------------------------------
     def map(self, fn: Callable, items: Sequence,
             inject: Optional[Callable[[int, int], Optional[str]]] = None,
             hang_seconds: float = DEFAULT_HANG_SECONDS) -> MapOutcome:
@@ -410,348 +484,38 @@ class SupervisedPool:
 
         ``inject(index, attempt)`` (usually
         :meth:`repro.core.faults.FaultInjector.unit_fault`) supplies the
-        injected fault directive for each attributed attempt of each
-        unit, or ``None`` for a clean attempt. Results come back by unit
-        index, so completion order never reorders downstream
-        aggregation; quarantined units are enumerated in
-        :attr:`MapOutcome.failures`, sorted by index. Units run with
-        single-threaded BLAS (see :func:`single_threaded_blas`).
+        injected fault directive for each attempt of each unit, or
+        ``None`` for a clean attempt; it is consulted once per attempt.
+        Results come back by unit index, so completion order never
+        reorders downstream aggregation; quarantined units are
+        enumerated in :attr:`MapOutcome.failures`, sorted by index.
+        Units run with single-threaded BLAS (see
+        :func:`single_threaded_blas`).
         """
-        items = list(items)
-        stats = SupervisorStats()
-        ledger: List[AttemptRecord] = []
-        states = [_UnitState(index) for index in range(len(items))]
-        results: List[object] = [None] * len(items)
-        done = [False] * len(items)
+        run = _MapRun(self, fn, list(items), inject, hang_seconds)
         with single_threaded_blas():
-            if self.jobs <= 1 or len(items) <= 1:
-                self._run_inline(fn, items, list(range(len(items))), inject,
-                                 states, results, done, stats, ledger)
+            if self.jobs <= 1 or len(run.items) <= 1:
+                run.run_inline(range(len(run.items)))
             else:
-                self._run_pooled(fn, items, inject, hang_seconds,
-                                 states, results, done, stats, ledger)
-        failures = tuple(sorted((s.failure for s in states
-                                 if s.failure is not None),
-                                key=lambda f: f.index))
-        return MapOutcome(values=tuple(results), failures=failures,
-                          stats=stats, ledger=tuple(ledger))
-
-    # ------------------------------------------------------------------
-    # Shared bookkeeping
-    # ------------------------------------------------------------------
-    def _charge(self, state: _UnitState, kind: str, detail: str,
-                stats: SupervisorStats, ledger: List[AttemptRecord]) -> bool:
-        """Charge one attributed real failure; returns True on quarantine."""
-        ledger.append(AttemptRecord(state.index, state.attempt, kind,
-                                    charged=True, detail=detail))
-        state.attempt += 1
-        state.charged += 1
-        state.last_kind = kind
-        state.last_detail = detail
-        if kind == CRASH:
-            stats.crashes += 1
-        elif kind == HANG:
-            stats.hangs += 1
-        elif kind == POISON:
-            stats.poisoned += 1
-        if state.charged > self.max_retries:
-            state.failure = UnitFailure(
-                index=state.index, kind=kind, attempts=state.charged,
-                detail=detail)
-            stats.quarantined += 1
-            return True
-        return False
-
-    def _free_loss(self, state: _UnitState, outcome: str,
-                   ledger: List[AttemptRecord], attributed: bool) -> None:
-        """Record an uncharged loss; attributed ones advance the injected
-        schedule, collateral ones replay the same attempt."""
-        ledger.append(AttemptRecord(state.index, state.attempt, outcome,
-                                    charged=False))
-        if attributed:
-            state.attempt += 1
-
-    @staticmethod
-    def _classify_injected(directive: str) -> Tuple[str, str]:
-        """Taxonomy kind + detail of a simulated injected real fault."""
-        if directive == UNIT_EXIT:
-            return CRASH, "injected worker os._exit (simulated inline)"
-        if directive == UNIT_HANG:
-            return HANG, "injected deadline hang (simulated inline)"
-        return POISON, "injected poison exception (simulated inline)"
-
-    # ------------------------------------------------------------------
-    # Inline (serial) execution -- jobs=1 and pool-degraded mode
-    # ------------------------------------------------------------------
-    def _run_inline(self, fn, items, indices, inject, states, results,
-                    done, stats, ledger) -> None:
-        """Serial reference path, also the degradation target.
-
-        Injected *real* faults are simulated here (an actual ``os._exit``
-        would kill the supervisor itself; an actual sleep would stall
-        it), but they are still charged and quarantined exactly as the
-        pool observes them -- which is what keeps quarantine lists
-        identical between ``jobs=1`` and any pool run.
-        """
-        for index in indices:
-            state = states[index]
-            while not done[index] and state.failure is None:
-                directive = inject(index, state.attempt) if inject else None
-                stats.attempts += 1
-                if state.submissions > 0:
-                    stats.retries += 1
-                state.submissions += 1
-                if directive in (WORKER_KILL, SPURIOUS_ESCALATION):
-                    self._free_loss(state, directive, ledger, attributed=True)
-                    continue
-                if directive in (UNIT_EXIT, UNIT_HANG, UNIT_POISON):
-                    kind, detail = self._classify_injected(directive)
-                    self._charge(state, kind, detail, stats, ledger)
-                    continue
-                try:
-                    value = fn(items[index])
-                except Exception as exc:  # noqa: BLE001 -- typed quarantine
-                    self._charge(state, POISON, repr(exc), stats, ledger)
-                    continue
-                results[index] = value
-                done[index] = True
-                ledger.append(AttemptRecord(index, state.attempt, "ok"))
-
-    # ------------------------------------------------------------------
-    # Pooled execution
-    # ------------------------------------------------------------------
-    def _run_pooled(self, fn, items, inject, hang_seconds,
-                    states, results, done, stats, ledger) -> None:
-        normal_q: Deque[int] = deque(range(len(items)))
-        careful_q: Deque[int] = deque()   # suspects needing solo attribution
-        in_flight: Dict[object, Tuple[int, Optional[float]]] = {}
-        solo_active = False               # a known-doomed attempt runs alone
-
-        def remaining_indices() -> List[int]:
-            lost = [index for index, _ in in_flight.values()]
-            queued = list(careful_q) + list(normal_q)
-            return sorted(set(lost + queued))
-
-        def degrade() -> bool:
-            """Pool is gone for good: finish inline or quarantine."""
-            stats.degraded = True
-            leftovers = remaining_indices()
-            in_flight.clear()
-            careful_q.clear()
-            normal_q.clear()
-            if self.serial_fallback:
-                self._run_inline(fn, items, leftovers, inject, states,
-                                 results, done, stats, ledger)
-            else:
-                for index in leftovers:
-                    state = states[index]
-                    state.failure = UnitFailure(
-                        index=index, kind=POOL_BROKEN,
-                        attempts=state.charged,
-                        detail="process pool could not be rebuilt")
-                    stats.quarantined += 1
-                    ledger.append(AttemptRecord(index, state.attempt,
-                                                POOL_BROKEN, charged=False))
-            return self._pool is not None
-
-        def rebuild_after(reason_losses: List[Tuple[int, bool]]) -> bool:
-            """Tear down + rebuild; re-queue lost units. Returns False when
-            the pool is unrecoverable (degradation already handled)."""
-            nonlocal solo_active
-            solo_active = False
-            stats.rebuilds += 1
-            for index, attributed in reason_losses:
-                if not attributed:
-                    stats.collateral_losses += 1
-                    self._free_loss(states[index], POOL_BROKEN, ledger,
-                                    attributed=False)
-            self._teardown()
-            if self._ensure_pool() is None:
-                degrade()
-                return False
-            return True
-
-        def handle_break(suspects: List[int]) -> bool:
-            """A worker died. One suspect: attribute + charge. Several:
-            collateral re-issue, then solo attribution runs."""
-            in_flight.clear()
-            suspects = sorted(set(suspects))
-            losses: List[Tuple[int, bool]] = []
-            if len(suspects) == 1:
-                index = suspects[0]
-                quarantined = self._charge(
-                    states[index], CRASH,
-                    "worker process died before reporting", stats, ledger)
-                if not quarantined:
-                    careful_q.append(index)
-            else:
-                for index in suspects:
-                    losses.append((index, False))
-                    careful_q.append(index)
-            careful = sorted(set(careful_q))
-            careful_q.clear()
-            careful_q.extend(careful)
-            return rebuild_after(losses)
-
-        def handle_hangs(expired: List[int], collateral: List[int]) -> bool:
-            """Deadline overruns: charge the hung units, free-reissue the
-            rest, and replace the wedged pool."""
-            in_flight.clear()
-            losses = [(index, False) for index in sorted(set(collateral))]
-            for index in sorted(set(expired)):
-                quarantined = self._charge(
-                    states[index], HANG,
-                    f"no result within {self.unit_timeout}s deadline",
-                    stats, ledger)
-                if not quarantined:
-                    normal_q.appendleft(index)
-            for index in sorted(set(collateral), reverse=True):
-                normal_q.appendleft(index)
-            return rebuild_after(losses)
-
-        if self._ensure_pool() is None:
-            degrade()
-            return
-
-        while normal_q or careful_q or in_flight:
-            # ----------------------------------------------------- submit
-            pool = self._pool
-            if pool is None:
-                degrade()
-                return
-            capacity = 1 if (careful_q or solo_active) else self.jobs
-            submitted_break = False
-            while (careful_q or normal_q) and len(in_flight) < capacity \
-                    and not solo_active:
-                queue = careful_q if careful_q else normal_q
-                index = queue.popleft()
-                state = states[index]
-                if done[index] or state.failure is not None:
-                    continue
-                directive = inject(index, state.attempt) if inject else None
-                goes_solo = directive == UNIT_EXIT or queue is careful_q
-                if goes_solo and in_flight:
-                    # Known-doomed or under-attribution attempts run alone
-                    # so the coming pool break is attributable to them.
-                    queue.appendleft(index)
-                    break
-                stats.attempts += 1
-                if state.submissions > 0:
-                    stats.retries += 1
-                state.submissions += 1
-                deadline = (time.monotonic() + self.unit_timeout
-                            if self.unit_timeout is not None else None)
-                task = (fn, items[index], directive, hang_seconds)
-                try:
-                    future = pool.submit(_supervised_unit, task)
-                except (BrokenExecutor, RuntimeError):
-                    queue.appendleft(index)
-                    state.submissions -= 1
-                    stats.attempts -= 1
-                    if state.submissions > 0:
-                        stats.retries -= 1
-                    submitted_break = True
-                    break
-                in_flight[future] = (index, deadline)
-                if goes_solo:
-                    solo_active = True
-                    break
-            if submitted_break:
-                if not handle_break([i for i, _ in in_flight.values()]):
-                    return
-                continue
-            if not in_flight:
-                continue
-
-            # ------------------------------------------------------- wait
-            timeout = None
-            if self.unit_timeout is not None:
-                deadlines = [d for _, d in in_flight.values()
-                             if d is not None]
-                if deadlines:
-                    timeout = max(0.0, min(deadlines) - time.monotonic())
-            done_futures, _ = wait(set(in_flight), timeout=timeout,
-                                   return_when=FIRST_COMPLETED)
-
-            # ---------------------------------------------------- resolve
-            broken_suspects: List[int] = []
-            for future in done_futures:
-                if future not in in_flight:
-                    continue
-                index, _ = in_flight.pop(future)
-                state = states[index]
-                exc = future.exception()
-                if exc is None:
-                    envelope = future.result()
-                    if isinstance(envelope, _UnitResult) and envelope.ok:
-                        results[index] = envelope.value
-                        done[index] = True
-                        solo_active = False
-                        ledger.append(AttemptRecord(index, state.attempt,
-                                                    "ok"))
-                    elif isinstance(envelope, _UnitResult) \
-                            and envelope.fault == UNIT_HANG:
-                        # The injected sleep finished under the deadline:
-                        # an attributed (charged) hang all the same.
-                        solo_active = False
-                        self._charge(state, HANG,
-                                     "injected hang returned under the "
-                                     "deadline", stats, ledger)
-                        if state.failure is None:
-                            normal_q.append(index)
-                    else:
-                        # Legacy simulated loss (worker kill / spurious
-                        # escalation): free re-issue, schedule advances.
-                        fault = envelope.fault if isinstance(
-                            envelope, _UnitResult) else WORKER_KILL
-                        solo_active = False
-                        self._free_loss(state, fault, ledger,
-                                        attributed=True)
-                        normal_q.append(index)
-                elif isinstance(exc, BrokenExecutor):
-                    broken_suspects.append(index)
-                else:
-                    solo_active = False
-                    self._charge(state, POISON, repr(exc), stats, ledger)
-                    if state.failure is None:
-                        normal_q.append(index)
-            if broken_suspects:
-                suspects = broken_suspects + [i for i, _ in
-                                              in_flight.values()]
-                if not handle_break(suspects):
-                    return
-                continue
-
-            # ------------------------------------------------- deadlines
-            if self.unit_timeout is not None and in_flight:
-                now = time.monotonic()
-                expired = [index for _, (index, deadline) in
-                           in_flight.items()
-                           if deadline is not None and now >= deadline]
-                if expired:
-                    collateral = [index for _, (index, deadline) in
-                                  in_flight.items() if index not in expired]
-                    if not handle_hangs(expired, collateral):
-                        return
+                run.run_pooled(min(self.jobs, len(run.items)))
+        return run.outcome()
 
 
 def supervised_map(fn: Callable, items: Sequence, jobs: int = 1,
                    unit_timeout: Optional[float] = None,
                    max_retries: int = DEFAULT_MAX_RETRIES,
-                   serial_fallback: bool = True,
                    inject: Optional[Callable[[int, int],
                                              Optional[str]]] = None,
                    hang_seconds: float = DEFAULT_HANG_SECONDS) -> MapOutcome:
-    """One-shot supervised map: build a pool, run, tear it down.
+    """One-shot supervised map.
 
     Returns the full :class:`MapOutcome` (values + typed failures +
     stats + ledger); callers that want a plain list with quarantine as a
     typed exception use :func:`repro.core.parallel.parallel_map`.
     """
-    with SupervisedPool(jobs=jobs, unit_timeout=unit_timeout,
-                        max_retries=max_retries,
-                        serial_fallback=serial_fallback) as pool:
-        return pool.map(fn, items, inject=inject, hang_seconds=hang_seconds)
+    pool = SupervisedPool(jobs=jobs, unit_timeout=unit_timeout,
+                          max_retries=max_retries)
+    return pool.map(fn, items, inject=inject, hang_seconds=hang_seconds)
 
 
 def raise_on_failures(outcome: MapOutcome) -> MapOutcome:
@@ -770,7 +534,6 @@ __all__ = [
     "HANG",
     "MapOutcome",
     "POISON",
-    "POOL_BROKEN",
     "SupervisedPool",
     "SupervisorStats",
     "UnitFailure",

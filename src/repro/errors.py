@@ -45,8 +45,7 @@ class SupervisionError(CampaignError):
     Raised by :func:`repro.core.parallel.parallel_map` when units
     exhausted their retry budget; :attr:`failures` holds the typed
     :class:`~repro.core.supervisor.UnitFailure` records (crash / hang /
-    poison / pool-broken) instead of a raw ``BrokenProcessPool`` or a
-    worker traceback.
+    poison) instead of a raw worker traceback.
     """
 
     def __init__(self, failures=()) -> None:

@@ -31,13 +31,12 @@ def fault_injector_for(faults: Optional[int], shards: int,
                        ) -> Optional[FaultInjector]:
     """The sharded drivers' ``--faults`` / ``--real-faults`` hook.
 
-    ``faults`` is a fault-plan seed (or ``None``) for *simulated*
-    losses: a seeded selection of work-unit attempts is killed and
-    transparently re-executed by the supervised engine. ``real_faults``
-    seeds :meth:`FaultPlan.random_real`: worker processes really
-    ``os._exit``, really sleep past the deadline -- exercising pool
-    rebuild and hang recovery for real. Either way results stay
-    identical to the clean run, which is the point: the flags
+    ``faults`` seeds :meth:`FaultPlan.random`: a seeded selection of
+    work-unit attempts really ``os._exit`` their worker and is re-issued
+    on a fresh one. ``real_faults`` seeds :meth:`FaultPlan.random_real`,
+    whose exits, deadline hangs and poison units replace those exits.
+    Either way results stay identical to the clean run (apart from
+    quarantined poison units), which is the point: the flags
     demonstrate (and test) harness robustness, not a different
     experiment.
     """

@@ -99,7 +99,7 @@ def run_figure4(seed: SeedLike = None, repetitions: int = 10,
     The 3 chips x 10 programs = 30 Vmin ladders are independent work
     units; ``jobs > 1`` shards them across the supervised process pool
     with results identical to ``jobs=1`` at any worker count. ``faults``
-    seeds an injected worker-kill schedule and ``real_faults`` a
+    seeds an injected worker-exit schedule and ``real_faults`` a
     schedule of real worker exits/hangs (lost units re-execute; results
     are unchanged -- see
     :func:`repro.experiments.common.fault_injector_for`);

@@ -94,12 +94,12 @@ def run_figure6(seed: SeedLike = None, repetitions: int = 10,
     The GA search ships as a self-contained work unit through the same
     supervised process-parallel engine as the Vmin ladders, keyed by an
     integer seed derived from the campaign seed -- so the evolved virus
-    is bit-identical at any ``jobs`` count (and survives injected worker
-    kills as well as real worker crashes and hangs). The virus-plus-NAS
+    is bit-identical at any ``jobs`` count (and survives real worker
+    crashes and hangs). The virus-plus-NAS
     Vmin ladders then fan out as independent units when ``jobs > 1``,
     with results identical to the serial pass. ``faults`` /
-    ``real_faults`` seed injected simulated / real fault schedules (lost
-    units re-execute; results are unchanged); ``unit_timeout`` /
+    ``real_faults`` seed injected fault schedules (lost units
+    re-execute; results are unchanged); ``unit_timeout`` /
     ``max_retries`` set the supervisor's deadline and retry budget.
     """
     base = resolve_seed(seed)

@@ -85,8 +85,8 @@ def run_figure7(seed: SeedLike = None, repetitions: int = 10,
     work units keyed by integer seeds derived from the campaign seed,
     sharded through the same supervised process-parallel engine as the
     Vmin ladders -- bit-identical at any ``jobs`` count. ``faults`` /
-    ``real_faults`` seed injected simulated / real fault schedules (lost
-    units re-execute; results unchanged); ``unit_timeout`` /
+    ``real_faults`` seed injected fault schedules (lost units
+    re-execute; results unchanged); ``unit_timeout`` /
     ``max_retries`` set the supervisor's deadline and retry budget.
     """
     base = resolve_seed(seed)

@@ -9,8 +9,8 @@ rows, no matter what faults were injected along the way.
 
 This is the harness-robustness demonstration the paper's framework
 section is about: the benchmark results are unremarkable on purpose; the
-point is that they *survive* worker deaths, spurious watchdog power
-cycles, transport corruption/loss bursts and whole-study interruptions.
+point is that they *survive* worker deaths, hangs, transport
+corruption/loss bursts and whole-study interruptions.
 """
 
 from __future__ import annotations
@@ -88,10 +88,9 @@ class PipelineResult:
         lines.extend(format_quarantine_lines(self.failures))
         if self.fault_stats is not None:
             lines.append(
-                f"injected faults: {self.fault_stats.worker_kills} worker "
-                f"kills, {self.fault_stats.spurious_escalations} spurious "
-                f"escalations, {self.fault_stats.corrupted_frames} corrupted "
-                f"frames, {self.fault_stats.dropped_packets} dropped packets, "
+                f"injected faults: {self.fault_stats.corrupted_frames} "
+                f"corrupted frames, {self.fault_stats.dropped_packets} "
+                f"dropped packets, "
                 f"{self.fault_stats.unit_exits} worker exits, "
                 f"{self.fault_stats.unit_hangs} hangs, "
                 f"{self.fault_stats.poison_raises} poison raises")
@@ -122,12 +121,12 @@ def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
                  out_csv: Optional[str] = None) -> PipelineResult:
     """Run the full execution -> transport -> cloud pipeline once.
 
-    ``faults`` seeds a :meth:`FaultPlan.random` schedule injected into
-    both the engine and the transport; ``real_faults`` seeds a
-    :meth:`FaultPlan.random_real` schedule of *real* process-level
-    faults (worker ``os._exit``, deadline hangs) the supervised engine
-    recovers from; ``unit_timeout`` / ``max_retries`` set the
-    supervisor's per-shard deadline and retry budget. ``resume_dir``
+    ``faults`` seeds a :meth:`FaultPlan.random` schedule of worker
+    exits for the engine and bursts for the transport; ``real_faults``
+    seeds a :meth:`FaultPlan.random_real` schedule of worker exits,
+    deadline hangs and poison units that replaces those exits;
+    ``unit_timeout`` / ``max_retries`` set the supervisor's per-shard
+    deadline and retry budget. ``resume_dir``
     checkpoints completed campaign shards there and resumes any that
     already finished (quarantined shards are skipped and their typed
     failures resurfaced). Raises

@@ -239,7 +239,7 @@ def run_table1(seed: SeedLike = None,
     (device, bank), so the merged totals are identical to the serial
     pass at any worker count. Thermal regulation stays in the parent.
     Execution is supervised: ``faults`` / ``real_faults`` seed injected
-    simulated / real fault schedules the engine recovers from, and
+    fault schedules the engine recovers from, and
     ``unit_timeout`` / ``max_retries`` set its deadline and retry
     budget.
     """

@@ -267,8 +267,8 @@ def didt_search_unit(task: GaSearchTask) -> Tuple[DidtVirus, GaResult]:
     the guarantee :func:`repro.core.parallel.parallel_map` relies on.
     Because the unit is a pure function of its task tuple, the
     supervised engine (:mod:`repro.core.supervisor`) can also re-issue
-    it after a real worker crash, a deadline hang, or a collateral pool
-    break and still converge on a bit-identical virus; a GA arm that
+    it on a fresh worker after a real worker crash or a deadline hang
+    and still converge on a bit-identical virus; a GA arm that
     keeps failing is quarantined as a typed
     :class:`~repro.core.supervisor.UnitFailure` instead of wedging the
     whole search.

@@ -8,6 +8,7 @@ populations) are session-scoped.
 from __future__ import annotations
 
 import faulthandler
+import importlib.util
 import os
 import sys
 
@@ -22,18 +23,31 @@ from repro.soc.xgene2 import build_platform, build_reference_chips
 
 TEST_SEED = 1234
 
-#: Per-test hang guard (seconds) when pytest-timeout is not installed;
-#: the same bound as the ``timeout`` option in pyproject.toml.
-HANG_GUARD_S = 300
+#: Whether pytest-timeout can be loaded; without it this file registers
+#: the plugin's ``timeout`` ini option and enforces it itself.
+_HAVE_TIMEOUT_PLUGIN = importlib.util.find_spec("pytest_timeout") is not None
+
+#: Per-test hang guard in seconds (the ``timeout`` ini option), or None.
+_guard_s = None
 
 #: Duplicate of the terminal's stderr for the guard's traceback dump
 #: (test output capture redirects the real one); None with the plugin.
 _guard_stderr = None
 
 
+def pytest_addoption(parser):
+    if not _HAVE_TIMEOUT_PLUGIN:
+        parser.addini("timeout", "per-test hang guard in seconds (0: off)",
+                      default="0")
+
+
 def pytest_configure(config):
-    global _guard_stderr
-    if not config.pluginmanager.hasplugin("timeout"):
+    global _guard_s, _guard_stderr
+    if _HAVE_TIMEOUT_PLUGIN:
+        return
+    timeout = float(config.getini("timeout"))
+    if timeout > 0:
+        _guard_s = timeout
         _guard_stderr = os.dup(sys.stderr.fileno())
 
 
@@ -46,13 +60,13 @@ def pytest_unconfigure(config):
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_protocol(item, nextitem):
-    """Without pytest-timeout, a test that runs past :data:`HANG_GUARD_S`
-    dumps every thread's traceback and exits the run instead of wedging
-    it. With the plugin this does nothing."""
+    """Without pytest-timeout, a test that runs past the ``timeout`` ini
+    option dumps every thread's traceback and exits the run instead of
+    wedging it. With the plugin this does nothing."""
     if _guard_stderr is None:
         yield
         return
-    faulthandler.dump_traceback_later(HANG_GUARD_S, exit=True,
+    faulthandler.dump_traceback_later(_guard_s, exit=True,
                                       file=_guard_stderr)
     try:
         yield

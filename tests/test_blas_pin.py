@@ -6,10 +6,8 @@ thread count afterwards -- also when a unit raises. Where no OpenBLAS
 handle is found the pin does nothing and ``map`` works as before.
 """
 
-import functools
 import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -55,10 +53,9 @@ def test_units_see_one_thread_and_the_caller_gets_its_own_back(
 def test_workers_that_do_not_inherit_the_pin_are_pinned(monkeypatch,
                                                         caller_threads):
     """Spawned workers start from a fresh import, not from the parent's
-    pinned state; the pool's initializer pins them."""
-    spawning = functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
-    monkeypatch.setattr(supervisor, "ProcessPoolExecutor", spawning)
+    pinned state; the worker bootstrap pins them."""
+    monkeypatch.setattr(multiprocessing, "Process",
+                        multiprocessing.get_context("spawn").Process)
     assert supervised_map(_report_threads, range(2), jobs=2).values == (1, 1)
 
 

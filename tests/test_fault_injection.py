@@ -3,13 +3,15 @@
 import pytest
 
 from repro.core.faults import (
-    SPURIOUS_ESCALATION,
-    WORKER_KILL,
+    UNIT_EXIT,
+    UNIT_HANG,
+    UNIT_POISON,
     FaultBurst,
     FaultInjector,
     FaultPlan,
 )
 from repro.core.parallel import parallel_map
+from repro.core.supervisor import DEFAULT_MAX_RETRIES
 from repro.errors import CampaignError
 
 
@@ -42,9 +44,9 @@ def test_burst_validation():
 # ----------------------------------------------------------------------
 def test_plan_validation():
     with pytest.raises(CampaignError):
-        FaultPlan(shard_kills=((-1, 1),))
+        FaultPlan(unit_exits=((-1, 1),))
     with pytest.raises(CampaignError):
-        FaultPlan(shard_escalations=((0, 0),))
+        FaultPlan(unit_hangs=((0, 0),))
     with pytest.raises(CampaignError):
         FaultPlan(interrupt_after_shards=0)
 
@@ -76,6 +78,13 @@ def test_random_plan_without_rows_has_no_bursts():
     assert plan.corruption_bursts == () and plan.loss_bursts == ()
 
 
+def test_random_plan_exits_converge_under_the_default_budget():
+    for seed in range(20):
+        plan = FaultPlan.random(seed, shards=8)
+        assert all(1 <= count <= DEFAULT_MAX_RETRIES
+                   for _, count in plan.unit_exits)
+
+
 def test_random_plan_needs_shards():
     with pytest.raises(CampaignError):
         FaultPlan.random(1, shards=0)
@@ -84,16 +93,18 @@ def test_random_plan_needs_shards():
 # ----------------------------------------------------------------------
 # FaultInjector
 # ----------------------------------------------------------------------
-def test_shard_fault_order_kills_then_escalations_then_survival():
-    injector = FaultInjector(FaultPlan(shard_kills=((0, 2),),
-                                       shard_escalations=((0, 1),)))
-    assert injector.shard_fault(0, 0) == WORKER_KILL
-    assert injector.shard_fault(0, 1) == WORKER_KILL
-    assert injector.shard_fault(0, 2) == SPURIOUS_ESCALATION
-    assert injector.shard_fault(0, 3) is None
-    assert injector.shard_fault(1, 0) is None      # unlisted shard survives
-    assert injector.stats.worker_kills == 2
-    assert injector.stats.spurious_escalations == 1
+def test_unit_fault_order_exits_then_hangs_then_poison():
+    injector = FaultInjector(FaultPlan(unit_exits=((0, 2),),
+                                       unit_hangs=((0, 1),),
+                                       poison_units=(0,)))
+    assert injector.unit_fault(0, 0) == UNIT_EXIT
+    assert injector.unit_fault(0, 1) == UNIT_EXIT
+    assert injector.unit_fault(0, 2) == UNIT_HANG
+    assert injector.unit_fault(0, 3) == UNIT_POISON
+    assert injector.unit_fault(1, 0) is None       # unlisted unit survives
+    assert injector.stats.unit_exits == 2
+    assert injector.stats.unit_hangs == 1
+    assert injector.stats.poison_raises == 1
 
 
 def test_transport_decisions_are_pure_of_index_and_attempt():
@@ -118,15 +129,13 @@ def test_interrupt_due_threshold():
 
 
 # ----------------------------------------------------------------------
-# parallel_map under injected kills
+# parallel_map under injected worker exits
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_parallel_map_reexecutes_killed_units(jobs):
-    plan = FaultPlan(shard_kills=((0, 2), (3, 1)),
-                     shard_escalations=((1, 1),))
+    plan = FaultPlan(unit_exits=((0, 2), (1, 1), (3, 1)))
     injector = FaultInjector(plan)
     items = list(range(5))
     assert parallel_map(_square, items, jobs=jobs,
                         fault_injector=injector) == [0, 1, 4, 9, 16]
-    assert injector.stats.worker_kills == 3
-    assert injector.stats.spurious_escalations == 1
+    assert injector.stats.unit_exits == 4

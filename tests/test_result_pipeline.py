@@ -2,8 +2,8 @@
 checkpoint/resume.
 
 The acceptance property of the fault harness: a pipeline run under *any*
-seeded :class:`FaultPlan` -- worker kills, spurious watchdog
-escalations, transport corruption/loss bursts, a study interruption --
+seeded :class:`FaultPlan` -- real worker exits, transport
+corruption/loss bursts, a study interruption --
 converges to a cloud store bit-identical to the clean ``jobs=1`` run.
 """
 
@@ -88,7 +88,7 @@ def test_faulted_engine_rows_bit_identical_to_clean_run(fault_seed):
     engine.execute_campaigns(campaigns)
     assert engine.store.rows() == clean
     # The plan actually did something, or the test proves nothing.
-    assert plan.shard_kills or plan.shard_escalations
+    assert plan.unit_exits
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +179,8 @@ def test_run_pipeline_interrupt_and_resume(tmp_path):
     study, resumed twice, lands the clean run's exact CSV."""
     clean = run_pipeline(seed=9, benchmarks=2, repetitions=2, jobs=1)
 
-    # A plan that kills shard 0 once and interrupts after 1 completion.
+    # A plan that exits shard 0's worker once and interrupts after 1
+    # completion.
     # (run_pipeline derives plans from a seed; drive the engine directly
     # for the interrupt, then finish with the driver's --resume path.)
     checkpoint_dir = str(tmp_path)
@@ -188,7 +189,7 @@ def test_run_pipeline_interrupt_and_resume(tmp_path):
 
     chip = build_reference_chips(seed=9)[ProcessCorner.TTT]
     campaigns = _declare_campaigns(2, 2, 980.0, 880.0, 20.0)
-    injector = FaultInjector(FaultPlan(shard_kills=((0, 1),),
+    injector = FaultInjector(FaultPlan(unit_exits=((0, 1),),
                                        interrupt_after_shards=1))
     engine = ParallelCampaignExecutor(chip, seed=9, jobs=2,
                                       fault_injector=injector,

@@ -4,10 +4,11 @@ The acceptance property: a supervised run under any seeded real-fault
 plan -- worker ``os._exit``, deadline-exceeding hangs, poison
 exceptions -- converges to results bit-identical to the clean serial
 run, with quarantined units enumerated deterministically as typed
-:class:`UnitFailure` records at any worker count, and no raw
-``BrokenProcessPool`` or worker traceback escaping to the caller.
+:class:`UnitFailure` records at any worker count, and no raw worker
+traceback escaping to the caller.
 """
 
+import multiprocessing
 import os
 import time
 
@@ -22,7 +23,6 @@ from repro.core.supervisor import (
     CRASH,
     HANG,
     POISON,
-    POOL_BROKEN,
     SupervisedPool,
     UnitFailure,
     supervised_map,
@@ -39,6 +39,11 @@ STRESS_JOBS = int(os.environ.get("REPRO_SUPERVISOR_JOBS", "4"))
 
 
 def _square(x):
+    return x * x
+
+
+def _slow_square(x):
+    time.sleep(0.2)
     return x * x
 
 
@@ -70,23 +75,26 @@ def _real_plan():
                      poison_units=(2,), hang_seconds=0.2)
 
 
-class _UnbuildablePool(SupervisedPool):
-    def _pool_factory(self):
+@pytest.fixture
+def no_worker_can_start(monkeypatch):
+    """Every ``Process.start()`` raises, as when the OS refuses a fork."""
+    def refuse(self):
         raise OSError("no worker processes available")
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
 
 # ----------------------------------------------------------------------
-# Satellite: the _UnitResult envelope kills the sentinel aliasing
+# Worker messages are tagged by position: no value aliases a failure
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_unit_legitimately_returning_old_sentinel_value(jobs):
     """Regression: the old engine compared results by value against
     UNIT_KILLED, so a unit returning an equal tuple retried forever."""
-    injector = FaultInjector(FaultPlan(shard_kills=((0, 1),)))
+    injector = FaultInjector(FaultPlan(unit_exits=((0, 1),)))
     out = parallel_map(_legacy_sentinel, [0, 1, 2], jobs=jobs,
                        fault_injector=injector)
     assert out == [("repro.core.parallel:unit-killed",)] * 3
-    assert injector.stats.worker_kills == 1
+    assert injector.stats.unit_exits == 1
 
 
 # ----------------------------------------------------------------------
@@ -120,21 +128,47 @@ def test_quarantine_list_is_jobs_invariant():
     assert signatures[0][1] == ((0, POISON, 4), (4, POISON, 4))
 
 
-def test_broken_pool_triggers_exactly_one_rebuild():
-    """A single injected worker exit breaks the pool exactly once: the
-    supervisor attributes it (doomed attempts run solo), rebuilds once,
-    and every unit still completes."""
+def test_one_exit_charges_one_crash_to_its_unit_only():
+    """A single injected worker exit costs its own unit one charged crash
+    and no sibling anything; exactly one worker is replaced, and every
+    unit still completes."""
     plan = FaultPlan(unit_exits=((1, 1),))
     outcome = supervised_map(_square, list(range(6)), jobs=4,
                              inject=FaultInjector(plan).unit_fault)
     assert outcome.values == (0, 1, 4, 9, 16, 25)
     assert outcome.failures == ()
+    losses = [r for r in outcome.ledger if r.outcome != "ok"]
+    assert [(r.index, r.attempt, r.outcome, r.charged) for r in losses] \
+        == [(1, 0, CRASH, True)]
+    assert "exitcode 13" in losses[0].detail
+    assert sorted(r.index for r in outcome.ledger if r.outcome == "ok") \
+        == list(range(6))
     assert outcome.stats.rebuilds == 1
     assert outcome.stats.crashes == 1
 
 
+def test_ledger_is_jobs_invariant_and_every_loss_is_charged():
+    """One exit, one hang past a 0.5 s deadline, one poison unit: the
+    ledger's (index, attempt, outcome) records are the same at any
+    worker count, and no record is an uncharged loss. Units take 0.2 s,
+    so siblings are in flight when the hang's deadline expires."""
+    plan = FaultPlan(unit_exits=((0, 1),), unit_hangs=((1, 1),),
+                     poison_units=(2,), hang_seconds=5.0)
+    ledgers = []
+    for jobs in (1, 2, 4):
+        outcome = supervised_map(_slow_square, list(range(8)), jobs=jobs,
+                                 unit_timeout=0.5,
+                                 inject=FaultInjector(plan).unit_fault,
+                                 hang_seconds=plan.hang_seconds)
+        assert all(r.charged for r in outcome.ledger if r.outcome != "ok")
+        ledgers.append(sorted((r.index, r.attempt, r.outcome)
+                              for r in outcome.ledger))
+    assert ledgers[0] == ledgers[1] == ledgers[2]
+    assert (0, 0, CRASH) in ledgers[0] and (1, 0, HANG) in ledgers[0]
+
+
 # ----------------------------------------------------------------------
-# Typed failure reporting (no raw tracebacks / BrokenProcessPool)
+# Typed failure reporting (no raw tracebacks)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_parallel_map_raises_typed_supervision_error(jobs):
@@ -189,32 +223,24 @@ def test_deadline_terminates_a_really_hung_worker():
 
 
 # ----------------------------------------------------------------------
-# Graceful degradation when the pool cannot be (re)built
+# Graceful degradation when no worker can be started
 # ----------------------------------------------------------------------
-def test_degrades_to_inline_serial_when_pool_unbuildable():
-    with _UnbuildablePool(jobs=4) as pool:
-        outcome = pool.map(_square, [1, 2, 3])
+def test_degrades_to_inline_serial_when_pool_unbuildable(no_worker_can_start):
+    outcome = SupervisedPool(jobs=4).map(_square, [1, 2, 3])
     assert outcome.values == (1, 4, 9)
     assert outcome.failures == ()
     assert outcome.stats.degraded
 
 
-def test_no_serial_fallback_quarantines_as_pool_broken():
-    with _UnbuildablePool(jobs=4, serial_fallback=False) as pool:
-        outcome = pool.map(_square, [1, 2, 3])
-    assert outcome.values == (None, None, None)
-    assert [f.kind for f in outcome.failures] == [POOL_BROKEN] * 3
-    assert outcome.stats.degraded
-
-
-def test_degraded_inline_still_honors_the_injected_plan():
+def test_degraded_inline_still_honors_the_injected_plan(no_worker_can_start):
     plan = _real_plan()
-    with _UnbuildablePool(jobs=4) as pool:
-        outcome = pool.map(_square, list(range(6)),
-                           inject=FaultInjector(plan).unit_fault,
-                           hang_seconds=plan.hang_seconds)
+    outcome = SupervisedPool(jobs=4).map(_square, list(range(6)),
+                                         inject=FaultInjector(plan).unit_fault,
+                                         hang_seconds=plan.hang_seconds)
     assert outcome.values == (0, 1, None, 9, 16, 25)
     assert [(f.index, f.kind) for f in outcome.failures] == [(2, POISON)]
+    assert outcome.stats.degraded
+    assert (outcome.stats.crashes, outcome.stats.hangs) == (1, 1)
 
 
 # ----------------------------------------------------------------------
