@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.rand import SeedLike
 
@@ -69,21 +69,23 @@ def _checked(name: str, runner: Callable[[], Tuple[str, str, bool]]) -> SectionR
 def build_report(seed: SeedLike = None, fast: bool = True) -> ReproductionReport:
     """Run every experiment and assemble the report.
 
-    ``fast=True`` trims repetitions/GA budgets (suitable for CI); the
-    slow path matches the benches.
+    ``fast=True`` runs each experiment at its
+    :data:`~repro.experiments.FAST` budget (suitable for CI); otherwise
+    at the drivers' paper budgets, as the benches do.
     """
     from repro.experiments import (
-        run_figure4, run_figure5, run_figure6, run_figure7,
+        FAST, run_figure4, run_figure5, run_figure6, run_figure7,
         run_figure8a, run_figure8b, run_figure9,
         run_stencil_study, run_table1,
     )
-    reps = 3 if fast else 10
-    gens = 8 if fast else 25
-    pop = 16 if fast else 32
+
+    def budget(name: str) -> Dict[str, object]:
+        return FAST.get(name, {}) if fast else {}
+
     report = ReproductionReport()
 
     def fig4():
-        result = run_figure4(seed=seed, repetitions=reps)
+        result = run_figure4(seed=seed, **budget("fig4"))
         lo, hi = result.measured_range_mv("TTT")
         ok = (855 <= lo <= 865) and (880 <= hi <= 890) \
             and result.ordering_consistent_across_chips()
@@ -91,7 +93,7 @@ def build_report(seed: SeedLike = None, fast: bool = True) -> ReproductionReport
                 f"TTT range {lo:.0f}-{hi:.0f} mV vs paper 860-885", ok)
 
     def fig5():
-        result = run_figure5(seed=seed, repetitions=reps)
+        result = run_figure5(seed=seed, **budget("fig5"))
         ok = abs(result.full_perf_savings_pct - 12.8) < 1.0 \
             and abs(result.best_energy_savings_pct - 38.8) < 1.0 \
             and result.predictor_is_safe
@@ -100,22 +102,19 @@ def build_report(seed: SeedLike = None, fast: bool = True) -> ReproductionReport
                 f"{result.best_energy_savings_pct:.1f}% vs paper 12.8%/38.8%", ok)
 
     def fig6():
-        result = run_figure6(seed=seed, repetitions=reps,
-                             generations=gens, population=pop)
+        result = run_figure6(seed=seed, **budget("fig6"))
         return (result.format(),
                 f"virus highest by {result.gap_mv:.0f} mV",
                 result.virus_is_highest)
 
     def fig7():
-        result = run_figure7(seed=seed, repetitions=reps,
-                             generations=gens, population=pop)
+        result = run_figure7(seed=seed, **budget("fig7"))
         return (result.format(),
                 "margin ordering TTT > TFF > TSS ~ 0",
                 result.ordering_matches_paper and result.tss_margin_negligible)
 
     def table1():
-        result = run_table1(seed=seed, regulate=not fast,
-                            sample_devices=24 if fast else 72)
+        result = run_table1(seed=seed, **budget("table1"))
         amp = result.temperature_amplification()
         ok = result.all_errors_corrected and 12.0 < amp < 24.0
         return (result.format(),
@@ -140,7 +139,7 @@ def build_report(seed: SeedLike = None, fast: bool = True) -> ReproductionReport
                 "vs paper nw 27.3% / kmeans 9.4%", ok)
 
     def fig9():
-        result = run_figure9(seed=seed, repetitions=reps)
+        result = run_figure9(seed=seed, **budget("fig9"))
         ok = result.qos_met \
             and abs(result.power.total_savings_pct - 20.2) < 2.0
         return (result.format(),

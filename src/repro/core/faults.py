@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Tuple
 
 from repro.errors import CampaignError
@@ -276,8 +276,7 @@ class FaultPlan:
 
     @classmethod
     def random(cls, seed: SeedLike, shards: int, rows: int = 0,
-               max_depth: int = 3,
-               interrupt_after_shards: Optional[int] = None) -> "FaultPlan":
+               max_depth: int = 3) -> "FaultPlan":
         """A seeded plan of worker exits and transport bursts.
 
         ``shards`` is the campaign count of the study; ``rows`` the
@@ -307,15 +306,12 @@ class FaultPlan:
                     bursts.append(FaultBurst(first, length, depth))
         return cls(unit_exits=tuple(sorted(exits.items())),
                    corruption_bursts=tuple(corruption),
-                   loss_bursts=tuple(loss),
-                   interrupt_after_shards=interrupt_after_shards)
+                   loss_bursts=tuple(loss))
 
     @classmethod
     def random_real(cls, seed: SeedLike, units: int,
                     poison_rate: float = 0.0,
-                    hang_seconds: float = 0.25,
-                    thermal_zones: int = 0,
-                    thermal_unrecoverable_rate: float = 0.0) -> "FaultPlan":
+                    hang_seconds: float = 0.25) -> "FaultPlan":
         """A seeded plan of *real* process-level faults.
 
         Exit and hang counts are capped at the default supervision
@@ -323,12 +319,6 @@ class FaultPlan:
         converges: a supervised run finishes with results bit-identical
         to a clean run, except for the units ``poison_rate`` dooms --
         those are quarantined, deterministically, at any worker count.
-
-        ``thermal_zones > 0`` additionally folds a
-        :meth:`random_thermal` schedule over that many testbed zones
-        into the plan (unrecoverable actuator faults at
-        ``thermal_unrecoverable_rate``), so one seed can exercise the
-        supervision *and* the thermal fault-tolerance layers together.
         """
         if units < 1:
             raise CampaignError("a real-fault plan needs at least one unit")
@@ -341,13 +331,8 @@ class FaultPlan:
                       if rng.random() < 0.25)
         poison = tuple(unit for unit in range(units)
                        if rng.random() < poison_rate)
-        thermal: Tuple[ThermalFault, ...] = ()
-        if thermal_zones > 0:
-            thermal = cls.random_thermal(
-                seed, zones=thermal_zones,
-                unrecoverable_rate=thermal_unrecoverable_rate).thermal_faults
         return cls(unit_exits=exits, unit_hangs=hangs, poison_units=poison,
-                   hang_seconds=hang_seconds, thermal_faults=thermal)
+                   hang_seconds=hang_seconds)
 
     @classmethod
     def random_thermal(cls, seed: SeedLike, zones: int = 8,
@@ -397,6 +382,63 @@ class FaultPlan:
                                        duration_s=duration_s,
                                        magnitude=magnitude))
         return cls(thermal_faults=tuple(faults))
+
+
+@dataclass(frozen=True)
+class FaultSpec:
+    """Seeds of the fault families to inject, e.g. ``random=77,real=7``.
+
+    ``random`` seeds :meth:`FaultPlan.random`, ``real``
+    :meth:`FaultPlan.random_real` and ``thermal``
+    :meth:`FaultPlan.random_thermal`; :meth:`plan` sizes them to a run.
+    """
+
+    random: Optional[int] = None
+    real: Optional[int] = None
+    thermal: Optional[int] = None
+
+    @classmethod
+    def parse(cls, text: str) -> "FaultSpec":
+        """Parse ``"random=77,real=7,thermal=0"`` (any non-empty subset).
+
+        Raises :class:`~repro.errors.CampaignError` on an empty spec, an
+        unknown or repeated family, or a seed that is not a
+        non-negative integer.
+        """
+        families = [f.name for f in fields(cls)]
+        seeds: Dict[str, int] = {}
+        for item in text.split(","):
+            family, _, value = (part.strip() for part in item.partition("="))
+            if family not in families or family in seeds:
+                raise CampaignError(
+                    f"expected FAMILY=SEED[,...] with each FAMILY one of "
+                    f"{', '.join(families)} at most once; got {text!r}")
+            if not value.isdecimal():
+                raise CampaignError(f"{family} needs a non-negative integer "
+                                    f"seed, got {value!r}")
+            seeds[family] = int(value)
+        return cls(**seeds)
+
+    def plan(self, units: int = 0, rows: int = 0, zones: int = 0,
+             horizon_s: float = 900.0) -> FaultPlan:
+        """The one place seeds become a plan: process and transport
+        faults over ``units`` work units and ``rows`` uploaded rows,
+        thermal faults over ``zones`` zones and a ``horizon_s`` window.
+        A family whose size is 0 draws nothing."""
+        plan = FaultPlan()
+        if units and self.random is not None:
+            plan = FaultPlan.random(self.random, shards=units, rows=rows)
+        if units and self.real is not None:
+            real = FaultPlan.random_real(self.real, units=units)
+            plan = replace(plan, unit_exits=real.unit_exits,
+                           unit_hangs=real.unit_hangs,
+                           poison_units=real.poison_units,
+                           hang_seconds=real.hang_seconds)
+        if zones and self.thermal is not None:
+            thermal = FaultPlan.random_thermal(self.thermal, zones=zones,
+                                               horizon_s=horizon_s)
+            plan = replace(plan, thermal_faults=thermal.thermal_faults)
+        return plan
 
 
 @dataclass

@@ -43,7 +43,6 @@ a live generator object cannot be re-derived identically on workers.
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -69,17 +68,13 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-def default_jobs() -> int:
-    """A sensible worker count: the machine's CPU count."""
-    return max(1, os.cpu_count() or 1)
-
-
 def resolve_seed(seed) -> int:
     """Coerce a seed to the integer base the parallel engine requires.
 
-    Integers pass through and ``None`` becomes :data:`DEFAULT_SEED`;
-    generator objects are rejected because their state cannot be
-    re-derived identically in worker processes.
+    Non-negative integers pass through and ``None`` becomes
+    :data:`DEFAULT_SEED`; generator objects are rejected because their
+    state cannot be re-derived identically in worker processes, and
+    negative integers because no substream can be seeded from them.
     """
     if seed is None:
         return DEFAULT_SEED
@@ -88,6 +83,8 @@ def resolve_seed(seed) -> int:
             "parallel execution needs an integer seed (or None); "
             f"got {type(seed).__name__}"
         )
+    if seed < 0:
+        raise CampaignError(f"seed must be a non-negative integer, got {seed}")
     return int(seed)
 
 

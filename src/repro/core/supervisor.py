@@ -62,7 +62,7 @@ from repro.core.faults import (
     UNIT_POISON,
     run_injected_real_fault,
 )
-from repro.errors import CampaignError, SupervisionError
+from repro.errors import CampaignError
 
 #: Failure taxonomy reported by :class:`UnitFailure`.
 CRASH = "crash"          #: the worker process died while running the unit
@@ -518,14 +518,6 @@ def supervised_map(fn: Callable, items: Sequence, jobs: int = 1,
     return pool.map(fn, items, inject=inject, hang_seconds=hang_seconds)
 
 
-def raise_on_failures(outcome: MapOutcome) -> MapOutcome:
-    """Raise a typed :class:`~repro.errors.SupervisionError` if any unit
-    was quarantined; otherwise pass the outcome through."""
-    if outcome.failures:
-        raise SupervisionError(outcome.failures)
-    return outcome
-
-
 __all__ = [
     "AttemptRecord",
     "CRASH",
@@ -537,6 +529,5 @@ __all__ = [
     "SupervisedPool",
     "SupervisorStats",
     "UnitFailure",
-    "raise_on_failures",
     "supervised_map",
 ]

@@ -49,7 +49,23 @@ REGISTRY = {
     "multiprocess": run_multiprocess_study,
 }
 
+#: Experiment id -> reduced budgets for a quick smoke pass (``run
+#: --fast``, ``report --fast``, and ``pipeline --fast`` for
+#: :func:`~repro.experiments.pipeline.run_pipeline`). The drivers'
+#: defaults are the full budgets; ids without an entry take no budget.
+FAST = {
+    "fig4": {"repetitions": 3},
+    "fig5": {"repetitions": 3},
+    "fig6": {"repetitions": 3, "generations": 8, "population": 16},
+    "fig7": {"repetitions": 3, "generations": 8, "population": 16},
+    "table1": {"regulate": False, "sample_devices": 24},
+    "fig9": {"repetitions": 3},
+    "multiprocess": {"repetitions": 3},
+    "pipeline": {"benchmarks": 2, "repetitions": 2},
+}
+
 __all__ = [
+    "FAST",
     "Figure4Result",
     "Figure5Result",
     "Figure6Result",

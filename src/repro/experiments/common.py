@@ -6,16 +6,21 @@ fan out: each unit rebuilds its reference chip from the integer seed,
 runs one Vmin ladder on a fresh executor, and returns the result. The
 reference parts carry zero manufacturing jitter and every run draws from
 a named ``(seed, chip, run)`` substream, so a unit computes the same
-answer in any process, at any worker count, in any order.
+answer in any process, at any worker count, in any order. Drivers take
+their supervision settings and fault injection as one
+:class:`RunOptions` and run every supervised map through
+:func:`map_units`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.executor import CampaignExecutor
-from repro.core.faults import FaultInjector, FaultPlan
+from repro.core.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.core.parallel import parallel_map
+from repro.core.supervisor import DEFAULT_MAX_RETRIES, SupervisedPool
 from repro.core.vmin import VminResult, VminSearch
 from repro.rand import SeedLike
 from repro.soc.corners import ProcessCorner
@@ -26,56 +31,69 @@ from repro.workloads.base import Workload
 VminTask = Tuple[int, ProcessCorner, Workload, int]
 
 
-def fault_injector_for(faults: Optional[int], shards: int,
-                       real_faults: Optional[int] = None
-                       ) -> Optional[FaultInjector]:
-    """The sharded drivers' ``--faults`` / ``--real-faults`` hook.
+#: Virtual seconds of one regulation window of the thermal testbed;
+#: rig-fault schedules are drawn inside the first one.
+REGULATION_S = 900.0
 
-    ``faults`` seeds :meth:`FaultPlan.random`: a seeded selection of
-    work-unit attempts really ``os._exit`` their worker and is re-issued
-    on a fresh one. ``real_faults`` seeds :meth:`FaultPlan.random_real`,
-    whose exits, deadline hangs and poison units replace those exits.
-    Either way results stay identical to the clean run (apart from
-    quarantined poison units), which is the point: the flags
-    demonstrate (and test) harness robustness, not a different
-    experiment.
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How a driver runs its work: supervision settings and faults.
+
+    ``unit_timeout`` / ``max_retries`` set the supervisor's per-unit
+    deadline and retry budget. ``faults`` is a :class:`FaultSpec` of
+    seeds (sized to each call's units or zones), a fixed
+    :class:`FaultPlan` used as given, or ``None``. Recoverable faults
+    leave every row identical to the clean run: they test harness
+    robustness, not a different experiment.
     """
-    if faults is None and real_faults is None:
-        return None
-    plan = (FaultPlan.random(faults, shards=shards)
-            if faults is not None else FaultPlan())
-    if real_faults is not None:
-        real = FaultPlan.random_real(real_faults, units=shards)
-        plan = replace(plan, unit_exits=real.unit_exits,
-                       unit_hangs=real.unit_hangs,
-                       poison_units=real.poison_units,
-                       hang_seconds=real.hang_seconds)
-    return FaultInjector(plan)
+
+    unit_timeout: Optional[float] = None
+    max_retries: int = DEFAULT_MAX_RETRIES
+    faults: Union[FaultSpec, FaultPlan, None] = None
+
+    def __post_init__(self) -> None:
+        # The pool these settings feed raises the typed errors.
+        SupervisedPool(unit_timeout=self.unit_timeout,
+                       max_retries=self.max_retries)
+
+    def plan(self, units: int = 0, rows: int = 0, zones: int = 0,
+             horizon_s: float = REGULATION_S) -> Optional[FaultPlan]:
+        """The fault plan for a run of this size, or ``None``."""
+        if isinstance(self.faults, FaultSpec):
+            return self.faults.plan(units, rows, zones, horizon_s)
+        return self.faults
+
+    def thermal_plan(self, zones: int,
+                     horizon_s: float = REGULATION_S) -> Optional[FaultPlan]:
+        """The rig-fault plan for a ``zones``-zone testbed, or ``None``.
+
+        A plan here means the driver must regulate the testbed: a
+        ``thermal`` seed always gives one, a fixed plan only when it
+        carries thermal faults.
+        """
+        faults = self.faults
+        wanted = faults.thermal is not None if isinstance(faults, FaultSpec) \
+            else faults is not None and bool(faults.thermal_faults)
+        return self.plan(zones=zones, horizon_s=horizon_s) if wanted else None
 
 
-def thermal_plan_for(thermal_faults: Optional[int],
-                     plan: Optional[FaultPlan] = None,
-                     zones: int = 8,
-                     horizon_s: float = 900.0) -> Optional[FaultPlan]:
-    """The DRAM drivers' ``--thermal-faults`` hook.
+def map_units(fn: Callable, tasks: Sequence, jobs: int,
+              options: RunOptions) -> List:
+    """:func:`parallel_map` of ``fn`` over ``tasks`` under ``options``.
 
-    An explicit ``plan`` wins; otherwise ``thermal_faults`` (a seed, or
-    ``None``) draws a deterministic rig-fault schedule via
-    :meth:`FaultPlan.random_thermal`. The returned plan feeds a
-    :class:`~repro.thermal.testbed.ThermalTestbed`; recoverable
-    schedules leave the campaign's rows bit-identical to the clean run,
-    which is the point of the flag.
+    The fault plan is sized to ``len(tasks)`` units, so a seeded
+    schedule lands on this map's own units.
     """
-    if plan is not None:
-        return plan
-    if thermal_faults is None:
-        return None
-    return FaultPlan.random_thermal(thermal_faults, zones=zones,
-                                    horizon_s=horizon_s)
+    plan = options.plan(units=len(tasks))
+    return parallel_map(
+        fn, tasks, jobs=jobs,
+        fault_injector=None if plan is None else FaultInjector(plan),
+        unit_timeout=options.unit_timeout, max_retries=options.max_retries)
 
 
 def regulate_to_setpoint(testbed, setpoint_c: float, rounds: int = 3,
-                         regulation_s: float = 900.0) -> int:
+                         regulation_s: float = REGULATION_S) -> int:
     """Drive every testbed zone to ``setpoint_c`` until trustworthy.
 
     Runs up to ``rounds`` regulation windows of ``regulation_s`` virtual

@@ -10,16 +10,16 @@ reductions of at least 18.4 % (TTT/TFF) and 15.7 % (TSS).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.margins import GuardbandReport, guardband_report
-from repro.core.parallel import parallel_map, resolve_seed
-from repro.core.supervisor import DEFAULT_MAX_RETRIES
+from repro.core.parallel import resolve_seed
 from repro.core.vmin import VminResult
 from repro.experiments.common import (
+    RunOptions,
     VminTask,
-    fault_injector_for,
     format_table,
+    map_units,
     vmin_search_unit,
 )
 from repro.rand import SeedLike
@@ -90,33 +90,25 @@ class Figure4Result:
 
 
 def run_figure4(seed: SeedLike = None, repetitions: int = 10,
-                jobs: int = 1, faults: Optional[int] = None,
-                real_faults: Optional[int] = None,
-                unit_timeout: Optional[float] = None,
-                max_retries: int = DEFAULT_MAX_RETRIES) -> Figure4Result:
+                jobs: int = 1,
+                options: RunOptions = RunOptions()) -> Figure4Result:
     """Run the full Figure 4 campaign on the three reference parts.
 
     The 3 chips x 10 programs = 30 Vmin ladders are independent work
     units; ``jobs > 1`` shards them across the supervised process pool
-    with results identical to ``jobs=1`` at any worker count. ``faults``
-    seeds an injected worker-exit schedule and ``real_faults`` a
-    schedule of real worker exits/hangs (lost units re-execute; results
-    are unchanged -- see
-    :func:`repro.experiments.common.fault_injector_for`);
-    ``unit_timeout`` / ``max_retries`` set the supervisor's per-unit
-    deadline and retry budget.
+    with results identical to ``jobs=1`` at any worker count.
+    ``options`` sets the supervisor's deadline and retry budget and any
+    injected faults (lost units re-execute; results are unchanged --
+    see :class:`repro.experiments.common.RunOptions`).
     """
-    injected = faults is not None or real_faults is not None
-    base = resolve_seed(seed) if jobs > 1 or injected else seed
+    base = resolve_seed(seed) if jobs > 1 or options.faults is not None \
+        else seed
     suite = spec_suite()
     tasks: List[VminTask] = [(base, corner, workload, repetitions)
                              for corner in ProcessCorner
                              for workload in suite]
-    results: List[VminResult] = parallel_map(
-        vmin_search_unit, tasks, jobs=jobs,
-        fault_injector=fault_injector_for(faults, len(tasks),
-                                          real_faults=real_faults),
-        unit_timeout=unit_timeout, max_retries=max_retries)
+    results: List[VminResult] = map_units(vmin_search_unit, tasks, jobs,
+                                          options)
     vmin_mv: Dict[str, Dict[str, float]] = {}
     reports: Dict[str, GuardbandReport] = {}
     for index, corner in enumerate(ProcessCorner):

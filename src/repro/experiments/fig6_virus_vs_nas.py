@@ -9,15 +9,15 @@ the NAS suite, and reports the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.parallel import parallel_map, resolve_seed
-from repro.core.supervisor import DEFAULT_MAX_RETRIES
+from repro.core.parallel import resolve_seed
 from repro.core.vmin import VminResult
 from repro.experiments.common import (
+    RunOptions,
     VminTask,
-    fault_injector_for,
     format_table,
+    map_units,
     vmin_search_unit,
 )
 from repro.rand import SeedLike, derive_seed
@@ -85,10 +85,8 @@ class Figure6Result:
 
 def run_figure6(seed: SeedLike = None, repetitions: int = 10,
                 generations: int = 25, population: int = 32,
-                jobs: int = 1, faults: Optional[int] = None,
-                real_faults: Optional[int] = None,
-                unit_timeout: Optional[float] = None,
-                max_retries: int = DEFAULT_MAX_RETRIES) -> Figure6Result:
+                jobs: int = 1,
+                options: RunOptions = RunOptions()) -> Figure6Result:
     """Evolve the virus and compare against NAS on the TTT part.
 
     The GA search ships as a self-contained work unit through the same
@@ -97,27 +95,19 @@ def run_figure6(seed: SeedLike = None, repetitions: int = 10,
     is bit-identical at any ``jobs`` count (and survives real worker
     crashes and hangs). The virus-plus-NAS
     Vmin ladders then fan out as independent units when ``jobs > 1``,
-    with results identical to the serial pass. ``faults`` /
-    ``real_faults`` seed injected fault schedules (lost units
-    re-execute; results are unchanged); ``unit_timeout`` /
-    ``max_retries`` set the supervisor's deadline and retry budget.
+    with results identical to the serial pass. ``options`` sets the
+    supervisor's deadline and retry budget and any injected faults
+    (lost units re-execute; results are unchanged).
     """
     base = resolve_seed(seed)
     ga_tasks: List[GaSearchTask] = [
         (derive_seed(base, "fig6-ga"), generations, population, 3)]
-    virus, _ = parallel_map(
-        didt_search_unit, ga_tasks, jobs=jobs,
-        fault_injector=fault_injector_for(faults, len(ga_tasks),
-                                          real_faults=real_faults),
-        unit_timeout=unit_timeout, max_retries=max_retries)[0]
+    virus, _ = map_units(didt_search_unit, ga_tasks, jobs, options)[0]
     workloads = [virus_as_workload(virus)] + list(nas_suite())
     tasks: List[VminTask] = [(base, ProcessCorner.TTT, workload, repetitions)
                              for workload in workloads]
-    results: List[VminResult] = parallel_map(
-        vmin_search_unit, tasks, jobs=jobs,
-        fault_injector=fault_injector_for(faults, len(tasks),
-                                          real_faults=real_faults),
-        unit_timeout=unit_timeout, max_retries=max_retries)
+    results: List[VminResult] = map_units(vmin_search_unit, tasks, jobs,
+                                          options)
     return Figure6Result(
         corner=ProcessCorner.TTT.value,
         virus=virus,

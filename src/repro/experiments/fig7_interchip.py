@@ -10,14 +10,14 @@ at the manufacturer's nominal voltage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.parallel import parallel_map, resolve_seed
-from repro.core.supervisor import DEFAULT_MAX_RETRIES
+from repro.core.parallel import resolve_seed
 from repro.experiments.common import (
+    RunOptions,
     VminTask,
-    fault_injector_for,
     format_table,
+    map_units,
     vmin_search_unit,
 )
 from repro.experiments.fig6_virus_vs_nas import virus_as_workload
@@ -74,39 +74,29 @@ class Figure7Result:
 
 def run_figure7(seed: SeedLike = None, repetitions: int = 10,
                 generations: int = 25, population: int = 32,
-                jobs: int = 1, faults: Optional[int] = None,
-                real_faults: Optional[int] = None,
-                unit_timeout: Optional[float] = None,
-                max_retries: int = DEFAULT_MAX_RETRIES) -> Figure7Result:
+                jobs: int = 1,
+                options: RunOptions = RunOptions()) -> Figure7Result:
     """Evolve one virus per chip and measure each on its own part.
 
     As in the paper's per-part characterization, each reference chip
     gets its own EM-guided search. The three GA arms are independent
     work units keyed by integer seeds derived from the campaign seed,
     sharded through the same supervised process-parallel engine as the
-    Vmin ladders -- bit-identical at any ``jobs`` count. ``faults`` /
-    ``real_faults`` seed injected fault schedules (lost units
-    re-execute; results unchanged); ``unit_timeout`` /
-    ``max_retries`` set the supervisor's deadline and retry budget.
+    Vmin ladders -- bit-identical at any ``jobs`` count. ``options``
+    sets the supervisor's deadline and retry budget and any injected
+    faults (lost units re-execute; results unchanged).
     """
     base = resolve_seed(seed)
     corners = list(ProcessCorner)
     ga_tasks: List[GaSearchTask] = [
         (derive_seed(base, "fig7-ga", idx), generations, population, 3)
         for idx in range(len(corners))]
-    viruses = [virus for virus, _ in parallel_map(
-        didt_search_unit, ga_tasks, jobs=jobs,
-        fault_injector=fault_injector_for(faults, len(ga_tasks),
-                                          real_faults=real_faults),
-        unit_timeout=unit_timeout, max_retries=max_retries)]
+    viruses = [virus for virus, _ in map_units(didt_search_unit, ga_tasks,
+                                               jobs, options)]
     tasks: List[VminTask] = [
         (base, corner, virus_as_workload(virus), repetitions)
         for corner, virus in zip(corners, viruses)]
-    results = parallel_map(
-        vmin_search_unit, tasks, jobs=jobs,
-        fault_injector=fault_injector_for(faults, len(tasks),
-                                          real_faults=real_faults),
-        unit_timeout=unit_timeout, max_retries=max_retries)
+    results = map_units(vmin_search_unit, tasks, jobs, options)
     vmin_mv: Dict[str, float] = {
         corner.value: result.safe_vmin_mv
         for corner, result in zip(corners, results)

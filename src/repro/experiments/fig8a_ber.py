@@ -10,7 +10,7 @@ The paper's observations, all reproduced here:
 - across the four Rodinia applications BER varies by up to ~2.5x.
 
 The measurement can be gated on the thermal rig: ``regulate=True`` (or
-any ``thermal_faults`` / ``thermal_plan``) first drives a testbed zone
+thermal faults in the driver's ``options``) first drives a testbed zone
 to the setpoint with fault-tolerant regulation; an unrecoverable rig
 fault quarantines the zone and the result comes back *invalid* with the
 typed quarantine record -- BER is never reported from an untrusted
@@ -21,15 +21,14 @@ reported rows stay bit-identical to the clean run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.faults import FaultPlan
 from repro.dram.errors_model import BitErrorModel, PatternKind
 from repro.experiments.common import (
+    RunOptions,
     format_quarantine_lines,
     format_table,
     regulate_to_setpoint,
-    thermal_plan_for,
 )
 from repro.rand import SeedLike
 from repro.thermal.monitor import ZoneQuarantine
@@ -113,30 +112,24 @@ class Figure8aResult:
 def run_figure8a(seed: SeedLike = None, temp_c: float = 60.0,
                  interval_s: float = RELAXED_REFRESH_S,
                  regulate: bool = False,
-                 thermal_faults: Optional[int] = None,
-                 thermal_plan: Optional[FaultPlan] = None,
-                 thermal_rounds: int = 3,
-                 regulation_s: float = 900.0) -> Figure8aResult:
+                 options: RunOptions = RunOptions()) -> Figure8aResult:
     """Compute the Figure 8a BER comparison.
 
-    With ``regulate`` (implied by ``thermal_faults``/``thermal_plan``) a
+    With ``regulate`` (implied by thermal faults in ``options``) a
     single-zone testbed is first driven to ``temp_c`` under the
     fault-tolerant regulation loop; the BER model is evaluated only once
     the zone's belief is steady-in-band. An unrecoverable fault yields
     an *invalid* result carrying the quarantine record instead of BER
     rows measured at a wrong temperature.
     """
-    plan = thermal_plan_for(thermal_faults, thermal_plan, zones=1,
-                            horizon_s=regulation_s)
+    plan = options.thermal_plan(1)
     regulate = regulate or plan is not None
     quarantines: Tuple[ZoneQuarantine, ...] = ()
     rounds_used = 0
     if regulate:
         testbed = ThermalTestbed([ZoneConfig(setpoint_c=temp_c)],
                                  seed=seed, faults=plan)
-        rounds_used = regulate_to_setpoint(
-            testbed, temp_c, rounds=thermal_rounds,
-            regulation_s=regulation_s)
+        rounds_used = regulate_to_setpoint(testbed, temp_c)
         quarantines = testbed.zone_quarantines()
         if quarantines:
             return Figure8aResult(

@@ -15,19 +15,15 @@ corruption/loss bursts and whole-study interruptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.campaign import Campaign, CampaignPlan
 from repro.core.checkpoint import CampaignCheckpoint
-from repro.core.faults import FaultInjector, FaultPlan, FaultStats
+from repro.core.faults import FaultInjector, FaultStats
 from repro.core.parallel import ParallelCampaignExecutor, resolve_seed
 from repro.core.results import ResultStore
-from repro.core.supervisor import (
-    DEFAULT_MAX_RETRIES,
-    SupervisorStats,
-    UnitFailure,
-)
+from repro.core.supervisor import SupervisorStats, UnitFailure
 from repro.core.transport import (
     CloudStore,
     NetworkLink,
@@ -36,7 +32,7 @@ from repro.core.transport import (
     TransportStats,
 )
 from repro.errors import CampaignError
-from repro.experiments.common import format_quarantine_lines
+from repro.experiments.common import RunOptions, format_quarantine_lines
 from repro.rand import SeedLike
 from repro.soc.corners import ProcessCorner
 from repro.soc.xgene2 import build_reference_chips
@@ -113,20 +109,16 @@ def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
                  repetitions: int = 3, jobs: int = 1,
                  start_mv: float = 980.0, stop_mv: float = 880.0,
                  step_mv: float = 20.0, transport: str = "network",
-                 faults: Optional[int] = None,
-                 real_faults: Optional[int] = None,
-                 unit_timeout: Optional[float] = None,
-                 max_retries: int = DEFAULT_MAX_RETRIES,
                  resume_dir: Optional[str] = None,
-                 out_csv: Optional[str] = None) -> PipelineResult:
+                 out_csv: Optional[str] = None,
+                 options: RunOptions = RunOptions()) -> PipelineResult:
     """Run the full execution -> transport -> cloud pipeline once.
 
-    ``faults`` seeds a :meth:`FaultPlan.random` schedule of worker
-    exits for the engine and bursts for the transport; ``real_faults``
-    seeds a :meth:`FaultPlan.random_real` schedule of worker exits,
-    deadline hangs and poison units that replaces those exits;
-    ``unit_timeout`` / ``max_retries`` set the supervisor's per-shard
-    deadline and retry budget. ``resume_dir``
+    ``options`` sets the supervisor's per-shard deadline and retry
+    budget and the injected faults: a ``random`` seed draws worker exits
+    for the engine and bursts for the transport, a ``real`` seed worker
+    exits, deadline hangs and poison units that replace those exits
+    (see :meth:`~repro.core.faults.FaultSpec.plan`). ``resume_dir``
     checkpoints completed campaign shards there and resumes any that
     already finished (quarantined shards are skipped and their typed
     failures resurfaced). Raises
@@ -143,25 +135,15 @@ def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
                                    stop_mv, step_mv)
     total_rows = sum(len(c.runs) for c in campaigns) * repetitions
 
-    injector = None
-    if faults is not None or real_faults is not None:
-        plan = (FaultPlan.random(faults, shards=len(campaigns),
-                                 rows=total_rows, max_depth=3)
-                if faults is not None else FaultPlan())
-        if real_faults is not None:
-            real = FaultPlan.random_real(real_faults, units=len(campaigns))
-            plan = replace(plan, unit_exits=real.unit_exits,
-                           unit_hangs=real.unit_hangs,
-                           poison_units=real.poison_units,
-                           hang_seconds=real.hang_seconds)
-        injector = FaultInjector(plan)
+    plan = options.plan(units=len(campaigns), rows=total_rows)
+    injector = None if plan is None else FaultInjector(plan)
     checkpoint = CampaignCheckpoint(resume_dir) if resume_dir else None
 
     engine = ParallelCampaignExecutor(chip, seed=base, jobs=jobs,
                                       fault_injector=injector,
                                       checkpoint=checkpoint,
-                                      unit_timeout=unit_timeout,
-                                      max_retries=max_retries)
+                                      unit_timeout=options.unit_timeout,
+                                      max_retries=options.max_retries)
     engine.execute_campaigns(campaigns)
 
     cloud = CloudStore()

@@ -18,7 +18,7 @@ Our driver profiles the simulated 72-device population on the thermal
 testbed (regulated to each setpoint), reports the per-bank-index totals,
 the spread statistics, and the ECC scrub verdict over every device's
 banks. Regulation is fault-tolerant and measurement-gated: a
-``thermal_faults`` seed injects a deterministic rig-fault schedule, a
+``thermal`` fault seed injects a deterministic rig-fault schedule, a
 round whose zones were not steady-in-band is re-regulated, and devices
 on zones the safe-state quarantined are excluded and surfaced as typed
 :class:`~repro.thermal.monitor.ZoneQuarantine` records -- never profiled
@@ -30,21 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
-from typing import Optional
-
-from repro.core.faults import FaultPlan
-from repro.core.parallel import parallel_map, resolve_seed
-from repro.core.supervisor import DEFAULT_MAX_RETRIES
+from repro.core.parallel import resolve_seed
 from repro.dram.cells import DramDevicePopulation
 from repro.dram.controller import MemoryControlUnit, ScrubResult
 from repro.dram.geometry import DEFAULT_GEOMETRY
 from repro.errors import ConfigurationError
 from repro.experiments.common import (
-    fault_injector_for,
+    RunOptions,
     format_quarantine_lines,
     format_table,
+    map_units,
     regulate_to_setpoint,
-    thermal_plan_for,
 )
 from repro.rand import SeedLike
 from repro.thermal.binding import ZoneBinding
@@ -210,43 +206,34 @@ def run_table1(seed: SeedLike = None,
                temps_c: Tuple[float, float] = (50.0, 60.0),
                sample_devices: int = 72,
                regulate: bool = True,
-               jobs: int = 1, faults: Optional[int] = None,
-               real_faults: Optional[int] = None,
-               unit_timeout: Optional[float] = None,
-               max_retries: int = DEFAULT_MAX_RETRIES,
-               thermal_faults: Optional[int] = None,
-               thermal_plan: Optional[FaultPlan] = None,
-               thermal_rounds: int = 3,
-               regulation_s: float = 900.0) -> Table1Result:
+               jobs: int = 1,
+               options: RunOptions = RunOptions()) -> Table1Result:
     """Profile the population at both setpoints.
 
     ``regulate=True`` actually runs the 8-zone PID testbed to each
     setpoint first -- exercising the full measurement chain the paper
     used -- and gates the profiling on measurement validity: a round
     whose belief was not steady within 1 degC of setpoint is
-    deterministically re-regulated (up to ``thermal_rounds`` windows of
-    ``regulation_s`` virtual seconds each), and zones the safe-state
-    quarantined have their devices excluded and surfaced as typed
-    records. ``thermal_faults`` (a seed) or ``thermal_plan`` (an
-    explicit :class:`FaultPlan`) injects deterministic rig faults into
-    that chain and implies ``regulate=True``; with only recoverable
-    faults the result rows are bit-identical to the clean run. Every
-    profiled device's banks pass through the real SECDED scrub; the
-    verdict aggregates all of them.
+    deterministically re-regulated (up to 3 windows of
+    :data:`~repro.experiments.common.REGULATION_S` virtual seconds
+    each), and zones the safe-state quarantined have their devices
+    excluded and surfaced as typed records. Thermal faults in
+    ``options`` (a ``thermal`` seed, or a fixed plan with thermal
+    faults) are injected into that chain and imply ``regulate=True``;
+    with only recoverable faults the result rows are bit-identical to
+    the clean run. Every profiled device's banks pass through the real
+    SECDED scrub; the verdict aggregates all of them.
 
     ``jobs > 1`` shards the device profiling across a process pool in
     contiguous device chunks; per-bank sampling is substream-seeded per
     (device, bank), so the merged totals are identical to the serial
     pass at any worker count. Thermal regulation stays in the parent.
-    Execution is supervised: ``faults`` / ``real_faults`` seed injected
-    fault schedules the engine recovers from, and
-    ``unit_timeout`` / ``max_retries`` set its deadline and retry
-    budget.
+    Execution is supervised: ``options`` also sets the deadline, the
+    retry budget and any process faults the engine recovers from.
     """
     geometry = DEFAULT_GEOMETRY
     sample_devices = min(sample_devices, geometry.num_devices)
-    plan = thermal_plan_for(thermal_faults, thermal_plan,
-                            zones=NUM_ZONES, horizon_s=regulation_s)
+    plan = options.thermal_plan(NUM_ZONES)
     regulate = regulate or plan is not None
     regulation_ok = True
     quarantines: Tuple[ZoneQuarantine, ...] = ()
@@ -258,9 +245,7 @@ def run_table1(seed: SeedLike = None,
             [ZoneConfig(setpoint_c=temps_c[0]) for _ in range(NUM_ZONES)],
             seed=seed, faults=plan)
         for temp in temps_c:
-            rounds_used[temp] = regulate_to_setpoint(
-                testbed, temp, rounds=thermal_rounds,
-                regulation_s=regulation_s)
+            rounds_used[temp] = regulate_to_setpoint(testbed, temp)
             regulation_ok = regulation_ok and all(
                 testbed.zone_measurement_valid(zone)
                 for zone in range(NUM_ZONES)
@@ -275,15 +260,11 @@ def run_table1(seed: SeedLike = None,
             excluded = tuple(d for d in range(sample_devices)
                              if zone_map.zone_of_device(d) in bad_zones)
 
-    injected = faults is not None or real_faults is not None
-    base = resolve_seed(seed) if jobs > 1 or injected else seed
+    base = resolve_seed(seed) if jobs > 1 or options.faults is not None \
+        else seed
     tasks = [(base, chunk, tuple(temps_c))
              for chunk in _device_chunks(devices, jobs)]
-    shards = parallel_map(
-        _profile_device_chunk, tasks, jobs=jobs,
-        fault_injector=fault_injector_for(faults, len(tasks),
-                                          real_faults=real_faults),
-        unit_timeout=unit_timeout, max_retries=max_retries)
+    shards = map_units(_profile_device_chunk, tasks, jobs, options)
 
     counts: Dict[float, Tuple[int, ...]] = {}
     per_chip: Dict[float, Tuple[int, ...]] = {}

@@ -29,12 +29,19 @@ def test_run_rejects_bad_supervision_flags(capsys):
     assert "--unit-timeout" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["run", "fig4"], ["pipeline"], ["report"]],
+                         ids=["run", "pipeline", "report"])
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_run_fast_fig4_real_faults(capsys):
     """A seeded real-fault schedule must not change the printed figure."""
     assert main(["run", "fig4", "--seed", "1", "--fast"]) == 0
     clean = capsys.readouterr().out.rsplit("[fig4:", 1)[0]
     assert main(["run", "fig4", "--seed", "1", "--fast", "--jobs", "2",
-                 "--real-faults", "7", "--unit-timeout", "60"]) == 0
+                 "--faults", "real=7", "--unit-timeout", "60"]) == 0
     faulted = capsys.readouterr().out.rsplit("[fig4:", 1)[0]
     assert faulted == clean
 
@@ -47,17 +54,17 @@ def test_run_fast_fig8a(capsys):
 
 
 def test_run_thermal_faults_flag(capsys):
-    """--thermal-faults with a recoverable schedule leaves the printed
+    """--faults thermal=N with a recoverable schedule leaves the printed
     table identical to the clean regulated run."""
     assert main(["run", "table1", "--seed", "1", "--fast"]) == 0
     clean = capsys.readouterr().out.rsplit("[table1:", 1)[0]
     assert main(["run", "table1", "--seed", "1", "--fast",
-                 "--thermal-faults", "0"]) == 0
+                 "--faults", "thermal=0"]) == 0
     faulted = capsys.readouterr().out.rsplit("[table1:", 1)[0]
     assert "Table I" in faulted
     assert faulted == clean
     assert main(["run", "fig8a", "--seed", "1",
-                 "--thermal-faults", "0"]) == 0
+                 "--faults", "thermal=0"]) == 0
     assert "Figure 8a" in capsys.readouterr().out
 
 

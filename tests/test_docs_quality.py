@@ -8,10 +8,15 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
+import shlex
 
 import pytest
 
 import repro
+from repro.__main__ import build_parser
+from repro.core.faults import FaultSpec
+from repro.experiments import REGISTRY
 
 PACKAGE_ROOT = pathlib.Path(repro.__file__).parent
 
@@ -64,3 +69,39 @@ def test_design_and_experiments_docs_exist():
         path = repo_root / doc
         assert path.exists(), doc
         assert len(path.read_text()) > 1000, doc
+
+
+#: A ``python -m repro ...`` command in a doc, up to a comment or the
+#: closing backtick of an inline code span.
+DOC_COMMAND = re.compile(r"python -m repro\b([^`#\n]*)")
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _doc_commands():
+    for doc in ("README.md", "EXPERIMENTS.md"):
+        text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for match in DOC_COMMAND.finditer(line):
+                yield f"{doc}:{lineno}", shlex.split(match.group(1))
+
+
+DOC_COMMANDS = list(_doc_commands())
+
+
+def test_docs_show_cli_commands():
+    assert len(DOC_COMMANDS) >= 20
+
+
+@pytest.mark.parametrize("where,argv", DOC_COMMANDS,
+                         ids=[where for where, _ in DOC_COMMANDS])
+def test_documented_cli_commands_parse(where, argv):
+    """Every documented command parses with the CLI's own parser (it is
+    not run), names a known experiment and a well-formed fault spec."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"{where}: python -m repro {' '.join(argv)} does not parse")
+    if args.command == "run" and args.experiment != "all":
+        assert args.experiment in REGISTRY, where
+    if getattr(args, "faults", None) is not None:
+        FaultSpec.parse(args.faults)

@@ -1,7 +1,16 @@
 """Shared experiment plumbing."""
 
+import pytest
 
-from repro.experiments.common import format_table, reference_executors, vmin_searches
+from repro.core.faults import FaultPlan, FaultSpec, ThermalFault
+from repro.core.supervisor import SupervisedPool
+from repro.errors import CampaignError
+from repro.experiments.common import (
+    RunOptions,
+    format_table,
+    reference_executors,
+    vmin_searches,
+)
 from repro.soc.corners import ProcessCorner
 
 
@@ -30,3 +39,38 @@ def test_vmin_searches_configured():
     for search in searches.values():
         assert search.repetitions == 7
         assert search.step_mv == 10.0
+
+
+@pytest.mark.parametrize("kwargs", [{"max_retries": -1}, {"unit_timeout": 0},
+                                    {"unit_timeout": -2.5}])
+def test_run_options_reject_what_the_pool_rejects(kwargs):
+    with pytest.raises(CampaignError) as pool_error:
+        SupervisedPool(**kwargs)
+    with pytest.raises(CampaignError) as options_error:
+        RunOptions(**kwargs)
+    assert str(options_error.value) == str(pool_error.value)
+
+
+def test_run_options_size_a_spec_and_pass_a_fixed_plan_through():
+    spec = FaultSpec(random=3, thermal=1)
+    options = RunOptions(faults=spec)
+    assert options.plan(units=5, rows=40) == spec.plan(5, 40)
+    assert options.thermal_plan(8) == spec.plan(zones=8)
+    fixed = FaultPlan(unit_exits=((0, 1),))
+    assert RunOptions(faults=fixed).plan(units=5) is fixed
+    assert RunOptions().plan(units=5) is None
+
+
+def test_thermal_plan_only_when_thermal_faults_are_asked_for():
+    assert RunOptions().thermal_plan(8) is None
+    assert RunOptions(faults=FaultSpec(random=3)).thermal_plan(8) is None
+    # A fixed plan without thermal faults does not imply regulation...
+    assert RunOptions(faults=FaultPlan(unit_exits=((0, 1),))
+                      ).thermal_plan(8) is None
+    # ...one with them passes through unchanged...
+    rig = FaultPlan(thermal_faults=(
+        ThermalFault(zone=0, kind="heater-failed", start_s=10.0),))
+    assert RunOptions(faults=rig).thermal_plan(8) is rig
+    # ...and a thermal seed always regulates, even if it draws no fault.
+    assert RunOptions(faults=FaultSpec(thermal=0)).thermal_plan(1) \
+        is not None

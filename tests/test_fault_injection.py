@@ -1,7 +1,10 @@
 """The deterministic fault-injection harness (repro.core.faults)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.__main__ import main
 from repro.core.faults import (
     UNIT_EXIT,
     UNIT_HANG,
@@ -9,6 +12,7 @@ from repro.core.faults import (
     FaultBurst,
     FaultInjector,
     FaultPlan,
+    FaultSpec,
 )
 from repro.core.parallel import parallel_map
 from repro.core.supervisor import DEFAULT_MAX_RETRIES
@@ -88,6 +92,46 @@ def test_random_plan_exits_converge_under_the_default_budget():
 def test_random_plan_needs_shards():
     with pytest.raises(CampaignError):
         FaultPlan.random(1, shards=0)
+
+
+# ----------------------------------------------------------------------
+# FaultSpec
+# ----------------------------------------------------------------------
+def test_fault_spec_parses_any_subset_of_families():
+    assert FaultSpec.parse("random=77,real=7,thermal=0") == \
+        FaultSpec(random=77, real=7, thermal=0)
+    assert FaultSpec.parse("thermal=3") == FaultSpec(thermal=3)
+    assert FaultSpec.parse(" real = 5 , random=1") == FaultSpec(random=1,
+                                                                real=5)
+
+
+@pytest.mark.parametrize("text", [
+    "", "  ", "bogus=1", "random=1,random=2", "real=x", "real=", "real",
+    "thermal=1.5", "random=-1", "random=1,",
+], ids=["empty", "blank", "unknown", "repeated", "non-int", "no-seed",
+        "no-equals", "float", "negative", "trailing-comma"])
+def test_fault_spec_rejects_malformed_specs(text, capsys):
+    with pytest.raises(CampaignError):
+        FaultSpec.parse(text)
+    assert main(["run", "fig5", "--faults", text]) == 2
+    assert "--faults" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [0, 90])
+def test_fault_spec_plan_matches_constructor_composition(rows):
+    units = 6
+    random = FaultPlan.random(77, shards=units, rows=rows)
+    real = FaultPlan.random_real(7, units=units)
+    thermal = FaultPlan.random_thermal(0, zones=8, horizon_s=900.0)
+    assert FaultSpec(random=77).plan(units, rows) == random
+    assert FaultSpec(real=7).plan(units, rows) == real
+    assert FaultSpec(random=77, real=7).plan(units, rows) == replace(
+        random, unit_exits=real.unit_exits, unit_hangs=real.unit_hangs,
+        poison_units=real.poison_units, hang_seconds=real.hang_seconds)
+    assert FaultSpec(thermal=0).plan(zones=8, horizon_s=900.0) == thermal
+    # Each family is drawn only for the sizes it applies to.
+    assert FaultSpec(random=77, thermal=0).plan(units, rows) == random
+    assert FaultSpec(random=77, thermal=0).plan(zones=8) == thermal
 
 
 # ----------------------------------------------------------------------

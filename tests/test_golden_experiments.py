@@ -11,6 +11,10 @@ budgets because their figures saturate (fig6 prints swing 1.000 at 128
 and at 782 GA evaluations); only table1 differs. fig8a, fig8b and
 stencil take no budget. ``tests/test_golden_ga.py`` stays the exact pin
 for the GA arms.
+
+Recoverable injected faults must reproduce the clean digests: the
+faulted cases below run under ``--faults`` and compare against the
+clean fast digest of the same id.
 """
 
 import contextlib
@@ -64,3 +68,12 @@ def test_fast_output_matches_golden_digest(name):
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_full_output_matches_golden_digest(name):
     assert _stdout_digest(["run", name], name) == DIGESTS[name, "full"]
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("fig4", ["--jobs", "2", "--faults", "real=7", "--unit-timeout", "60"]),
+    ("table1", ["--faults", "thermal=0"]),
+], ids=["fig4-real-faults", "table1-thermal-faults"])
+def test_faulted_fast_output_matches_clean_digest(name, flags):
+    assert _stdout_digest(["run", name, "--fast"] + flags, name) \
+        == DIGESTS[name, "fast"]

@@ -13,6 +13,8 @@ import os
 
 import pytest
 
+from repro.core.faults import FaultSpec
+from repro.experiments.common import RunOptions
 from repro.experiments.pipeline import run_pipeline
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
@@ -33,7 +35,7 @@ def _cloud_csv_digest(**kwargs) -> str:
 @pytest.mark.parametrize("kwargs", [
     {"jobs": 1},
     {"jobs": 2},
-    {"jobs": 2, "faults": 77, "real_faults": 7},
+    {"jobs": 2, "options": RunOptions(faults=FaultSpec(random=77, real=7))},
 ], ids=["jobs1", "jobs2", "jobs2-faulted"])
 def test_pipeline_cloud_csv_matches_golden_digest(kwargs):
     assert _cloud_csv_digest(**kwargs) == _golden_digest()

@@ -142,6 +142,12 @@ def test_resolve_seed_contract():
         ParallelCampaignExecutor(_chip(), seed=1, jobs=0)
 
 
+def test_resolve_seed_rejects_negative_seeds():
+    assert resolve_seed(0) == 0
+    with pytest.raises(CampaignError, match="non-negative"):
+        resolve_seed(-1)
+
+
 def test_figure4_jobs_invariant():
     serial = run_figure4(seed=5, repetitions=2, jobs=1)
     sharded = run_figure4(seed=5, repetitions=2, jobs=2)

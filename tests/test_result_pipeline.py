@@ -12,10 +12,11 @@ import pytest
 from repro.core.campaign import CampaignPlan
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.executor import CampaignExecutor
-from repro.core.faults import FaultInjector, FaultPlan
+from repro.core.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.core.parallel import ParallelCampaignExecutor
 from repro.core.transport import CloudStore, NetworkLink, ResultUploader, SerialLink
 from repro.errors import CampaignInterrupted
+from repro.experiments.common import RunOptions
 from repro.experiments.pipeline import run_pipeline
 from repro.experiments.table1_weak_cells import run_table1
 from repro.soc.chip import Chip
@@ -120,7 +121,8 @@ def test_faulted_transport_converges_to_clean_contents(transport):
 def test_run_pipeline_driver_fault_equivalence():
     clean = run_pipeline(seed=9, benchmarks=2, repetitions=2, jobs=1)
     faulted = run_pipeline(seed=9, benchmarks=2, repetitions=2, jobs=3,
-                           faults=77, transport="serial")
+                           options=RunOptions(faults=FaultSpec(random=77)),
+                           transport="serial")
     assert clean.exactly_once and faulted.exactly_once
     assert faulted.store.rows() == clean.store.rows()
     assert faulted.store.to_csv_text() == clean.store.to_csv_text()
@@ -211,7 +213,7 @@ def test_run_pipeline_interrupt_and_resume(tmp_path):
 def test_table1_faults_invariant():
     clean = run_table1(seed=5, sample_devices=6, regulate=False, jobs=1)
     faulted = run_table1(seed=5, sample_devices=6, regulate=False, jobs=3,
-                         faults=21)
+                         options=RunOptions(faults=FaultSpec(random=21)))
     assert clean.counts == faulted.counts
     assert clean.per_chip_totals == faulted.per_chip_totals
     assert clean.scrubs == faulted.scrubs

@@ -29,11 +29,13 @@ from repro.core.faults import (
     TC_STUCK,
     THERMAL_FAULT_KINDS,
     FaultPlan,
+    FaultSpec,
     FaultStats,
     ThermalFault,
     thermal_faults_recoverable,
 )
 from repro.errors import CampaignError, MeasurementInvalidError
+from repro.experiments.common import RunOptions
 from repro.experiments.fig8a_ber import run_figure8a
 from repro.experiments.table1_weak_cells import run_table1
 from repro.thermal.faults import ThermalFaultInjector, ZoneFaultState
@@ -124,13 +126,6 @@ def test_random_thermal_unrecoverable_rate():
                                     unrecoverable_rate=1.0)
     assert plan.thermal_faults and not plan.thermal_recoverable
     assert all(f.duration_s is None for f in plan.thermal_faults)
-
-
-def test_random_real_folds_in_thermal_faults():
-    plan = FaultPlan.random_real(7, units=4, thermal_zones=8,
-                                 thermal_unrecoverable_rate=0.0)
-    assert plan.thermal_faults == FaultPlan.random_thermal(
-        7, zones=8).thermal_faults
 
 
 def test_fault_plan_rejects_non_thermal_fault_entries():
@@ -396,7 +391,8 @@ def test_table1_recoverable_faults_bit_identical_any_jobs():
     assert clean.regulation_ok and not clean.thermal_quarantine
     for jobs in (1, 2):
         faulted = run_table1(seed=SEED, sample_devices=12,
-                             thermal_faults=0, jobs=jobs)
+                             options=RunOptions(faults=FaultSpec(thermal=0)),
+                             jobs=jobs)
         assert FaultPlan.random_thermal(0).thermal_recoverable
         assert not faulted.thermal_quarantine
         assert not faulted.excluded_devices
@@ -407,7 +403,8 @@ def test_table1_recoverable_faults_bit_identical_any_jobs():
 def test_table1_unrecoverable_zone_is_typed_quarantine():
     plan = FaultPlan.random_thermal(0, zones=8, fault_rate=1.0,
                                     unrecoverable_rate=1.0)
-    results = [run_table1(seed=SEED, sample_devices=24, thermal_plan=plan,
+    results = [run_table1(seed=SEED, sample_devices=24,
+                          options=RunOptions(faults=plan),
                           jobs=jobs) for jobs in (1, 2)]
     for result in results:
         assert result.thermal_quarantine
@@ -426,7 +423,8 @@ def test_table1_unrecoverable_zone_is_typed_quarantine():
 
 def test_fig8a_recoverable_faults_bit_identical():
     clean = run_figure8a(seed=SEED)
-    faulted = run_figure8a(seed=SEED, thermal_faults=0)
+    faulted = run_figure8a(
+        seed=SEED, options=RunOptions(faults=FaultSpec(thermal=0)))
     assert faulted.valid and not faulted.thermal_quarantine
     assert faulted.pattern_ber == clean.pattern_ber
     assert faulted.workload_ber == clean.workload_ber
@@ -435,7 +433,7 @@ def test_fig8a_recoverable_faults_bit_identical():
 def test_fig8a_unrecoverable_zone_invalidates_result():
     plan = FaultPlan.random_thermal(0, zones=1, fault_rate=1.0,
                                     unrecoverable_rate=1.0)
-    result = run_figure8a(seed=SEED, thermal_plan=plan)
+    result = run_figure8a(seed=SEED, options=RunOptions(faults=plan))
     assert not result.valid
     assert result.thermal_quarantine
     assert not result.pattern_ber and not result.workload_ber
@@ -477,7 +475,8 @@ def test_seeded_thermal_fault_sweep_converges_or_quarantines():
     for fault_seed in range(8):
         plan = FaultPlan.random_thermal(fault_seed, zones=8,
                                         unrecoverable_rate=0.3)
-        result = run_table1(seed=SEED, sample_devices=12, thermal_plan=plan)
+        result = run_table1(seed=SEED, sample_devices=12,
+                            options=RunOptions(faults=plan))
         if plan.thermal_recoverable:
             assert _rows(result) == _rows(clean), fault_seed
             assert not result.thermal_quarantine
@@ -488,6 +487,6 @@ def test_seeded_thermal_fault_sweep_converges_or_quarantines():
             assert bad_kinds  # the plan really had an unrecoverable fault
         # Quarantine verdicts are jobs-invariant.
         sharded = run_table1(seed=SEED, sample_devices=12,
-                             thermal_plan=plan, jobs=3)
+                             options=RunOptions(faults=plan), jobs=3)
         assert _rows(sharded) == _rows(result)
         assert sharded.thermal_quarantine == result.thermal_quarantine
