@@ -1,8 +1,8 @@
 """A small deterministic discrete-event simulation (DES) kernel.
 
 The characterization testbed has several pieces that are naturally
-event-driven -- the PID thermal control loop, the campaign executor with
-its watchdog/reset switch, and the Jammer detector's QoS accounting.
+event-driven -- the campaign timeline with its watchdog/reset switch
+and the Jammer detector's QoS accounting.
 ``repro.simkit`` provides the minimal substrate they share:
 
 - :class:`~repro.simkit.events.Simulator` -- a priority-queue event loop

@@ -20,9 +20,9 @@ This package simulates that rig end-to-end:
 - :mod:`repro.thermal.monitor` -- in-loop fault detection: sensor
   fusion by residual voting, rate plausibility, per-zone degradation
   and the hard safe-state (heater cutoff + typed zone quarantine);
-- :mod:`repro.thermal.testbed` -- the 8-zone controller board running on
-  the simkit event loop, with the <1 degC regulation property verified
-  by the test suite.
+- :mod:`repro.thermal.testbed` -- the 8-zone controller board on one
+  fixed-period control tick, with the <1 degC regulation property
+  verified by the test suite.
 """
 
 from repro.core.faults import ThermalFault

@@ -2,9 +2,9 @@
 
 Glues plants, sensors, PID loops and relays into the rig of paper
 Figure 3: one zone per DIMM rank (4 DIMMs x 2 ranks = 8 zones), a shared
-control tick running on the simkit event loop, and per-zone regulation
-telemetry. The acceptance property -- steady-state deviation below
-1 degC -- is validated by ``tests/test_thermal_testbed.py``.
+fixed-period control tick, and per-zone regulation telemetry. The
+acceptance property -- steady-state deviation below 1 degC -- is
+validated by ``tests/test_thermal_testbed.py``.
 
 The control path is fault-tolerant: each zone's PID acts on the fused
 belief of a :class:`~repro.thermal.monitor.ZoneMonitor` (thermocouple/SPD
@@ -23,7 +23,6 @@ from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.rand import SeedLike
-from repro.simkit import Simulator
 from repro.thermal.monitor import (
     MonitorParams,
     ZoneMonitor,
@@ -83,7 +82,7 @@ class ZoneReport:
 
 
 class ThermalTestbed:
-    """The controller board: 8 PID zones on one event loop.
+    """The controller board: 8 PID zones on one control tick.
 
     Parameters
     ----------
@@ -113,7 +112,7 @@ class ThermalTestbed:
             raise ConfigurationError(f"1..{NUM_ZONES} zones supported")
         if control_period_s <= 0:
             raise ConfigurationError("control period must be positive")
-        self.sim = Simulator()
+        self.now = 0.0
         self.control_period_s = control_period_s
         self.configs = list(configs)
         self.faults = ThermalFaultInjector.coerce(faults)
@@ -132,22 +131,14 @@ class ThermalTestbed:
         ]
         self._base_ambient_c = ambient_c
         self._history: List[List[float]] = [[] for _ in configs]
-        self._est_history: List[List[float]] = [[] for _ in configs]
         self._times: List[List[float]] = [[] for _ in configs]
         self._origin_s: List[float] = [0.0 for _ in configs]
         self._last_duty: List[float] = [0.0 for _ in configs]
-        self._last_tick_s = 0.0
-        self._ticking = False
 
     # ------------------------------------------------------------------
     # Control loop
     # ------------------------------------------------------------------
-    def _tick(self) -> None:
-        now = self.sim.now
-        dt = now - self._last_tick_s
-        if dt <= 0:
-            dt = self.control_period_s
-        self._last_tick_s = now
+    def _tick(self, now: float, dt: float) -> None:
         for i, plant in enumerate(self.plants):
             state = self.faults.zone_state(i) if self.faults else None
             if state is not None:
@@ -176,20 +167,23 @@ class ThermalTestbed:
             plant.set_heater(power)
             self._last_duty[i] = duty
             self._history[i].append(plant.temperature_c)
-            self._est_history[i].append(fused)
             self._times[i].append(now)
-        if self._ticking:
-            self.sim.schedule(self.control_period_s, self._tick)
 
     def run(self, duration_s: float) -> List[ZoneReport]:
-        """Regulate for ``duration_s`` of virtual time; return reports."""
+        """Regulate for ``duration_s`` of virtual time; return reports.
+
+        The zones tick at ``start + k * control_period_s`` for ``k = 1 ..
+        floor(duration_s / control_period_s)``, each one period long, and
+        the clock then stands at ``start + duration_s``; so windows of
+        whole periods tile (``run(400)`` then ``run(500)`` ticks exactly
+        as ``run(900)``) and a window shorter than a period ticks none.
+        """
         if duration_s <= 0:
             raise ConfigurationError("duration must be positive")
-        self._last_tick_s = self.sim.now
-        self._ticking = True
-        self.sim.schedule(0.0, self._tick)
-        self.sim.run_until(self.sim.now + duration_s)
-        self._ticking = False
+        start, period = self.now, self.control_period_s
+        for k in range(1, int(duration_s // period) + 1):
+            self._tick(start + k * period, period)
+        self.now = start + duration_s
         return [self._report(i) for i in range(len(self.configs))]
 
     def set_setpoint(self, zone: int, setpoint_c: float) -> None:
@@ -203,16 +197,15 @@ class ThermalTestbed:
         if not 0 <= zone < len(self.configs):
             raise ConfigurationError(f"zone {zone} out of range")
         self.pids[zone].set_setpoint(setpoint_c)
-        self.monitors[zone].retarget(setpoint_c, self.sim.now)
+        self.monitors[zone].retarget(setpoint_c, self.now)
         self.configs[zone] = ZoneConfig(
             setpoint_c=setpoint_c,
             plant=self.configs[zone].plant,
             gains=self.configs[zone].gains,
         )
         self._history[zone].clear()
-        self._est_history[zone].clear()
         self._times[zone].clear()
-        self._origin_s[zone] = self.sim.now
+        self._origin_s[zone] = self.now
 
     def zone_temperature_c(self, zone: int) -> float:
         """The plant's true temperature (physics channel, not control)."""
@@ -237,10 +230,10 @@ class ThermalTestbed:
         monitor = self.monitors[zone]
         if monitor.quarantine is not None:
             return False
-        window = self.sim.now - self._origin_s[zone]
+        window = self.now - self._origin_s[zone]
         if window <= 0:
             return False
-        return monitor.in_band_duration_s(self.sim.now) >= window / 3.0
+        return monitor.in_band_duration_s(self.now) >= window / 3.0
 
     def quarantine_zone(self, zone: int, kind: str,
                         detail: str = "") -> ZoneQuarantine:
@@ -252,7 +245,7 @@ class ThermalTestbed:
         if not 0 <= zone < len(self.configs):
             raise ConfigurationError(f"zone {zone} out of range")
         record = self.monitors[zone].force_quarantine(
-            kind, self.sim.now, detail)
+            kind, self.now, detail)
         self._last_duty[zone] = 0.0
         self.relays[zone].command(0.0)
         self.plants[zone].set_heater(0.0)
@@ -286,7 +279,7 @@ class ThermalTestbed:
             status=monitor.status,
             fused_final_c=monitor.estimate_c,
             measurement_valid=self.zone_measurement_valid(zone),
-            in_band_duration_s=monitor.in_band_duration_s(self.sim.now),
+            in_band_duration_s=monitor.in_band_duration_s(self.now),
             quarantine=monitor.quarantine,
             out_of_band_windows=tuple(monitor.out_of_band_windows),
         )

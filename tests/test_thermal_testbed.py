@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.faults import FaultPlan
 from repro.errors import ConfigurationError
+from repro.experiments.common import REGULATION_S, regulate_to_setpoint
 from repro.thermal.testbed import ThermalTestbed, ZoneConfig
 
 
@@ -69,3 +71,64 @@ def test_regulation_deterministic():
     b = ThermalTestbed([ZoneConfig(setpoint_c=55.0)], seed=9).run(800.0)[0]
     assert a.final_c == b.final_c
     assert a.samples == b.samples
+
+
+def _record_observes(testbed):
+    """Wrap every zone monitor's bound ``observe``; return the call log.
+
+    Each control tick observes every zone once, so the log holds one
+    ``now`` per zone per tick.
+    """
+    log = []
+    for monitor in testbed.monitors:
+        def observe(now, *args, _observe=monitor.observe):
+            log.append(now)
+            return _observe(now, *args)
+        monitor.observe = observe
+    return log
+
+
+def test_successive_windows_tick_once_per_period():
+    testbed = ThermalTestbed([ZoneConfig(setpoint_c=50.0)], seed=1)
+    ticks = _record_observes(testbed)
+    for window in range(4):
+        start = 100.0 * window
+        ticks.clear()
+        testbed.run(100.0)
+        assert ticks == [start + 2.0 * k for k in range(1, 51)]
+        assert testbed.now == start + 100.0
+
+
+def test_window_shorter_than_a_period_does_not_tick():
+    testbed = ThermalTestbed([ZoneConfig(setpoint_c=50.0)], seed=1)
+    ticks = _record_observes(testbed)
+    testbed.run(1.5)
+    assert ticks == []
+    assert testbed.now == 1.5
+
+
+# Seed 9 puts a thermocouple dropout on zone 1 from about 332 s to 476 s,
+# so the faulted case splits the window while that zone is degraded.
+@pytest.mark.parametrize("faults", [None, FaultPlan.random_thermal(9, zones=4)],
+                         ids=["clean", "faulted"])
+def test_windows_compose(faults):
+    def bed():
+        return ThermalTestbed([ZoneConfig(setpoint_c=50.0)] * 4, seed=1,
+                              faults=faults)
+
+    split = bed()
+    split.run(400.0)
+    parts = split.run(500.0)
+    whole = bed().run(900.0)
+    # Whole-report equality: samples, status, out-of-band windows and all.
+    assert parts == whole
+
+
+def test_regulation_work_is_linear_in_windows():
+    zones = 4
+    testbed = ThermalTestbed([ZoneConfig(setpoint_c=36.0)] * zones, seed=1)
+    observes = _record_observes(testbed)
+    rounds = sum(regulate_to_setpoint(testbed, temp)
+                 for temp in (36.0, 39.0, 42.0, 45.0))
+    ticks_per_window = int(REGULATION_S // testbed.control_period_s)
+    assert len(observes) == zones * ticks_per_window * rounds
