@@ -21,9 +21,9 @@ import numpy as np
 
 from conftest import emit, emit_json
 
-from repro.core.parallel import parallel_map
 from repro.cpu.execution import SMOOTHING_CYCLES, STATIC_CURRENT
 from repro.cpu.isa import spec_of
+from repro.experiments.common import RunOptions, map_units
 from repro.rand import substream
 from repro.viruses.didt import (
     FITNESS_WINDOW_CYCLES,
@@ -56,7 +56,7 @@ def test_bench_ga_vs_random(benchmark, bench_seed):
             ("random", bench_seed, generations, population, budget)]
 
     def run_both():
-        ga, random_ = parallel_map(_ablation_arm, arms, jobs=2)
+        ga, random_ = map_units(_ablation_arm, arms, 2, RunOptions()).unwrap()
         return ga, random_
 
     ga_virus, random_virus = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -34,7 +34,6 @@ from repro.core import (
     CampaignExecutor,
     CampaignPlan,
     GuardbandReport,
-    ParallelCampaignExecutor,
     SafeOperatingPoint,
     SupervisedPool,
     UnitFailure,
@@ -70,7 +69,6 @@ __all__ = [
     "GuardbandReport",
     "JammerDetector",
     "MemoryControlUnit",
-    "ParallelCampaignExecutor",
     "ProcessCorner",
     "RetentionModel",
     "SLIMpro",

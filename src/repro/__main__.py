@@ -23,12 +23,15 @@ recoverable faults with results unchanged; unrecoverable ones surface
 as typed unit or zone quarantines. ``--unit-timeout`` and
 ``--max-retries`` tune the supervisor's per-unit deadline and retry
 budget (see :mod:`repro.core.supervisor`). A malformed flag value exits
-with code 2 and a message naming the flag.
+with code 2 and a message naming the flag, and so does ``--faults``
+where nothing would inject it: on an experiment whose driver takes no
+run options, or a ``thermal`` seed on ``pipeline``, which has no rig.
 
 ``pipeline`` exercises the full execution -> transport -> cloud result
-pipeline under injected faults and checkpoint/resume; an interrupted
-study exits with code 3 and resumes from ``--resume DIR``, skipping
-both completed and quarantined shards.
+pipeline under injected faults and checkpoint/resume. Every shard is
+checkpointed in ``--resume DIR`` as it finishes, so a study that is
+killed or interrupted (Ctrl-C) resumes from the same ``--resume DIR``,
+skipping both completed and quarantined shards.
 """
 
 from __future__ import annotations
@@ -104,25 +107,17 @@ def _usage_error(flag: str, problem) -> int:
 
 
 def _run_pipeline(args, options) -> int:
-    from repro.errors import CampaignInterrupted
     from repro.experiments import FAST
     from repro.experiments.pipeline import run_pipeline
 
+    if options.faults is not None and options.faults.thermal is not None:
+        return _usage_error("--faults", "pipeline has no thermal rig to "
+                            "fault; use random= and/or real=")
     budget = FAST["pipeline"] if args.fast else {}
-    try:
-        result = run_pipeline(
-            seed=args.seed, jobs=args.jobs, transport=args.transport,
-            resume_dir=args.resume, out_csv=args.out, options=options,
-            **budget)
-    except CampaignInterrupted as exc:
-        print(f"pipeline interrupted: {exc}", file=sys.stderr)
-        if args.resume:
-            print(f"rerun with --resume {args.resume} to finish the "
-                  "remaining shards", file=sys.stderr)
-        else:
-            print("rerun with --resume DIR to make interruptions "
-                  "recoverable", file=sys.stderr)
-        return 3
+    result = run_pipeline(
+        seed=args.seed, jobs=args.jobs, transport=args.transport,
+        resume_dir=args.resume, out_csv=args.out, options=options,
+        **budget)
     print(result.format())
     if args.out:
         print(f"cloud-side rows written to {args.out}")
@@ -139,6 +134,9 @@ def _run_experiments(args, options) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"known: {', '.join(REGISTRY)}", file=sys.stderr)
         return 2
+    if options.faults is not None and args.experiment != "all" and \
+            "options" not in inspect.signature(REGISTRY[targets[0]]).parameters:
+        return _usage_error("--faults", f"{targets[0]} injects no faults")
     for name in targets:
         driver = REGISTRY[name]
         kwargs = dict(FAST.get(name, {})) if args.fast else {}
@@ -159,10 +157,10 @@ def _run_experiments(args, options) -> int:
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     from repro.core.faults import FaultSpec
-    from repro.core.parallel import resolve_seed
     from repro.errors import CampaignError
     from repro.experiments import REGISTRY
     from repro.experiments.common import RunOptions
+    from repro.rand import resolve_seed
 
     args = build_parser().parse_args(argv)
     if args.command == "list":

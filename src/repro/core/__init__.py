@@ -50,12 +50,10 @@ from repro.core.supervisor import (
     SupervisedPool,
     SupervisorStats,
     UnitFailure,
-    supervised_map,
 )
 from repro.core.framework import CharacterizationFramework, ChipStudy
 from repro.core.governor import GovernorReport, VoltageGovernor
 from repro.core.executor import CampaignExecutor, RunRecord
-from repro.core.parallel import ParallelCampaignExecutor, parallel_map
 from repro.core.watchdog import Watchdog, WatchdogVerdict
 from repro.core.classify import OutcomeCounts, classify_run_log, summarize
 from repro.core.results import ResultStore, result_fields
@@ -101,7 +99,6 @@ __all__ = [
     "ResultUploader",
     "SerialLink",
     "OutcomeCounts",
-    "ParallelCampaignExecutor",
     "PredictorReport",
     "ResultStore",
     "RunRecord",
@@ -117,10 +114,8 @@ __all__ = [
     "classify_run_log",
     "guardband_report",
     "idle_vmin_mv",
-    "parallel_map",
     "result_fields",
     "run_attribution",
     "select_safe_points",
     "summarize",
-    "supervised_map",
 ]

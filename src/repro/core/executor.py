@@ -11,7 +11,7 @@ All repetitions of a run are sampled in one vectorized pass
 from its own named substream derived from ``(seed, chip serial, run
 signature)`` -- so the outcome of a run depends only on *what* is
 executed, never on execution order. That property is what lets
-:class:`repro.core.parallel.ParallelCampaignExecutor` shard campaigns
+:func:`repro.experiments.pipeline.execute_shards` shard campaigns
 across worker processes and still produce bit-identical results.
 
 Multi-core setups take the mix-level resonant swing (phase-decorrelated

@@ -225,10 +225,6 @@ class FaultPlan:
         How long an injected hang sleeps. Under a supervision deadline
         shorter than this the worker is terminated; without one the
         sleep returns a marker that is charged as a hang anyway.
-    interrupt_after_shards:
-        Abort the whole study (``CampaignInterrupted``) once this many
-        shards completed in one engine call -- the hook the
-        checkpoint/resume tests and the ``--resume`` CLI flow use.
     thermal_faults:
         Time-scheduled :class:`ThermalFault` records applied to the
         thermal testbed by
@@ -241,7 +237,6 @@ class FaultPlan:
     unit_hangs: Tuple[Tuple[int, int], ...] = ()
     poison_units: Tuple[int, ...] = ()
     hang_seconds: float = 1.0
-    interrupt_after_shards: Optional[int] = None
     thermal_faults: Tuple[ThermalFault, ...] = ()
 
     def __post_init__(self) -> None:
@@ -255,9 +250,6 @@ class FaultPlan:
             raise CampaignError("poison_units needs unit indices >= 0")
         if self.hang_seconds <= 0:
             raise CampaignError("hang_seconds must be positive")
-        if self.interrupt_after_shards is not None \
-                and self.interrupt_after_shards < 1:
-            raise CampaignError("interrupt_after_shards must be >= 1")
         for fault in self.thermal_faults:
             if not isinstance(fault, ThermalFault):
                 raise CampaignError(
@@ -520,8 +512,3 @@ class FaultInjector:
             self.stats.dropped_packets += 1
             return True
         return False
-
-    def interrupt_due(self, completed_shards: int) -> bool:
-        """Has the plan's injected interruption point been reached?"""
-        return (self.plan.interrupt_after_shards is not None
-                and completed_shards >= self.plan.interrupt_after_shards)

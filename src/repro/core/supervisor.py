@@ -60,9 +60,10 @@ from repro.core.faults import (
     UNIT_EXIT,
     UNIT_HANG,
     UNIT_POISON,
+    FaultStats,
     run_injected_real_fault,
 )
-from repro.errors import CampaignError
+from repro.errors import CampaignError, SupervisionError
 
 #: Failure taxonomy reported by :class:`UnitFailure`.
 CRASH = "crash"          #: the worker process died while running the unit
@@ -156,17 +157,27 @@ class MapOutcome:
 
     ``values`` has one slot per input item, ``None`` where the unit was
     quarantined; ``failures`` enumerates the quarantined units sorted by
-    index (deterministically, at any worker count).
+    index (deterministically, at any worker count). ``faults`` is what
+    the map's fault injector fired, ``None`` when it ran without one.
     """
 
     values: Tuple
     failures: Tuple[UnitFailure, ...]
     stats: SupervisorStats
     ledger: Tuple[AttemptRecord, ...]
+    faults: Optional[FaultStats] = None
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def unwrap(self) -> List:
+        """The values as a list; raises a typed
+        :class:`~repro.errors.SupervisionError` carrying the quarantined
+        :class:`UnitFailure` records if any unit was quarantined."""
+        if self.failures:
+            raise SupervisionError(self.failures)
+        return list(self.values)
 
 
 #: (getter, setter) symbol pairs of the OpenBLAS thread count: the
@@ -501,23 +512,6 @@ class SupervisedPool:
         return run.outcome()
 
 
-def supervised_map(fn: Callable, items: Sequence, jobs: int = 1,
-                   unit_timeout: Optional[float] = None,
-                   max_retries: int = DEFAULT_MAX_RETRIES,
-                   inject: Optional[Callable[[int, int],
-                                             Optional[str]]] = None,
-                   hang_seconds: float = DEFAULT_HANG_SECONDS) -> MapOutcome:
-    """One-shot supervised map.
-
-    Returns the full :class:`MapOutcome` (values + typed failures +
-    stats + ledger); callers that want a plain list with quarantine as a
-    typed exception use :func:`repro.core.parallel.parallel_map`.
-    """
-    pool = SupervisedPool(jobs=jobs, unit_timeout=unit_timeout,
-                          max_retries=max_retries)
-    return pool.map(fn, items, inject=inject, hang_seconds=hang_seconds)
-
-
 __all__ = [
     "AttemptRecord",
     "CRASH",
@@ -529,5 +523,4 @@ __all__ = [
     "SupervisedPool",
     "SupervisorStats",
     "UnitFailure",
-    "supervised_map",
 ]

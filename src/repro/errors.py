@@ -30,19 +30,10 @@ class CampaignError(ReproError):
     """The characterization campaign was driven through an invalid state."""
 
 
-class CampaignInterrupted(CampaignError):
-    """A campaign study stopped before every shard completed.
-
-    Raised by the parallel engine when an (injected or real) interruption
-    cuts a ``--jobs N`` study short; completed shards are already in the
-    checkpoint, so a ``--resume`` rerun picks up where this one died.
-    """
-
-
 class SupervisionError(CampaignError):
     """Supervised execution quarantined one or more work units.
 
-    Raised by :func:`repro.core.parallel.parallel_map` when units
+    Raised by :meth:`repro.core.supervisor.MapOutcome.unwrap` when units
     exhausted their retry budget; :attr:`failures` holds the typed
     :class:`~repro.core.supervisor.UnitFailure` records (crash / hang /
     poison) instead of a raw worker traceback.

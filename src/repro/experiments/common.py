@@ -14,13 +14,12 @@ their supervision settings and fault injection as one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.executor import CampaignExecutor
 from repro.core.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.core.parallel import parallel_map
-from repro.core.supervisor import DEFAULT_MAX_RETRIES, SupervisedPool
+from repro.core.supervisor import DEFAULT_MAX_RETRIES, MapOutcome, SupervisedPool
 from repro.core.vmin import VminResult, VminSearch
 from repro.rand import SeedLike
 from repro.soc.corners import ProcessCorner
@@ -79,17 +78,28 @@ class RunOptions:
 
 
 def map_units(fn: Callable, tasks: Sequence, jobs: int,
-              options: RunOptions) -> List:
-    """:func:`parallel_map` of ``fn`` over ``tasks`` under ``options``.
+              options: RunOptions) -> MapOutcome:
+    """Supervised, order-preserving map of ``fn`` over ``tasks``.
 
-    The fault plan is sized to ``len(tasks)`` units, so a seeded
-    schedule lands on this map's own units.
+    The one place a :class:`RunOptions` becomes a
+    :class:`~repro.core.supervisor.SupervisedPool` of ``jobs`` workers
+    (``jobs=1`` runs inline) plus a
+    :class:`~repro.core.faults.FaultInjector`. The fault plan is sized
+    to ``len(tasks)`` units, so a seeded schedule lands on this map's
+    own units; the injector's counts come back as
+    :attr:`MapOutcome.faults`. :meth:`MapOutcome.unwrap` gives the
+    values, or raises the typed failure of any quarantined unit.
     """
+    tasks = list(tasks)
+    pool = SupervisedPool(jobs=jobs, unit_timeout=options.unit_timeout,
+                          max_retries=options.max_retries)
     plan = options.plan(units=len(tasks))
-    return parallel_map(
-        fn, tasks, jobs=jobs,
-        fault_injector=None if plan is None else FaultInjector(plan),
-        unit_timeout=options.unit_timeout, max_retries=options.max_retries)
+    if plan is None:
+        return pool.map(fn, tasks)
+    injector = FaultInjector(plan)
+    outcome = pool.map(fn, tasks, inject=injector.unit_fault,
+                       hang_seconds=plan.hang_seconds)
+    return replace(outcome, faults=injector.stats)
 
 
 def regulate_to_setpoint(testbed, setpoint_c: float, rounds: int = 3,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.margins import GuardbandReport, guardband_report
-from repro.core.parallel import resolve_seed
 from repro.core.vmin import VminResult
 from repro.experiments.common import (
     RunOptions,
@@ -22,7 +21,7 @@ from repro.experiments.common import (
     map_units,
     vmin_search_unit,
 )
-from repro.rand import SeedLike
+from repro.rand import SeedLike, resolve_seed
 from repro.soc.corners import NOMINAL_PMD_MV, ProcessCorner
 from repro.workloads.spec import spec_suite
 
@@ -108,7 +107,7 @@ def run_figure4(seed: SeedLike = None, repetitions: int = 10,
                              for corner in ProcessCorner
                              for workload in suite]
     results: List[VminResult] = map_units(vmin_search_unit, tasks, jobs,
-                                          options)
+                                          options).unwrap()
     vmin_mv: Dict[str, Dict[str, float]] = {}
     reports: Dict[str, GuardbandReport] = {}
     for index, corner in enumerate(ProcessCorner):

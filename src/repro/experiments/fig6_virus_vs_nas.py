@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.parallel import resolve_seed
 from repro.core.vmin import VminResult
 from repro.experiments.common import (
     RunOptions,
@@ -20,7 +19,7 @@ from repro.experiments.common import (
     map_units,
     vmin_search_unit,
 )
-from repro.rand import SeedLike, derive_seed
+from repro.rand import SeedLike, derive_seed, resolve_seed
 from repro.soc.corners import ProcessCorner
 from repro.viruses.didt import DidtVirus, GaSearchTask, didt_search_unit
 from repro.workloads.base import CpuWorkload, Workload
@@ -102,12 +101,13 @@ def run_figure6(seed: SeedLike = None, repetitions: int = 10,
     base = resolve_seed(seed)
     ga_tasks: List[GaSearchTask] = [
         (derive_seed(base, "fig6-ga"), generations, population, 3)]
-    virus, _ = map_units(didt_search_unit, ga_tasks, jobs, options)[0]
+    virus, _ = map_units(didt_search_unit, ga_tasks, jobs,
+                         options).unwrap()[0]
     workloads = [virus_as_workload(virus)] + list(nas_suite())
     tasks: List[VminTask] = [(base, ProcessCorner.TTT, workload, repetitions)
                              for workload in workloads]
     results: List[VminResult] = map_units(vmin_search_unit, tasks, jobs,
-                                          options)
+                                          options).unwrap()
     return Figure6Result(
         corner=ProcessCorner.TTT.value,
         virus=virus,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.parallel import resolve_seed
 from repro.experiments.common import (
     RunOptions,
     VminTask,
@@ -21,7 +20,7 @@ from repro.experiments.common import (
     vmin_search_unit,
 )
 from repro.experiments.fig6_virus_vs_nas import virus_as_workload
-from repro.rand import SeedLike, derive_seed
+from repro.rand import SeedLike, derive_seed, resolve_seed
 from repro.soc.corners import NOMINAL_PMD_MV, ProcessCorner
 from repro.viruses.didt import DidtVirus, GaSearchTask, didt_search_unit
 
@@ -92,11 +91,11 @@ def run_figure7(seed: SeedLike = None, repetitions: int = 10,
         (derive_seed(base, "fig7-ga", idx), generations, population, 3)
         for idx in range(len(corners))]
     viruses = [virus for virus, _ in map_units(didt_search_unit, ga_tasks,
-                                               jobs, options)]
+                                               jobs, options).unwrap()]
     tasks: List[VminTask] = [
         (base, corner, virus_as_workload(virus), repetitions)
         for corner, virus in zip(corners, viruses)]
-    results = map_units(vmin_search_unit, tasks, jobs, options)
+    results = map_units(vmin_search_unit, tasks, jobs, options).unwrap()
     vmin_mv: Dict[str, float] = {
         corner.value: result.safe_vmin_mv
         for corner, result in zip(corners, results)

@@ -1,8 +1,8 @@
 """The hardened result pipeline, end to end (paper Figure 2).
 
 ``python -m repro pipeline`` drives this: declare campaigns, execute
-them on the process-parallel engine (optionally under an injected fault
-schedule and/or a checkpoint directory), ship every row through a lossy
+them as supervised shards (optionally under an injected fault schedule
+and/or a checkpoint directory), ship every row through a lossy
 transport into the cloud store, and verify the pipeline's exactly-once
 contract -- the cloud's materialized rows must be exactly the executor's
 rows, no matter what faults were injected along the way.
@@ -11,18 +11,36 @@ This is the harness-robustness demonstration the paper's framework
 section is about: the benchmark results are unremarkable on purpose; the
 point is that they *survive* worker deaths, hangs, transport
 corruption/loss bursts and whole-study interruptions.
+
+Sharding keeps every row identical at any ``jobs``:
+
+- every characterization run draws from a named substream derived from
+  ``(seed, chip serial, run signature)`` (see
+  :class:`repro.core.executor.CampaignExecutor`), so a run's sampled
+  outcomes do not depend on which process executes it or in what order;
+- each campaign shard gets a fresh executor (and therefore a fresh
+  watchdog recovery ladder), so harness-side recovery accounting is
+  campaign-local and also order-independent;
+- shard rows come back through :func:`~repro.experiments.common.map_units`
+  keyed by unit index and merge into one :class:`ResultStore` in
+  campaign order.
+
+Each shard writes its own checkpoint before it returns, inside the
+worker, so a study that is killed or interrupted keeps every shard that
+finished, and a rerun with the same checkpoint re-executes only the
+rest -- reproducing the same rows when it does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.campaign import Campaign, CampaignPlan
 from repro.core.checkpoint import CampaignCheckpoint
+from repro.core.executor import CampaignExecutor
 from repro.core.faults import FaultInjector, FaultStats
-from repro.core.parallel import ParallelCampaignExecutor, resolve_seed
-from repro.core.results import ResultStore
+from repro.core.results import ResultRow, ResultStore
 from repro.core.supervisor import SupervisorStats, UnitFailure
 from repro.core.transport import (
     CloudStore,
@@ -32,8 +50,9 @@ from repro.core.transport import (
     TransportStats,
 )
 from repro.errors import CampaignError
-from repro.experiments.common import RunOptions, format_quarantine_lines
-from repro.rand import SeedLike
+from repro.experiments.common import RunOptions, format_quarantine_lines, map_units
+from repro.rand import SeedLike, resolve_seed
+from repro.soc.chip import Chip
 from repro.soc.corners import ProcessCorner
 from repro.soc.xgene2 import build_reference_chips
 from repro.workloads.spec import spec_suite
@@ -105,6 +124,95 @@ def _declare_campaigns(benchmarks: int, repetitions: int, start_mv: float,
     return plan.build()
 
 
+#: One shard unit: (chip, integer seed, campaign, checkpoint or None).
+ShardTask = Tuple[Chip, int, Campaign, Optional[CampaignCheckpoint]]
+
+
+def _campaign_shard(task: ShardTask) -> List[ResultRow]:
+    """Worker body: one campaign on a fresh executor, checkpointed.
+
+    With a checkpoint the rows are saved (CSV first, manifest last)
+    before they are returned, so the shard is durable the moment it
+    finishes, whatever happens to the rest of the study.
+    """
+    chip, seed, campaign, checkpoint = task
+    executor = CampaignExecutor(chip, seed=seed)
+    executor.execute_campaign(campaign)
+    rows = executor.store.rows()
+    if checkpoint is not None:
+        checkpoint.save(checkpoint.shard_token(chip.serial, campaign),
+                        chip.serial, campaign, rows)
+    return rows
+
+
+@dataclass(frozen=True)
+class ShardsOutcome:
+    """The merged rows of :func:`execute_shards`, with what resume and
+    supervision did to produce them."""
+
+    store: ResultStore          #: rows in campaign order
+    executed: int               #: shards run (and checkpointed) this call
+    resumed: int                #: shards reloaded from the checkpoint
+    failures: Tuple[UnitFailure, ...]   #: quarantined shards, in order
+    supervision: SupervisorStats
+    faults: Optional[FaultStats]        #: unit faults the map fired
+
+
+def execute_shards(chip: Chip, seed: SeedLike, campaigns: Sequence[Campaign],
+                   jobs: int = 1, options: RunOptions = RunOptions(),
+                   checkpoint: Optional[CampaignCheckpoint] = None
+                   ) -> ShardsOutcome:
+    """Run one supervised shard per campaign, resuming from ``checkpoint``.
+
+    Shards the checkpoint holds as completed are reloaded and shards it
+    holds as quarantined resurface their typed failures; the rest go
+    through :func:`~repro.experiments.common.map_units` and save
+    themselves to the checkpoint as they finish. A shard that exhausts
+    its retry budget is quarantined (and marked so in the checkpoint)
+    instead of failing the study. Rows merge in campaign order,
+    identical to a serial per-campaign loop at any ``jobs``.
+    """
+    base = resolve_seed(seed)
+    campaigns = list(campaigns)
+    rows: Dict[int, List[ResultRow]] = {}
+    failures: Dict[int, UnitFailure] = {}
+    if checkpoint is not None:
+        for index, campaign in enumerate(campaigns):
+            token = checkpoint.shard_token(chip.serial, campaign)
+            if checkpoint.has(token):
+                rows[index] = checkpoint.load_rows(token)
+                continue
+            failure = checkpoint.quarantined_failure(token)
+            if failure is not None:
+                failures[index] = replace(
+                    failure, index=index, label=failure.label or campaign.name)
+    resumed = len(rows)
+    pending = [index for index in range(len(campaigns))
+               if index not in rows and index not in failures]
+    outcome = map_units(
+        _campaign_shard,
+        [(chip, base, campaigns[index], checkpoint) for index in pending],
+        jobs, options)
+    for position, index in enumerate(pending):
+        if outcome.values[position] is not None:
+            rows[index] = outcome.values[position]
+    for failure in outcome.failures:
+        index = pending[failure.index]
+        failures[index] = replace(failure, index=index,
+                                  label=campaigns[index].name)
+        if checkpoint is not None:
+            checkpoint.mark_quarantined(
+                checkpoint.shard_token(chip.serial, campaigns[index]),
+                chip.serial, campaigns[index], failures[index])
+    store = ResultStore()
+    for index in sorted(rows):
+        store.extend(rows[index])
+    return ShardsOutcome(
+        store=store, executed=len(rows) - resumed, resumed=resumed,
+        failures=tuple(failures[index] for index in sorted(failures)),
+        supervision=outcome.stats, faults=outcome.faults)
+
+
 def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
                  repetitions: int = 3, jobs: int = 1,
                  start_mv: float = 980.0, stop_mv: float = 880.0,
@@ -116,15 +224,13 @@ def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
 
     ``options`` sets the supervisor's per-shard deadline and retry
     budget and the injected faults: a ``random`` seed draws worker exits
-    for the engine and bursts for the transport, a ``real`` seed worker
+    for the shards and bursts for the transport, a ``real`` seed worker
     exits, deadline hangs and poison units that replace those exits
     (see :meth:`~repro.core.faults.FaultSpec.plan`). ``resume_dir``
-    checkpoints completed campaign shards there and resumes any that
-    already finished (quarantined shards are skipped and their typed
-    failures resurfaced). Raises
-    :class:`~repro.errors.CampaignInterrupted` if the fault plan injects
-    a study-level interruption (rerun with the same ``resume_dir`` to
-    finish).
+    checkpoints every campaign shard there as it finishes and resumes
+    any that already finished (quarantined shards are skipped and their
+    typed failures resurfaced) -- so rerunning an interrupted study with
+    the same ``resume_dir`` finishes it.
     """
     if transport not in TRANSPORTS:
         raise CampaignError(f"unknown transport {transport!r}; "
@@ -136,16 +242,11 @@ def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
     total_rows = sum(len(c.runs) for c in campaigns) * repetitions
 
     plan = options.plan(units=len(campaigns), rows=total_rows)
+    shards = execute_shards(
+        chip, base, campaigns, jobs, replace(options, faults=plan),
+        CampaignCheckpoint(resume_dir) if resume_dir else None)
+
     injector = None if plan is None else FaultInjector(plan)
-    checkpoint = CampaignCheckpoint(resume_dir) if resume_dir else None
-
-    engine = ParallelCampaignExecutor(chip, seed=base, jobs=jobs,
-                                      fault_injector=injector,
-                                      checkpoint=checkpoint,
-                                      unit_timeout=options.unit_timeout,
-                                      max_retries=options.max_retries)
-    engine.execute_campaigns(campaigns)
-
     cloud = CloudStore()
     if transport == "serial":
         link = SerialLink(cloud, bit_error_rate=1e-4, max_retries=8,
@@ -153,28 +254,31 @@ def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
     else:
         link = NetworkLink(cloud, loss_rate=0.05, ack_loss_rate=0.02,
                            max_retries=8, seed=base, fault_injector=injector)
-    ok, failed = ResultUploader(link).upload(engine.store)
+    ok, failed = ResultUploader(link).upload(shards.store)
 
     received = cloud.to_store()
-    exactly_once = sorted(received.rows()) == sorted(engine.store.rows())
+    exactly_once = sorted(received.rows()) == sorted(shards.store.rows())
     if out_csv is not None:
         received.write_csv(out_csv)
+    fault_stats = None if injector is None else replace(
+        shards.faults, corrupted_frames=injector.stats.corrupted_frames,
+        dropped_packets=injector.stats.dropped_packets)
     return PipelineResult(
         chip=chip.serial,
         campaigns=len(campaigns),
-        executed_rows=len(engine.store),
+        executed_rows=len(shards.store),
         cloud_rows=len(cloud),
         duplicates=cloud.duplicates,
         uploaded_ok=ok,
         upload_failed=failed,
-        shards_executed=engine.shards_executed,
-        shards_resumed=engine.shards_resumed,
-        shards_quarantined=engine.shards_quarantined,
-        supervision=engine.supervision,
-        failures=engine.failures,
+        shards_executed=shards.executed,
+        shards_resumed=shards.resumed,
+        shards_quarantined=len(shards.failures),
+        supervision=shards.supervision,
+        failures=shards.failures,
         transport=transport,
         transport_stats=link.stats,
-        fault_stats=injector.stats if injector is not None else None,
+        fault_stats=fault_stats,
         exactly_once=exactly_once,
         store=received,
     )

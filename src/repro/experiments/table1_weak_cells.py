@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
-from repro.core.parallel import resolve_seed
 from repro.dram.cells import DramDevicePopulation
 from repro.dram.controller import MemoryControlUnit, ScrubResult
 from repro.dram.geometry import DEFAULT_GEOMETRY
@@ -42,7 +41,7 @@ from repro.experiments.common import (
     map_units,
     regulate_to_setpoint,
 )
-from repro.rand import SeedLike
+from repro.rand import SeedLike, resolve_seed
 from repro.thermal.binding import ZoneBinding
 from repro.thermal.monitor import ZoneQuarantine
 from repro.thermal.testbed import NUM_ZONES, ThermalTestbed, ZoneConfig
@@ -264,7 +263,7 @@ def run_table1(seed: SeedLike = None,
         else seed
     tasks = [(base, chunk, tuple(temps_c))
              for chunk in _device_chunks(devices, jobs)]
-    shards = map_units(_profile_device_chunk, tasks, jobs, options)
+    shards = map_units(_profile_device_chunk, tasks, jobs, options).unwrap()
 
     counts: Dict[float, Tuple[int, ...]] = {}
     per_chip: Dict[float, Tuple[int, ...]] = {}

@@ -18,12 +18,34 @@ from typing import List, Optional, Union
 
 import numpy as np
 
+from repro.errors import CampaignError
+
 SeedLike = Union[int, np.random.Generator, None]
 
 #: Default seed used by experiment entry points when the caller passes none.
 DEFAULT_SEED = 20180625  # DSN 2018 conference week.
 
 _WORD_MASK = 0xFFFFFFFF
+
+
+def resolve_seed(seed) -> int:
+    """Coerce a seed to the integer base that work units in other
+    processes can re-derive.
+
+    Non-negative integers pass through and ``None`` becomes
+    :data:`DEFAULT_SEED`; generator objects are rejected because their
+    state cannot be re-derived identically in worker processes, and
+    negative integers because no substream can be seeded from them.
+    """
+    if seed is None:
+        return DEFAULT_SEED
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise CampaignError(
+            "parallel execution needs an integer seed (or None); "
+            f"got {type(seed).__name__}")
+    if seed < 0:
+        raise CampaignError(f"seed must be a non-negative integer, got {seed}")
+    return int(seed)
 
 
 def make_rng(seed: SeedLike = None) -> np.random.Generator:

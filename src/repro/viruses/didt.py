@@ -16,7 +16,7 @@ counter-based receiver noise, so scoring a whole GA generation costs
 one stacked waveform synthesis and one batched FFT while remaining
 bit-identical to the serial path. Independent searches (per-chip
 Figure 7 arms, ablation arms) ship as picklable work units through
-:mod:`repro.core.parallel`.
+:func:`repro.experiments.common.map_units`.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ def didt_search_unit(task: GaSearchTask) -> Tuple[DidtVirus, GaResult]:
 
     Rebuilds the search from the integer seed, so the arm computes the
     same virus in any process, at any worker count, in any order --
-    the guarantee :func:`repro.core.parallel.parallel_map` relies on.
+    the guarantee :func:`repro.experiments.common.map_units` relies on.
     Because the unit is a pure function of its task tuple, the
     supervised engine (:mod:`repro.core.supervisor`) can also re-issue
     it on a fresh worker after a real worker crash or a deadline hang

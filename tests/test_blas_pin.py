@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from repro.core import supervisor
-from repro.core.supervisor import POISON, blas_threads, supervised_map
+from repro.core.supervisor import POISON, SupervisedPool, blas_threads
 
 pytestmark = pytest.mark.skipif(
     not sys.platform.startswith("linux") or blas_threads() is None,
@@ -44,7 +44,7 @@ def caller_threads():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_units_see_one_thread_and_the_caller_gets_its_own_back(
         caller_threads, jobs):
-    outcome = supervised_map(_report_threads, range(4), jobs=jobs)
+    outcome = SupervisedPool(jobs=jobs).map(_report_threads, range(4))
     assert outcome.values == (1, 1, 1, 1)
     assert blas_threads() == caller_threads
 
@@ -56,12 +56,13 @@ def test_workers_that_do_not_inherit_the_pin_are_pinned(monkeypatch,
     pinned state; the worker bootstrap pins them."""
     monkeypatch.setattr(multiprocessing, "Process",
                         multiprocessing.get_context("spawn").Process)
-    assert supervised_map(_report_threads, range(2), jobs=2).values == (1, 1)
+    assert SupervisedPool(jobs=2).map(_report_threads, range(2)).values \
+        == (1, 1)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_thread_count_restored_when_a_unit_raises(caller_threads, jobs):
-    outcome = supervised_map(_raise, range(2), jobs=jobs, max_retries=0)
+    outcome = SupervisedPool(jobs=jobs, max_retries=0).map(_raise, range(2))
     assert [f.kind for f in outcome.failures] == [POISON, POISON]
     assert blas_threads() == caller_threads
 
@@ -71,14 +72,14 @@ def test_thread_count_restored_when_map_itself_raises(caller_threads):
         raise KeyError("injector bug")
 
     with pytest.raises(KeyError):
-        supervised_map(_report_threads, range(2), jobs=1, inject=inject)
+        SupervisedPool(jobs=1).map(_report_threads, range(2), inject=inject)
     assert blas_threads() == caller_threads
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_map_works_without_a_blas_handle(monkeypatch, caller_threads, jobs):
     monkeypatch.setattr(supervisor, "_blas_handles", lambda: None)
-    assert supervised_map(_square, range(3), jobs=jobs).values == (0, 1, 4)
+    assert SupervisedPool(jobs=jobs).map(_square, range(3)).values == (0, 1, 4)
     assert blas_threads() is None
     monkeypatch.undo()
     assert blas_threads() == caller_threads

@@ -36,6 +36,17 @@ def test_negative_seed_is_a_usage_error(argv, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--fast", "--faults", "thermal=3"],
+    ["run", "fig5", "--fast", "--faults", "real=3"],
+], ids=["pipeline-thermal", "fig5-takes-no-options"])
+def test_faults_nothing_injects_are_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("--faults:")
+    assert captured.out == ""
+
+
 def test_run_fast_fig4_real_faults(capsys):
     """A seeded real-fault schedule must not change the printed figure."""
     assert main(["run", "fig4", "--seed", "1", "--fast"]) == 0

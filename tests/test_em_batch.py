@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.parallel import parallel_map
 from repro.cpu.execution import ExecutionModel
 from repro.cpu.isa import GA_ALPHABET
 from repro.cpu.kernels import InstructionLoop
+from repro.experiments.common import RunOptions, map_units
 from repro.pdn.em import EmSensor
 from repro.viruses.didt import (
     DidtSearch,
@@ -155,8 +155,8 @@ def test_random_search_invariant_to_batch_size():
 @pytest.mark.slow
 def test_sharded_searches_bit_identical_at_any_jobs():
     tasks = [(101, 3, 8, 3), (202, 3, 8, 3)]
-    inline = parallel_map(didt_search_unit, tasks, jobs=1)
-    pooled = parallel_map(didt_search_unit, tasks, jobs=2)
+    inline = map_units(didt_search_unit, tasks, 1, RunOptions()).unwrap()
+    pooled = map_units(didt_search_unit, tasks, 2, RunOptions()).unwrap()
     assert inline == pooled
 
 

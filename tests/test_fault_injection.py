@@ -14,9 +14,9 @@ from repro.core.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.core.parallel import parallel_map
 from repro.core.supervisor import DEFAULT_MAX_RETRIES
 from repro.errors import CampaignError
+from repro.experiments.common import RunOptions, map_units
 
 
 def _square(x):
@@ -51,8 +51,6 @@ def test_plan_validation():
         FaultPlan(unit_exits=((-1, 1),))
     with pytest.raises(CampaignError):
         FaultPlan(unit_hangs=((0, 0),))
-    with pytest.raises(CampaignError):
-        FaultPlan(interrupt_after_shards=0)
 
 
 def test_plan_max_transport_depth():
@@ -165,21 +163,13 @@ def test_transport_decisions_are_pure_of_index_and_attempt():
     assert injector.stats.total == 6
 
 
-def test_interrupt_due_threshold():
-    injector = FaultInjector(FaultPlan(interrupt_after_shards=2))
-    assert not injector.interrupt_due(1)
-    assert injector.interrupt_due(2) and injector.interrupt_due(3)
-    assert not FaultInjector(FaultPlan()).interrupt_due(10)
-
-
 # ----------------------------------------------------------------------
-# parallel_map under injected worker exits
+# map_units under injected worker exits
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_parallel_map_reexecutes_killed_units(jobs):
+def test_map_units_reexecutes_killed_units(jobs):
     plan = FaultPlan(unit_exits=((0, 2), (1, 1), (3, 1)))
-    injector = FaultInjector(plan)
     items = list(range(5))
-    assert parallel_map(_square, items, jobs=jobs,
-                        fault_injector=injector) == [0, 1, 4, 9, 16]
-    assert injector.stats.unit_exits == 4
+    outcome = map_units(_square, items, jobs, RunOptions(faults=plan))
+    assert outcome.unwrap() == [0, 1, 4, 9, 16]
+    assert outcome.faults.unit_exits == 4

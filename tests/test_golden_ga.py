@@ -18,8 +18,7 @@ import hashlib
 
 import pytest
 
-from repro.core.parallel import resolve_seed
-from repro.rand import derive_seed
+from repro.rand import derive_seed, resolve_seed
 from repro.soc.corners import ProcessCorner
 from repro.viruses.didt import didt_search_unit
 

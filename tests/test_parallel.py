@@ -5,8 +5,8 @@ Three layers of guarantees, each locked down here:
 - ``Chip.observe_runs``/``observe_run_block`` are draw-for-draw
   identical to looping the scalar ``observe_run`` with the same
   generator;
-- ``ParallelCampaignExecutor`` produces bit-identical records and result
-  rows at any worker count, matching a serial per-campaign loop;
+- ``execute_shards`` produces bit-identical result rows at any worker
+  count, matching a serial per-campaign loop;
 - the sharded experiment drivers (``run_figure4``, ``run_table1``)
   return the same numbers at any ``jobs`` value.
 """
@@ -16,15 +16,12 @@ import pytest
 
 from repro.core.campaign import CampaignPlan
 from repro.core.executor import CampaignExecutor
-from repro.core.parallel import (
-    ParallelCampaignExecutor,
-    parallel_map,
-    resolve_seed,
-)
 from repro.errors import CampaignError
+from repro.experiments.common import RunOptions, map_units
 from repro.experiments.fig4_spec_vmin import run_figure4
+from repro.experiments.pipeline import execute_shards
 from repro.experiments.table1_weak_cells import _device_chunks, run_table1
-from repro.rand import DEFAULT_SEED
+from repro.rand import DEFAULT_SEED, resolve_seed
 from repro.soc.chip import FAILURE_ONSET_BAND_MV, Chip
 from repro.soc.corners import ProcessCorner
 from repro.soc.topology import CoreId
@@ -98,39 +95,44 @@ def _small_campaigns():
 
 
 def _serial_reference(campaigns, seed):
-    """Per-campaign serial loop: the semantics the parallel engine mirrors."""
-    records, rows = [], []
+    """Per-campaign serial loop: the semantics sharded execution mirrors.
+
+    Returns each campaign's rows, in campaign order."""
+    nested = []
     for campaign in campaigns:
         executor = CampaignExecutor(_chip(), seed=seed)
-        records.append(executor.execute_campaign(campaign))
-        rows.extend(executor.store.rows())
-    return records, rows
+        executor.execute_campaign(campaign)
+        nested.append(executor.store.rows())
+    return nested
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_parallel_rows_identical_to_serial(jobs):
     campaigns = _small_campaigns()
-    serial_records, serial_rows = _serial_reference(campaigns, seed=11)
-    engine = ParallelCampaignExecutor(_chip(), seed=11, jobs=jobs)
-    parallel_records = engine.execute_campaigns(campaigns)
-    assert engine.store.rows() == serial_rows
-    for ours, reference in zip(parallel_records, serial_records):
-        assert [r.counts for r in ours] == [r.counts for r in reference]
-        assert [r.wall_time_s for r in ours] == [r.wall_time_s for r in reference]
+    nested = _serial_reference(campaigns, seed=11)
+    rows = execute_shards(_chip(), 11, campaigns, jobs).store.rows()
+    assert rows == [row for shard in nested for row in shard]
+    # Each campaign's rows -- its runs' outcomes and wall times -- are
+    # the serial loop's rows for that campaign.
+    for campaign, shard in zip(campaigns, nested):
+        prefix = f"{_chip().serial}/{campaign.name}/"
+        assert [row for row in rows if row.run_key.startswith(prefix)] \
+            == shard
 
 
 def test_parallel_execute_all_flattens_in_order():
     campaigns = _small_campaigns()
-    engine = ParallelCampaignExecutor(_chip(), seed=11, jobs=2)
-    flat = engine.execute_all(campaigns)
-    nested, _ = _serial_reference(campaigns, seed=11)
-    assert [r.counts for r in flat] == \
-        [r.counts for records in nested for r in records]
+    rows = execute_shards(_chip(), 11, campaigns, 2).store.rows()
+    nested = _serial_reference(campaigns, seed=11)
+    assert [(row.run_key, row.repetition, row.outcome) for row in rows] == \
+        [(row.run_key, row.repetition, row.outcome)
+         for shard in nested for row in shard]
 
 
-def test_parallel_map_preserves_order():
-    assert parallel_map(str, [3, 1, 2], jobs=1) == ["3", "1", "2"]
-    assert parallel_map(abs, [-5, -1, -3], jobs=2) == [5, 1, 3]
+def test_map_units_preserves_order():
+    assert map_units(str, [3, 1, 2], 1, RunOptions()).unwrap() \
+        == ["3", "1", "2"]
+    assert map_units(abs, [-5, -1, -3], 2, RunOptions()).unwrap() == [5, 1, 3]
 
 
 def test_resolve_seed_contract():
@@ -139,7 +141,7 @@ def test_resolve_seed_contract():
     with pytest.raises(CampaignError):
         resolve_seed(np.random.default_rng(0))
     with pytest.raises(CampaignError):
-        ParallelCampaignExecutor(_chip(), seed=1, jobs=0)
+        execute_shards(_chip(), 1, [], jobs=0)
 
 
 def test_resolve_seed_rejects_negative_seeds():

@@ -3,9 +3,11 @@ checkpoint/resume.
 
 The acceptance property of the fault harness: a pipeline run under *any*
 seeded :class:`FaultPlan` -- real worker exits, transport
-corruption/loss bursts, a study interruption --
+corruption/loss bursts -- and across a study interruption
 converges to a cloud store bit-identical to the clean ``jobs=1`` run.
 """
+
+import os
 
 import pytest
 
@@ -13,11 +15,10 @@ from repro.core.campaign import CampaignPlan
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.executor import CampaignExecutor
 from repro.core.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.core.parallel import ParallelCampaignExecutor
 from repro.core.transport import CloudStore, NetworkLink, ResultUploader, SerialLink
-from repro.errors import CampaignInterrupted
+from repro.experiments import pipeline
 from repro.experiments.common import RunOptions
-from repro.experiments.pipeline import run_pipeline
+from repro.experiments.pipeline import execute_shards, run_pipeline
 from repro.experiments.table1_weak_cells import run_table1
 from repro.soc.chip import Chip
 from repro.soc.corners import ProcessCorner
@@ -38,9 +39,7 @@ def _campaigns(benchmarks=3):
 
 
 def _clean_rows(campaigns):
-    engine = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=1)
-    engine.execute_campaigns(campaigns)
-    return engine.store.rows()
+    return execute_shards(_chip(), SEED, campaigns).store.rows()
 
 
 # ----------------------------------------------------------------------
@@ -63,15 +62,14 @@ def test_colliding_run_ids_from_two_campaigns_both_reach_cloud():
     run_id counter, so cloud dedup on (run_id, repetition) dropped all
     but the first campaign."""
     campaigns = _campaigns(benchmarks=2)
-    engine = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=1)
-    engine.execute_campaigns(campaigns)
-    run_ids = [row.run_id for row in engine.store.rows()]
-    assert len(set(run_ids)) < len(engine.store)   # ids do collide...
+    store = execute_shards(_chip(), SEED, campaigns).store
+    run_ids = [row.run_id for row in store.rows()]
+    assert len(set(run_ids)) < len(store)          # ids do collide...
     cloud = CloudStore()
     link = NetworkLink(cloud, loss_rate=0.0, ack_loss_rate=0.0, seed=SEED)
-    ok, failed = ResultUploader(link).upload(engine.store)
+    ok, failed = ResultUploader(link).upload(store)
     assert failed == 0
-    assert len(cloud) == len(engine.store)         # ...yet nothing is lost
+    assert len(cloud) == len(store)                # ...yet nothing is lost
     assert cloud.duplicates == 0
 
 
@@ -83,11 +81,9 @@ def test_faulted_engine_rows_bit_identical_to_clean_run(fault_seed):
     campaigns = _campaigns()
     clean = _clean_rows(campaigns)
     plan = FaultPlan.random(fault_seed, shards=len(campaigns))
-    injector = FaultInjector(plan)
-    engine = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=2,
-                                      fault_injector=injector)
-    engine.execute_campaigns(campaigns)
-    assert engine.store.rows() == clean
+    shards = execute_shards(_chip(), SEED, campaigns, 2,
+                            RunOptions(faults=plan))
+    assert shards.store.rows() == clean
     # The plan actually did something, or the test proves nothing.
     assert plan.unit_exits
 
@@ -101,10 +97,9 @@ def test_faulted_transport_converges_to_clean_contents(transport):
     clean = _clean_rows(campaigns)
     plan = FaultPlan.random(5, shards=len(campaigns), rows=len(clean),
                             max_depth=3)
+    shards = execute_shards(_chip(), SEED, campaigns, 2,
+                            RunOptions(faults=plan))
     injector = FaultInjector(plan)
-    engine = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=2,
-                                      fault_injector=injector)
-    engine.execute_campaigns(campaigns)
     cloud = CloudStore()
     if transport == "serial":
         link = SerialLink(cloud, bit_error_rate=0.0, max_retries=4,
@@ -112,7 +107,7 @@ def test_faulted_transport_converges_to_clean_contents(transport):
     else:
         link = NetworkLink(cloud, loss_rate=0.0, ack_loss_rate=0.0,
                            max_retries=4, seed=SEED, fault_injector=injector)
-    ok, failed = ResultUploader(link).upload(engine.store)
+    ok, failed = ResultUploader(link).upload(shards.store)
     assert failed == 0
     assert plan.max_transport_depth >= 1     # bursts were actually placed
     assert sorted(cloud.to_store().rows()) == sorted(clean)
@@ -132,73 +127,89 @@ def test_run_pipeline_driver_fault_equivalence():
 # ----------------------------------------------------------------------
 # Checkpoint/resume through the engine
 # ----------------------------------------------------------------------
-def test_interrupted_study_resumes_without_reexecution(tmp_path):
+def _interrupt_at(monkeypatch, campaign_index):
+    """Make the shard of the ``campaign_index``-th campaign to start raise
+    KeyboardInterrupt, as Ctrl-C would; earlier shards run normally.
+
+    Inline (``jobs=1``) only: supervision catches ``Exception``, so the
+    interrupt escapes the whole study."""
+    started = []
+    real_shard = pipeline._campaign_shard
+
+    def shard(task):
+        started.append(task)
+        if len(started) == campaign_index + 1:
+            raise KeyboardInterrupt
+        return real_shard(task)
+    monkeypatch.setattr(pipeline, "_campaign_shard", shard)
+
+
+def test_interrupted_study_resumes_without_reexecution(tmp_path, monkeypatch):
     campaigns = _campaigns()
     clean = _clean_rows(campaigns)
     checkpoint = CampaignCheckpoint(str(tmp_path))
-    injector = FaultInjector(FaultPlan(interrupt_after_shards=1))
-    engine = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=1,
-                                      fault_injector=injector,
-                                      checkpoint=checkpoint)
-    with pytest.raises(CampaignInterrupted):
-        engine.execute_campaigns(campaigns)
+    _interrupt_at(monkeypatch, 1)
+    with pytest.raises(KeyboardInterrupt):
+        execute_shards(_chip(), SEED, campaigns, 1, checkpoint=checkpoint)
+    monkeypatch.undo()
     assert len(checkpoint.completed_shards()) == 1
 
-    resumed = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=2,
-                                       checkpoint=checkpoint)
-    records = resumed.execute_campaigns(campaigns)
-    assert resumed.shards_resumed == 1
-    assert resumed.shards_executed == len(campaigns) - 1
+    resumed = execute_shards(_chip(), SEED, campaigns, 2,
+                             checkpoint=checkpoint)
+    assert resumed.resumed == 1
+    assert resumed.executed == len(campaigns) - 1
     assert resumed.store.rows() == clean          # bit-identical finish
-    assert len(records) == len(campaigns)
-    # Resumed records carry the same outcome counts as a live run.
-    reference = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=1)
-    live = reference.execute_campaigns(campaigns)
-    for ours, theirs in zip(records, live):
-        assert [r.counts for r in ours] == [r.counts for r in theirs]
-        assert [r.wall_time_s for r in ours] == \
-            pytest.approx([r.wall_time_s for r in theirs])
 
 
 def test_fully_checkpointed_study_executes_nothing(tmp_path):
     campaigns = _campaigns(benchmarks=2)
     checkpoint = CampaignCheckpoint(str(tmp_path))
-    first = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=2,
-                                     checkpoint=checkpoint)
-    first.execute_campaigns(campaigns)
-    assert first.shards_executed == len(campaigns)
+    first = execute_shards(_chip(), SEED, campaigns, 2, checkpoint=checkpoint)
+    assert first.executed == len(campaigns)
 
-    second = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=2,
-                                      checkpoint=checkpoint)
-    second.execute_campaigns(campaigns)
-    assert second.shards_executed == 0
-    assert second.shards_resumed == len(campaigns)
+    second = execute_shards(_chip(), SEED, campaigns, 2, checkpoint=checkpoint)
+    assert second.executed == 0
+    assert second.resumed == len(campaigns)
     assert second.store.rows() == first.store.rows()
 
 
+def test_interrupted_pipeline_keeps_every_finished_shard(tmp_path, monkeypatch):
+    """Regression: checkpoints were written only after every shard had
+    returned, so a real interruption persisted nothing. Each shard now
+    saves itself as it finishes."""
+    kwargs = dict(seed=9, benchmarks=4, repetitions=2, jobs=1)
+    clean = run_pipeline(**kwargs)
+    checkpoint_dir = str(tmp_path)
+    _interrupt_at(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(resume_dir=checkpoint_dir, **kwargs)
+    monkeypatch.undo()
+    assert len(CampaignCheckpoint(checkpoint_dir).completed_shards()) == 2
+
+    finished = run_pipeline(resume_dir=checkpoint_dir, **kwargs)
+    assert finished.shards_resumed == 2
+    assert finished.shards_executed == 2
+    assert finished.exactly_once
+    assert finished.store.to_csv_text() == clean.store.to_csv_text()
+
+
 def test_run_pipeline_interrupt_and_resume(tmp_path):
-    """The --faults/--resume CLI flow end to end: an interrupted faulted
-    study, resumed twice, lands the clean run's exact CSV."""
+    """The --faults/--resume CLI flow end to end: a faulted study killed
+    after its first shard finished, resumed, lands the clean run's exact
+    CSV."""
     clean = run_pipeline(seed=9, benchmarks=2, repetitions=2, jobs=1)
 
-    # A plan that exits shard 0's worker once and interrupts after 1
-    # completion.
-    # (run_pipeline derives plans from a seed; drive the engine directly
-    # for the interrupt, then finish with the driver's --resume path.)
+    # Shard 0's worker exits once. Deleting shard 1's manifest afterwards
+    # leaves exactly what a kill after shard 0 finished leaves: the
+    # manifest is each shard's commit point.
     checkpoint_dir = str(tmp_path)
-    from repro.experiments.pipeline import _declare_campaigns
-    from repro.soc.xgene2 import build_reference_chips
-
-    chip = build_reference_chips(seed=9)[ProcessCorner.TTT]
-    campaigns = _declare_campaigns(2, 2, 980.0, 880.0, 20.0)
-    injector = FaultInjector(FaultPlan(unit_exits=((0, 1),),
-                                       interrupt_after_shards=1))
-    engine = ParallelCampaignExecutor(chip, seed=9, jobs=2,
-                                      fault_injector=injector,
-                                      checkpoint=CampaignCheckpoint(
-                                          checkpoint_dir))
-    with pytest.raises(CampaignInterrupted):
-        engine.execute_campaigns(campaigns)
+    run_pipeline(seed=9, benchmarks=2, repetitions=2, jobs=2,
+                 resume_dir=checkpoint_dir,
+                 options=RunOptions(faults=FaultPlan(unit_exits=((0, 1),))))
+    campaigns = pipeline._declare_campaigns(2, 2, 980.0, 880.0, 20.0)
+    checkpoint = CampaignCheckpoint(checkpoint_dir)
+    os.remove(checkpoint._manifest_path(checkpoint.shard_token(
+        clean.chip, campaigns[1])))
 
     finished = run_pipeline(seed=9, benchmarks=2, repetitions=2, jobs=2,
                             resume_dir=checkpoint_dir)

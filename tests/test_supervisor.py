@@ -18,16 +18,16 @@ from hypothesis import given, settings, strategies as st
 from repro.core.campaign import CampaignPlan
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.faults import FaultInjector, FaultPlan
-from repro.core.parallel import ParallelCampaignExecutor, parallel_map
 from repro.core.supervisor import (
     CRASH,
     HANG,
     POISON,
     SupervisedPool,
     UnitFailure,
-    supervised_map,
 )
-from repro.errors import CampaignInterrupted, SupervisionError
+from repro.errors import SupervisionError
+from repro.experiments.common import RunOptions, map_units
+from repro.experiments.pipeline import execute_shards
 from repro.soc.chip import Chip
 from repro.soc.corners import ProcessCorner
 from repro.workloads.spec import spec_suite
@@ -47,9 +47,13 @@ def _slow_square(x):
     return x * x
 
 
+#: The exact tuple the old engine used as its kill sentinel (the module
+#: that defined it is gone).
+LEGACY_SENTINEL = ("repro.core" ".parallel:unit-killed",)
+
+
 def _legacy_sentinel(x):
-    # The exact tuple the old engine used as its kill sentinel.
-    return ("repro.core.parallel:unit-killed",)
+    return LEGACY_SENTINEL
 
 
 def _raise_on_three(x):
@@ -90,11 +94,10 @@ def no_worker_can_start(monkeypatch):
 def test_unit_legitimately_returning_old_sentinel_value(jobs):
     """Regression: the old engine compared results by value against
     UNIT_KILLED, so a unit returning an equal tuple retried forever."""
-    injector = FaultInjector(FaultPlan(unit_exits=((0, 1),)))
-    out = parallel_map(_legacy_sentinel, [0, 1, 2], jobs=jobs,
-                       fault_injector=injector)
-    assert out == [("repro.core.parallel:unit-killed",)] * 3
-    assert injector.stats.unit_exits == 1
+    outcome = map_units(_legacy_sentinel, [0, 1, 2], jobs,
+                        RunOptions(faults=FaultPlan(unit_exits=((0, 1),))))
+    assert outcome.unwrap() == [LEGACY_SENTINEL] * 3
+    assert outcome.faults.unit_exits == 1
 
 
 # ----------------------------------------------------------------------
@@ -103,9 +106,9 @@ def test_unit_legitimately_returning_old_sentinel_value(jobs):
 @pytest.mark.parametrize("jobs", [1, 2, 4])
 def test_real_fault_plan_converges_bit_identical(jobs):
     plan = _real_plan()
-    outcome = supervised_map(_square, list(range(6)), jobs=jobs,
-                             inject=FaultInjector(plan).unit_fault,
-                             hang_seconds=plan.hang_seconds)
+    outcome = SupervisedPool(jobs=jobs).map(
+        _square, list(range(6)), inject=FaultInjector(plan).unit_fault,
+        hang_seconds=plan.hang_seconds)
     assert outcome.values == (0, 1, None, 9, 16, 25)
     assert [(f.index, f.kind) for f in outcome.failures] == [(2, POISON)]
     assert outcome.failures[0].attempts == 4   # 1 + default max_retries
@@ -118,9 +121,9 @@ def test_quarantine_list_is_jobs_invariant():
                      hang_seconds=0.2)
     signatures = []
     for jobs in (1, 2, 4):
-        outcome = supervised_map(_square, list(range(6)), jobs=jobs,
-                                 inject=FaultInjector(plan).unit_fault,
-                                 hang_seconds=plan.hang_seconds)
+        outcome = SupervisedPool(jobs=jobs).map(
+            _square, list(range(6)), inject=FaultInjector(plan).unit_fault,
+            hang_seconds=plan.hang_seconds)
         signatures.append((outcome.values,
                            tuple((f.index, f.kind, f.attempts)
                                  for f in outcome.failures)))
@@ -133,8 +136,8 @@ def test_one_exit_charges_one_crash_to_its_unit_only():
     and no sibling anything; exactly one worker is replaced, and every
     unit still completes."""
     plan = FaultPlan(unit_exits=((1, 1),))
-    outcome = supervised_map(_square, list(range(6)), jobs=4,
-                             inject=FaultInjector(plan).unit_fault)
+    outcome = SupervisedPool(jobs=4).map(
+        _square, list(range(6)), inject=FaultInjector(plan).unit_fault)
     assert outcome.values == (0, 1, 4, 9, 16, 25)
     assert outcome.failures == ()
     losses = [r for r in outcome.ledger if r.outcome != "ok"]
@@ -156,10 +159,10 @@ def test_ledger_is_jobs_invariant_and_every_loss_is_charged():
                      poison_units=(2,), hang_seconds=5.0)
     ledgers = []
     for jobs in (1, 2, 4):
-        outcome = supervised_map(_slow_square, list(range(8)), jobs=jobs,
-                                 unit_timeout=0.5,
-                                 inject=FaultInjector(plan).unit_fault,
-                                 hang_seconds=plan.hang_seconds)
+        outcome = SupervisedPool(jobs=jobs, unit_timeout=0.5).map(
+            _slow_square, list(range(8)),
+            inject=FaultInjector(plan).unit_fault,
+            hang_seconds=plan.hang_seconds)
         assert all(r.charged for r in outcome.ledger if r.outcome != "ok")
         ledgers.append(sorted((r.index, r.attempt, r.outcome)
                               for r in outcome.ledger))
@@ -171,9 +174,9 @@ def test_ledger_is_jobs_invariant_and_every_loss_is_charged():
 # Typed failure reporting (no raw tracebacks)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_parallel_map_raises_typed_supervision_error(jobs):
+def test_map_units_raises_typed_supervision_error(jobs):
     with pytest.raises(SupervisionError) as excinfo:
-        parallel_map(_raise_on_three, [1, 2, 3, 4], jobs=jobs)
+        map_units(_raise_on_three, [1, 2, 3, 4], jobs, RunOptions()).unwrap()
     failures = excinfo.value.failures
     assert [(f.index, f.kind) for f in failures] == [(2, POISON)]
     assert "ValueError" in failures[0].detail
@@ -184,8 +187,8 @@ def test_parallel_map_raises_typed_supervision_error(jobs):
 
 def test_max_retries_bounds_the_budget():
     plan = FaultPlan(unit_exits=((0, 1),))
-    outcome = supervised_map(_square, [0, 1, 2], jobs=2, max_retries=0,
-                             inject=FaultInjector(plan).unit_fault)
+    outcome = SupervisedPool(jobs=2, max_retries=0).map(
+        _square, [0, 1, 2], inject=FaultInjector(plan).unit_fault)
     assert outcome.values == (None, 1, 4)
     assert [(f.index, f.kind, f.attempts)
             for f in outcome.failures] == [(0, CRASH, 1)]
@@ -193,9 +196,9 @@ def test_max_retries_bounds_the_budget():
 
 def test_attempt_ledger_records_charged_failures():
     plan = _real_plan()
-    outcome = supervised_map(_square, list(range(4)), jobs=2,
-                             inject=FaultInjector(plan).unit_fault,
-                             hang_seconds=plan.hang_seconds)
+    outcome = SupervisedPool(jobs=2).map(
+        _square, list(range(4)), inject=FaultInjector(plan).unit_fault,
+        hang_seconds=plan.hang_seconds)
     charged = [(r.index, r.outcome) for r in outcome.ledger if r.charged]
     assert (0, CRASH) in charged
     assert (1, HANG) in charged
@@ -211,9 +214,9 @@ def test_attempt_ledger_records_charged_failures():
 def test_deadline_terminates_a_really_hung_worker():
     plan = FaultPlan(unit_hangs=((1, 1),), hang_seconds=30.0)
     start = time.monotonic()
-    outcome = supervised_map(_square, [0, 1, 2], jobs=2, unit_timeout=0.5,
-                             inject=FaultInjector(plan).unit_fault,
-                             hang_seconds=plan.hang_seconds)
+    outcome = SupervisedPool(jobs=2, unit_timeout=0.5).map(
+        _square, [0, 1, 2], inject=FaultInjector(plan).unit_fault,
+        hang_seconds=plan.hang_seconds)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0     # nowhere near the 30 s sleep
     assert outcome.values == (0, 1, 4)
@@ -234,9 +237,9 @@ def test_degrades_to_inline_serial_when_pool_unbuildable(no_worker_can_start):
 
 def test_degraded_inline_still_honors_the_injected_plan(no_worker_can_start):
     plan = _real_plan()
-    outcome = SupervisedPool(jobs=4).map(_square, list(range(6)),
-                                         inject=FaultInjector(plan).unit_fault,
-                                         hang_seconds=plan.hang_seconds)
+    outcome = SupervisedPool(jobs=4).map(
+        _square, list(range(6)), inject=FaultInjector(plan).unit_fault,
+        hang_seconds=plan.hang_seconds)
     assert outcome.values == (0, 1, None, 9, 16, 25)
     assert [(f.index, f.kind) for f in outcome.failures] == [(2, POISON)]
     assert outcome.stats.degraded
@@ -251,9 +254,9 @@ def test_degraded_inline_still_honors_the_injected_plan(no_worker_can_start):
        poison_rate=st.sampled_from([0.0, 0.3, 0.7]))
 def test_any_seeded_real_plan_converges_inline(seed, units, poison_rate):
     plan = FaultPlan.random_real(seed, units, poison_rate=poison_rate)
-    outcome = supervised_map(_square, list(range(units)), jobs=1,
-                             inject=FaultInjector(plan).unit_fault,
-                             hang_seconds=plan.hang_seconds)
+    outcome = SupervisedPool(jobs=1).map(
+        _square, list(range(units)), inject=FaultInjector(plan).unit_fault,
+        hang_seconds=plan.hang_seconds)
     poisoned = set(plan.poison_units)
     for index in range(units):
         if index in poisoned:
@@ -263,9 +266,9 @@ def test_any_seeded_real_plan_converges_inline(seed, units, poison_rate):
     assert tuple(f.index for f in outcome.failures) == tuple(sorted(poisoned))
     assert all(f.kind == POISON for f in outcome.failures)
     # Deterministic: the same plan replays to the same outcome.
-    again = supervised_map(_square, list(range(units)), jobs=1,
-                           inject=FaultInjector(plan).unit_fault,
-                           hang_seconds=plan.hang_seconds)
+    again = SupervisedPool(jobs=1).map(
+        _square, list(range(units)), inject=FaultInjector(plan).unit_fault,
+        hang_seconds=plan.hang_seconds)
     assert again.values == outcome.values
     assert again.failures == outcome.failures
 
@@ -278,37 +281,31 @@ def test_campaign_study_under_real_faults_matches_clean_serial():
     bit-identical to the clean serial run, poisoned shard quarantined as
     a typed UnitFailure, nothing raw escaping."""
     campaigns = _campaigns()
-    clean = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=1)
-    clean.execute_campaigns([c for i, c in enumerate(campaigns) if i != 2])
-    engine = ParallelCampaignExecutor(
-        _chip(), seed=SEED, jobs=4,
-        fault_injector=FaultInjector(_real_plan()))
-    records = engine.execute_campaigns(campaigns)
-    assert engine.store.rows() == clean.store.rows()
-    assert records[2] == []
-    assert engine.shards_quarantined == 1
-    failure = engine.failures[0]
+    clean = execute_shards(_chip(), SEED,
+                           [c for i, c in enumerate(campaigns) if i != 2])
+    study = execute_shards(_chip(), SEED, campaigns, 4,
+                           RunOptions(faults=_real_plan()))
+    assert study.store.rows() == clean.store.rows()
+    prefix = f"{_chip().serial}/{campaigns[2].name}/"
+    assert not [r for r in study.store.rows() if r.run_key.startswith(prefix)]
+    assert len(study.failures) == 1
+    failure = study.failures[0]
     assert isinstance(failure, UnitFailure)
     assert (failure.index, failure.kind) == (2, POISON)
     assert failure.label == campaigns[2].name
-    assert engine.supervision.rebuilds >= 1
-    assert engine.supervision.crashes >= 1
-    assert engine.supervision.quarantined == 1
+    assert study.supervision.rebuilds >= 1
+    assert study.supervision.crashes >= 1
+    assert study.supervision.quarantined == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_campaign_quarantine_is_jobs_invariant(jobs):
     campaigns = _campaigns()
-    engine = ParallelCampaignExecutor(
-        _chip(), seed=SEED, jobs=jobs,
-        fault_injector=FaultInjector(_real_plan()))
-    engine.execute_campaigns(campaigns)
-    reference = ParallelCampaignExecutor(
-        _chip(), seed=SEED, jobs=4,
-        fault_injector=FaultInjector(_real_plan()))
-    reference.execute_campaigns(campaigns)
-    assert engine.store.rows() == reference.store.rows()
-    assert [(f.index, f.kind, f.attempts, f.label) for f in engine.failures] \
+    options = RunOptions(faults=_real_plan())
+    study = execute_shards(_chip(), SEED, campaigns, jobs, options)
+    reference = execute_shards(_chip(), SEED, campaigns, 4, options)
+    assert study.store.rows() == reference.store.rows()
+    assert [(f.index, f.kind, f.attempts, f.label) for f in study.failures] \
         == [(f.index, f.kind, f.attempts, f.label)
             for f in reference.failures]
 
@@ -319,21 +316,18 @@ def test_campaign_quarantine_is_jobs_invariant(jobs):
 def test_resume_skips_quarantined_shards(tmp_path):
     campaigns = _campaigns()
     checkpoint = CampaignCheckpoint(str(tmp_path))
-    plan = FaultPlan(poison_units=(1,))
-    first = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=2,
-                                     fault_injector=FaultInjector(plan),
-                                     checkpoint=checkpoint)
-    first.execute_campaigns(campaigns)
-    assert first.shards_quarantined == 1
+    first = execute_shards(_chip(), SEED, campaigns, 2,
+                           RunOptions(faults=FaultPlan(poison_units=(1,))),
+                           checkpoint)
+    assert len(first.failures) == 1
     assert len(checkpoint.completed_shards()) == 2
     assert len(checkpoint.quarantined_shards()) == 1
 
-    resumed = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=2,
-                                       checkpoint=checkpoint)
-    resumed.execute_campaigns(campaigns)
-    assert resumed.shards_resumed == 2
-    assert resumed.shards_executed == 0      # nothing re-executed
-    assert resumed.shards_quarantined == 1   # the quarantine resurfaces
+    resumed = execute_shards(_chip(), SEED, campaigns, 2,
+                             checkpoint=checkpoint)
+    assert resumed.resumed == 2
+    assert resumed.executed == 0             # nothing re-executed
+    assert len(resumed.failures) == 1        # the quarantine resurfaces
     assert resumed.failures[0].kind == POISON
     assert resumed.failures[0].label == campaigns[1].name
     assert resumed.store.rows() == first.store.rows()
@@ -342,22 +336,22 @@ def test_resume_skips_quarantined_shards(tmp_path):
 def test_interrupted_study_resumes_past_quarantined_shard(tmp_path):
     campaigns = _campaigns()
     checkpoint = CampaignCheckpoint(str(tmp_path))
-    plan = FaultPlan(poison_units=(0,), interrupt_after_shards=1)
-    engine = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=2,
-                                      fault_injector=FaultInjector(plan),
-                                      checkpoint=checkpoint)
-    with pytest.raises(CampaignInterrupted):
-        engine.execute_campaigns(campaigns)
+    execute_shards(_chip(), SEED, campaigns, 2,
+                   RunOptions(faults=FaultPlan(poison_units=(0,))),
+                   checkpoint)
+    # Without shard 2's manifest -- each shard's commit point -- the
+    # checkpoint is what a kill after shard 1 finished leaves behind.
+    os.remove(checkpoint._manifest_path(
+        checkpoint.shard_token(_chip().serial, campaigns[2])))
     assert len(checkpoint.quarantined_shards()) == 1
     assert len(checkpoint.completed_shards()) == 1
 
-    finished = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=2,
-                                        checkpoint=checkpoint)
-    finished.execute_campaigns(campaigns)
-    clean = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=1)
-    clean.execute_campaigns(campaigns[1:])
+    finished = execute_shards(_chip(), SEED, campaigns, 2,
+                              checkpoint=checkpoint)
+    clean = execute_shards(_chip(), SEED, campaigns[1:])
     assert finished.store.rows() == clean.store.rows()
-    assert finished.shards_quarantined == 1
+    assert (finished.resumed, finished.executed) == (1, 1)
+    assert len(finished.failures) == 1
     assert finished.failures[0].index == 0
 
 
@@ -392,13 +386,12 @@ def test_checkpoint_quarantine_manifest_roundtrip(tmp_path):
 def test_real_fault_equivalence_stress(fault_seed):
     units = 10
     plan = FaultPlan.random_real(fault_seed, units, poison_rate=0.2)
-    reference = supervised_map(_square, list(range(units)), jobs=1,
-                               inject=FaultInjector(plan).unit_fault,
-                               hang_seconds=plan.hang_seconds)
-    outcome = supervised_map(_square, list(range(units)), jobs=STRESS_JOBS,
-                             unit_timeout=30.0,
-                             inject=FaultInjector(plan).unit_fault,
-                             hang_seconds=plan.hang_seconds)
+    reference = SupervisedPool(jobs=1).map(
+        _square, list(range(units)), inject=FaultInjector(plan).unit_fault,
+        hang_seconds=plan.hang_seconds)
+    outcome = SupervisedPool(jobs=STRESS_JOBS, unit_timeout=30.0).map(
+        _square, list(range(units)), inject=FaultInjector(plan).unit_fault,
+        hang_seconds=plan.hang_seconds)
     assert outcome.values == reference.values
     assert tuple((f.index, f.kind, f.attempts) for f in outcome.failures) \
         == tuple((f.index, f.kind, f.attempts) for f in reference.failures)
@@ -410,12 +403,9 @@ def test_campaign_stress_real_faults_at_jobs_4():
     campaigns = _campaigns()
     plan = FaultPlan.random_real(9, units=len(campaigns), poison_rate=0.0,
                                  hang_seconds=0.2)
-    clean = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=1)
-    clean.execute_campaigns(campaigns)
-    engine = ParallelCampaignExecutor(_chip(), seed=SEED, jobs=STRESS_JOBS,
-                                      unit_timeout=60.0,
-                                      fault_injector=FaultInjector(plan))
-    engine.execute_campaigns(campaigns)
-    assert engine.store.rows() == clean.store.rows()
-    assert engine.failures == ()
+    clean = execute_shards(_chip(), SEED, campaigns)
+    study = execute_shards(_chip(), SEED, campaigns, STRESS_JOBS,
+                           RunOptions(unit_timeout=60.0, faults=plan))
+    assert study.store.rows() == clean.store.rows()
+    assert study.failures == ()
     assert plan.unit_exits or plan.unit_hangs
