@@ -43,7 +43,7 @@ from repro.core import (
     select_safe_points,
 )
 from repro.errors import SupervisionError
-from repro.viruses import evolve_didt_virus, dpbench_suite, all_component_viruses
+from repro.viruses import evolve_didt_virus, dpbench_suite
 from repro.dram import (
     BitErrorModel,
     DramPowerModel,
@@ -82,7 +82,6 @@ __all__ = [
     "VminSearch",
     "XGene2Platform",
     "__version__",
-    "all_component_viruses",
     "build_platform",
     "build_reference_chips",
     "dpbench_suite",

@@ -5,9 +5,13 @@ headline numbers:
 
 - :mod:`repro.analysis.tradeoff` -- the Figure 5 power/performance
   ladder (per-PMD frequency scaling against a shared voltage rail);
-- :mod:`repro.analysis.energy` -- energy/power reduction arithmetic;
 - :mod:`repro.analysis.server_power` -- per-domain server power at an
   operating point (the Figure 9 accounting).
+
+Library helpers no experiment driver calls, kept with their unit tests:
+
+- :mod:`repro.analysis.energy` -- energy/power reduction arithmetic;
+- :mod:`repro.analysis.scheduling` -- Vmin-aware workload placement.
 """
 
 from repro.analysis.energy import energy_savings_pct, power_savings_pct

@@ -21,21 +21,11 @@ Vmin search (:mod:`repro.core.vmin`), guardband/margin accounting
 (:mod:`repro.core.predictor`, after reference [11]).
 """
 
-from repro.core.attribution import (
-    AttributionReport,
-    FailureRegion,
-    run_attribution,
-)
 from repro.core.campaign import (
     Campaign,
     CampaignPlan,
     CharacterizationRun,
     CharacterizationSetup,
-)
-from repro.core.failure_prob import (
-    DroopHistory,
-    FailureProbabilityModel,
-    idle_vmin_mv,
 )
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.faults import (
@@ -51,13 +41,10 @@ from repro.core.supervisor import (
     SupervisorStats,
     UnitFailure,
 )
-from repro.core.framework import CharacterizationFramework, ChipStudy
-from repro.core.governor import GovernorReport, VoltageGovernor
 from repro.core.executor import CampaignExecutor, RunRecord
 from repro.core.watchdog import Watchdog, WatchdogVerdict
 from repro.core.classify import OutcomeCounts, classify_run_log, summarize
 from repro.core.results import ResultStore, result_fields
-from repro.core.timeline import CampaignScheduler, StudyTimeline, figure4_study_hours
 from repro.core.transport import (
     CloudStore,
     NetworkLink,
@@ -70,25 +57,17 @@ from repro.core.safepoints import SafeOperatingPoint, select_safe_points
 from repro.core.predictor import VminPredictor, PredictorReport
 
 __all__ = [
-    "AttributionReport",
     "Campaign",
     "CampaignCheckpoint",
     "CampaignExecutor",
     "CampaignPlan",
-    "CampaignScheduler",
     "FaultBurst",
     "FaultInjector",
     "FaultPlan",
     "FaultStats",
-    "CharacterizationFramework",
     "CharacterizationRun",
     "CharacterizationSetup",
-    "ChipStudy",
     "CloudStore",
-    "DroopHistory",
-    "FailureProbabilityModel",
-    "FailureRegion",
-    "GovernorReport",
     "GuardbandReport",
     "MapOutcome",
     "NetworkLink",
@@ -103,19 +82,14 @@ __all__ = [
     "ResultStore",
     "RunRecord",
     "SafeOperatingPoint",
-    "StudyTimeline",
-    "figure4_study_hours",
     "VminPredictor",
     "VminResult",
     "VminSearch",
-    "VoltageGovernor",
     "Watchdog",
     "WatchdogVerdict",
     "classify_run_log",
     "guardband_report",
-    "idle_vmin_mv",
     "result_fields",
-    "run_attribution",
     "select_safe_points",
     "summarize",
 ]

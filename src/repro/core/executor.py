@@ -32,7 +32,7 @@ from repro.core.results import ResultRow, ResultStore
 from repro.core.watchdog import Watchdog, WatchdogVerdict
 from repro.cpu.outcomes import RunOutcome
 from repro.rand import DEFAULT_SEED, SeedLike, substream
-from repro.soc.chip import CODE_FROM_OUTCOME, OUTCOME_FROM_CODE, Chip
+from repro.soc.chip import CODE_FROM_OUTCOME, Chip
 
 #: Modelled benchmark runtime used for wall-time accounting (seconds).
 NOMINAL_RUNTIME_S = 300.0
@@ -210,11 +210,3 @@ class CampaignExecutor:
         for campaign in campaigns:
             records.extend(self.execute_campaign(campaign, stop_on_unsafe))
         return records
-
-
-_SEVERITY = {outcome: code for code, outcome in enumerate(OUTCOME_FROM_CODE)}
-
-
-def _worse(a: RunOutcome, b: RunOutcome) -> RunOutcome:
-    """The more severe of two outcomes."""
-    return a if _SEVERITY[a] >= _SEVERITY[b] else b

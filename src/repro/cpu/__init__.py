@@ -8,10 +8,10 @@ exercises:
 - kernels/loops and an execution model that turns an instruction loop
   into a per-cycle supply-current waveform plus performance counters
   (:mod:`repro.cpu.execution`),
-- a low-voltage SRAM fault model for the cache hierarchy
-  (:mod:`repro.cpu.sram`),
-- fault-to-outcome classification shared with the campaign framework
-  (:mod:`repro.cpu.outcomes`, :mod:`repro.cpu.faults`).
+- the run-outcome taxonomy shared with the campaign framework
+  (:mod:`repro.cpu.outcomes`), and the fault-site -> outcome
+  classification (:mod:`repro.cpu.faults`, library only, kept with its
+  unit tests).
 """
 
 from repro.cpu.isa import (
@@ -23,7 +23,6 @@ from repro.cpu.isa import (
 from repro.cpu.kernels import InstructionLoop, square_wave_loop
 from repro.cpu.execution import ExecutionModel, ExecutionProfile, PerfCounters
 from repro.cpu.outcomes import RunOutcome
-from repro.cpu.sram import SramArray, SramFaultModel
 from repro.cpu.faults import FaultSite, classify_fault
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "InstructionSpec",
     "PerfCounters",
     "RunOutcome",
-    "SramArray",
-    "SramFaultModel",
     "classify_fault",
     "spec_of",
     "square_wave_loop",

@@ -20,7 +20,10 @@ package provides the simulated equivalent:
 - :mod:`repro.dram.controller` -- an MCU front-end tying the pieces
   together and reporting CE/UE events to SLIMpro;
 - :mod:`repro.dram.errors_model` -- analytic BER/error-count estimation
-  used by the experiment drivers.
+  used by the experiment drivers;
+- :mod:`repro.dram.profiling` and :mod:`repro.dram.scrubber` -- VRT
+  profiling rounds and patrol scrubbing (library only, kept with their
+  unit tests and ``examples/retention_profiling.py``).
 """
 
 from repro.dram.geometry import BankAddress, DramGeometry, DEFAULT_GEOMETRY
@@ -34,7 +37,6 @@ from repro.dram.cells import (
 from repro.dram.refresh import RefreshController, AccessTrace
 from repro.dram.ecc import SecdedCode, DecodeStatus, DecodeResult
 from repro.dram.profiling import ProfilingCampaign, ProfilingRound, profile_bank
-from repro.dram.rank_ecc import RankEccLayout, scrub_board, scrub_rank
 from repro.dram.scrubber import PatrolReport, PatrolScrubber, pairup_probability
 from repro.dram.power import DramPowerModel, DramPowerBreakdown
 from repro.dram.controller import MemoryControlUnit
@@ -57,7 +59,6 @@ __all__ = [
     "PatternKind",
     "ProfilingCampaign",
     "ProfilingRound",
-    "RankEccLayout",
     "RefreshController",
     "RetentionModel",
     "RetentionParams",
@@ -67,6 +68,4 @@ __all__ = [
     "pairup_probability",
     "profile_bank",
     "sample_weak_cell_count",
-    "scrub_board",
-    "scrub_rank",
 ]

@@ -48,16 +48,6 @@ class SupervisionError(CampaignError):
             f"{len(self.failures)} work unit(s) quarantined: {described}")
 
 
-class MeasurementInvalidError(CampaignError):
-    """A retention query hit a zone whose regulation is not trustworthy.
-
-    Raised by :meth:`repro.thermal.binding.ThermalDramBinding.require_valid`
-    when a device's zone is quarantined or out of the paper's 1 degC band:
-    retention follows an Arrhenius law, so measuring anyway would silently
-    corrupt weak-cell counts instead of failing loudly.
-    """
-
-
 class SearchError(ReproError):
     """A parameter search (Vmin search, GA) could not produce a result."""
 

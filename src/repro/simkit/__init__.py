@@ -1,20 +1,16 @@
 """A small deterministic discrete-event simulation (DES) kernel.
 
-The characterization testbed has several pieces that are naturally
-event-driven -- the campaign timeline with its watchdog/reset switch
-and the Jammer detector's QoS accounting.
-``repro.simkit`` provides the minimal substrate they share:
+The Jammer detector of Fig. 9 runs its instances as self-rescheduling
+event chains on a virtual clock. :class:`~repro.simkit.events.Simulator`
+is the substrate: a single-threaded priority-queue event loop in which
+two events at the same timestamp fire in insertion order, so every run
+is deterministic.
 
-- :class:`~repro.simkit.events.Simulator` -- a priority-queue event loop
-  with deterministic tie-breaking.
-- :class:`~repro.simkit.process.Process` -- generator-based cooperative
-  processes (``yield delay`` to advance time).
-- :class:`~repro.simkit.resources.Resource` -- a counted resource with a
-  FIFO wait queue, used to model cores occupied by benchmark runs.
-
-The kernel is intentionally simple (single-threaded, virtual time) and
-fully deterministic: two events at the same timestamp fire in insertion
-order.
+No experiment uses the two library layers on top of it, which are kept
+with their unit tests: :class:`~repro.simkit.process.Process`
+(generator-based processes, ``yield delay`` to advance time) and
+:class:`~repro.simkit.resources.Resource` (a counted resource with a
+FIFO wait queue).
 """
 
 from repro.simkit.events import Event, Simulator

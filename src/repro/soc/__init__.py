@@ -23,15 +23,14 @@ from repro.soc.topology import (
     L3_BYTES,
     NUM_CORES,
     NUM_MCBS,
-    NUM_MCUS,
     NUM_PMDS,
     CoreId,
     SocTopology,
 )
 from repro.soc.chip import Chip, CoreVminModel
-from repro.soc.domains import VoltageDomain, VoltageRegulator, DomainName
+from repro.soc.domains import VoltageRegulator, DomainName
 from repro.soc.slimpro import SLIMpro, SensorReading, EccReport
-from repro.soc.power import CorePowerModel, DomainPowerModel
+from repro.soc.power import CorePowerModel
 from repro.soc.xgene2 import XGene2Platform, build_platform, build_reference_chips
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "CoreVminModel",
     "CornerParams",
     "DomainName",
-    "DomainPowerModel",
     "EccReport",
     "L1D_BYTES",
     "L1I_BYTES",
@@ -52,13 +50,11 @@ __all__ = [
     "L3_BYTES",
     "NUM_CORES",
     "NUM_MCBS",
-    "NUM_MCUS",
     "NUM_PMDS",
     "ProcessCorner",
     "SLIMpro",
     "SensorReading",
     "SocTopology",
-    "VoltageDomain",
     "VoltageRegulator",
     "XGene2Platform",
     "build_platform",

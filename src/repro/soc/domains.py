@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import VoltageDomainError
 from repro.soc.corners import NOMINAL_PMD_MV, NOMINAL_SOC_MV
@@ -90,18 +90,6 @@ class VoltageRegulator:
     def undervolt_mv(self) -> float:
         """How far below nominal the rail currently sits (mV, >= 0)."""
         return self.nominal_mv - self._current_mv
-
-
-@dataclass
-class VoltageDomain:
-    """A domain: its regulator plus the frequency it clocks (if any)."""
-
-    regulator: VoltageRegulator
-    freq_ghz: Optional[float] = None
-
-    @property
-    def name(self) -> DomainName:
-        return self.regulator.domain
 
 
 def default_regulators() -> Dict[DomainName, VoltageRegulator]:

@@ -83,18 +83,6 @@ class CorePowerModel:
         )
 
 
-@dataclass(frozen=True)
-class DomainPowerModel:
-    """Named wrapper pairing a domain label with its power model."""
-
-    name: str
-    model: CorePowerModel
-
-    def watts(self, voltage_mv: float, freq_ghz: float = None,
-              utilisation: float = 1.0) -> float:
-        return self.model.watts(voltage_mv, freq_ghz, utilisation)
-
-
 def multicore_relative_power(per_core_freq_ghz: list, voltage_mv: float,
                              model: CorePowerModel) -> float:
     """Relative PMD-domain power when cores run at mixed frequencies.

@@ -27,7 +27,6 @@ CACHE_LINE_BYTES = 64
 
 NUM_MCBS = 2
 MCUS_PER_MCB = 2
-NUM_MCUS = NUM_MCBS * MCUS_PER_MCB
 DIMMS_PER_MCU = 2
 RANKS_PER_DIMM = 2
 

@@ -26,7 +26,7 @@ This package simulates that rig end-to-end:
 """
 
 from repro.core.faults import ThermalFault
-from repro.thermal.binding import ThermalDramBinding, ZoneBinding
+from repro.thermal.binding import ZoneBinding
 from repro.thermal.faults import ThermalFaultInjector, ZoneFaultState
 from repro.thermal.monitor import (
     MonitorParams,
@@ -47,7 +47,6 @@ __all__ = [
     "PlantParams",
     "SolidStateRelay",
     "SpdSensor",
-    "ThermalDramBinding",
     "ThermalFault",
     "ThermalFaultInjector",
     "ThermalPlant",

@@ -1,32 +1,21 @@
-"""Binding thermal zones to DRAM devices.
+"""Binding thermal zones to DRAM ranks.
 
-The paper's testbed heats each DIMM *rank* independently (8 zones), so
-different devices on the board can sit at different temperatures during
-one experiment. This module maps testbed zones onto the DRAM geometry
-and evaluates retention queries at each device's own regulated
-temperature -- enabling gradient studies (e.g. one hot DIMM among cool
-ones) that a single-temperature query cannot express.
-
-Every retention query can be gated on the zone's regulation status:
-:meth:`ThermalDramBinding.device_measurement_valid` answers whether the
-device's zone currently satisfies the paper's steady-in-band condition,
-:meth:`~ThermalDramBinding.require_valid` turns an invalid read into a
-typed :class:`~repro.errors.MeasurementInvalidError`, and
-:meth:`~ThermalDramBinding.validated_board_unique_locations` sweeps the
-board while skipping quarantined devices -- never measuring a silently
-wrong temperature.
+The paper's testbed heats each DIMM *rank* independently (8 zones).
+:class:`ZoneBinding` maps testbed zones onto the DRAM geometry, so
+Table I can drop exactly the devices that sit on a quarantined zone.
+Whether a zone's reading is trustworthy is decided in one place,
+:meth:`~repro.thermal.testbed.ThermalTestbed.zone_measurement_valid`,
+which Table I and Fig. 8a apply to every regulation round through
+:func:`~repro.experiments.common.regulate_to_setpoint`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.dram.cells import DramDevicePopulation
 from repro.dram.geometry import DramGeometry
-from repro.errors import ConfigurationError, MeasurementInvalidError
-from repro.thermal.monitor import ZoneQuarantine
-from repro.thermal.testbed import ThermalTestbed
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -57,119 +46,3 @@ class ZoneBinding:
     def zone_of_device(self, device: int) -> int:
         dimm, rank, _slot = self.geometry.device_location(device)
         return self.zone_of_rank[(dimm, rank)]
-
-
-class ThermalDramBinding:
-    """Evaluates retention queries at per-device regulated temperatures."""
-
-    def __init__(self, population: DramDevicePopulation,
-                 testbed: ThermalTestbed,
-                 binding: Optional[ZoneBinding] = None) -> None:
-        self.population = population
-        self.testbed = testbed
-        self.binding = binding or ZoneBinding.paper_default(
-            population.geometry)
-        max_zone = max(self.binding.zone_of_rank.values())
-        if max_zone >= len(testbed.configs):
-            raise ConfigurationError(
-                f"binding references zone {max_zone} but the testbed has "
-                f"{len(testbed.configs)} zones")
-
-    def device_temperature_c(self, device: int) -> float:
-        """The device's current regulated temperature."""
-        return self.testbed.zone_temperature_c(
-            self.binding.zone_of_device(device))
-
-    def device_zone_status(self, device: int) -> str:
-        """Regulation status of the device's zone (ok/degraded/quarantined)."""
-        return self.testbed.zone_status(self.binding.zone_of_device(device))
-
-    def device_measurement_valid(self, device: int) -> bool:
-        """Whether a retention read of ``device`` would be trustworthy now.
-
-        True only when the device's zone is not quarantined and has held
-        the paper's 1 degC band over the steady-state window (see
-        :meth:`~repro.thermal.testbed.ThermalTestbed.zone_measurement_valid`).
-        """
-        return self.testbed.zone_measurement_valid(
-            self.binding.zone_of_device(device))
-
-    def require_valid(self, device: int) -> None:
-        """Raise :class:`MeasurementInvalidError` unless the read is valid."""
-        zone = self.binding.zone_of_device(device)
-        if self.testbed.zone_measurement_valid(zone):
-            return
-        monitor = self.testbed.monitors[zone]
-        if monitor.quarantine is not None:
-            raise MeasurementInvalidError(
-                f"device {device}: {monitor.quarantine.describe()}")
-        raise MeasurementInvalidError(
-            f"device {device}: zone {zone} out of regulation band "
-            f"(status {monitor.status}, belief {monitor.estimate_c:.1f} degC "
-            f"vs setpoint {monitor.setpoint_c:.0f})")
-
-    def quarantined_devices(self) -> Dict[int, ZoneQuarantine]:
-        """device -> quarantine record, for devices on quarantined zones."""
-        records = {q.zone: q for q in self.testbed.zone_quarantines()}
-        return {
-            device: records[zone]
-            for device in self.population.geometry.device_ids()
-            for zone in (self.binding.zone_of_device(device),)
-            if zone in records
-        }
-
-    def device_unique_locations(self, device: int,
-                                interval_s: float) -> List[int]:
-        """Per-bank weak-cell counts at the device's own temperature."""
-        return self.population.device_unique_locations(
-            device, interval_s, self.device_temperature_c(device))
-
-    def board_unique_locations(self, interval_s: float) -> Dict[int, int]:
-        """device -> total weak cells, each at its zone's temperature."""
-        return {
-            device: sum(self.device_unique_locations(device, interval_s))
-            for device in self.population.geometry.device_ids()
-        }
-
-    def validated_board_unique_locations(
-            self, interval_s: float) -> Dict[int, int]:
-        """Board sweep gated on regulation validity.
-
-        Devices on quarantined zones are *skipped* (their quarantine
-        records are available via :meth:`quarantined_devices`); a device
-        on a live zone that is merely out of band raises
-        :class:`MeasurementInvalidError` -- the driver should
-        re-regulate and retry rather than record a corrupted count.
-        """
-        counts: Dict[int, int] = {}
-        for device in self.population.geometry.device_ids():
-            zone = self.binding.zone_of_device(device)
-            if self.testbed.monitors[zone].quarantine is not None:
-                continue
-            self.require_valid(device)
-            counts[device] = sum(
-                self.device_unique_locations(device, interval_s))
-        return counts
-
-    def gradient_summary(self, interval_s: float) -> Dict[int, Dict[str, object]]:
-        """Per-zone mean weak-cell totals, temperature and status.
-
-        The gradient experiment's deliverable: hot zones must show the
-        Arrhenius-amplified counts while cool zones stay low, device by
-        device on the *same* board. Each entry carries the zone's
-        regulation ``status`` so downstream analysis can drop degraded
-        or quarantined zones.
-        """
-        per_zone: Dict[int, List[int]] = {}
-        for device, total in self.board_unique_locations(interval_s).items():
-            per_zone.setdefault(
-                self.binding.zone_of_device(device), []).append(total)
-        return {
-            zone: {
-                "temperature_c": self.testbed.zone_temperature_c(zone),
-                "mean_weak_cells": sum(totals) / len(totals),
-                "devices": float(len(totals)),
-                "status": self.testbed.zone_status(zone),
-            }
-            for zone, totals in sorted(per_zone.items())
-        }

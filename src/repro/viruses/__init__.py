@@ -1,29 +1,22 @@
-"""Diagnostic stress tests ("viruses") and their generators.
+"""Diagnostic dI/dt stress tests ("viruses") and their generator.
 
-Section III.C of the paper distinguishes three families of stress tests,
-all of which this package implements:
-
-- **dI/dt (voltage-noise) viruses** -- instruction loops that switch CPU
-  power at the PDN's first-order resonant frequency, generated by a
-  genetic algorithm whose fitness is the radiated-EM amplitude sensed
-  near the package (:mod:`repro.viruses.genetic`,
-  :mod:`repro.viruses.didt`);
-- **cache/component micro-viruses** -- hand-crafted loops that isolate
-  individual structures (L1I, L1D, L2, integer ALU, FP/SIMD unit) to
-  tell SRAM failures from pipeline-logic failures
-  (:mod:`repro.viruses.components`);
-- **DRAM data-pattern benchmarks (DPBenches)** -- all-0s, all-1s,
-  checkerboard and random patterns written and read back after a
-  refresh interval (:mod:`repro.viruses.dpbench`).
+Section III.C of the paper evolves **dI/dt (voltage-noise) viruses**:
+instruction loops that switch CPU power at the PDN's first-order
+resonant frequency, generated by a genetic algorithm whose fitness is
+the radiated-EM amplitude sensed near the package
+(:mod:`repro.viruses.genetic`, :mod:`repro.viruses.didt`). Figures 6
+and 7 run them. The DRAM data-pattern benchmarks (DPBenches) of
+Figure 8a are the patterns of
+:class:`repro.dram.errors_model.PatternKind`;
+:mod:`repro.viruses.dpbench` packages them as standalone write/wait/read
+benchmarks (library only, kept with its unit tests).
 """
 
 from repro.viruses.genetic import GaConfig, GaResult, GeneticAlgorithm, Individual
 from repro.viruses.didt import DidtSearch, DidtVirus, evolve_didt_virus, random_search_baseline
-from repro.viruses.components import ComponentVirus, TargetComponent, component_virus, all_component_viruses
 from repro.viruses.dpbench import DataPatternBenchmark, dpbench_suite
 
 __all__ = [
-    "ComponentVirus",
     "DataPatternBenchmark",
     "DidtSearch",
     "DidtVirus",
@@ -31,9 +24,6 @@ __all__ = [
     "GaResult",
     "GeneticAlgorithm",
     "Individual",
-    "TargetComponent",
-    "all_component_viruses",
-    "component_virus",
     "dpbench_suite",
     "evolve_didt_virus",
     "random_search_baseline",

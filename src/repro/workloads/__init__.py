@@ -17,7 +17,7 @@ the paper runs at that signature level:
 - :mod:`repro.workloads.mixes` -- multiprogram mixes (the 8-benchmark
   workload of Fig. 5);
 - :mod:`repro.workloads.traces` -- DRAM row-access trace generation from
-  DRAM profiles.
+  DRAM profiles (library only, kept with its unit tests).
 
 Calibrated signature values (each workload's ``resonant_swing``,
 ``hot_row_fraction`` etc.) are derived from the paper's measured

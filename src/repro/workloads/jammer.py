@@ -15,9 +15,10 @@ Our substitute implements the same computational shape end-to-end:
 - each detector instance runs a sliding-window energy detector with an
   adaptive noise floor, flagging channels whose short-term energy
   exceeds the floor by a threshold;
-- instances run as simkit processes; frame processing time scales with
-  the core's frequency, so undervolting at constant frequency leaves
-  the QoS untouched -- the property the paper's experiment relies on.
+- instances run as event chains on the simkit simulator; frame
+  processing time scales with the core's frequency, so undervolting at
+  constant frequency leaves the QoS untouched -- the property the
+  paper's experiment relies on.
 """
 
 from __future__ import annotations

@@ -31,12 +31,6 @@ def test_quickstart_smoke():
     assert "PMD rail 930 mV" in out
 
 
-def test_adaptive_governor_smoke():
-    out = run_example("adaptive_governor.py")
-    assert "0 unsafe" in out
-    assert "per-workload droop failure models" in out
-
-
 def test_retention_profiling_smoke():
     out = run_example("retention_profiling.py")
     assert "single pass covers" in out

@@ -1,53 +1,60 @@
-"""End-to-end integration: framework facade -> figures -> CSV -> reload.
+"""End-to-end integration: Vmin study -> figures -> CSV -> reload.
 
-These tests exercise the whole pipeline through the highest-level API,
-the way a downstream user would drive a study, and cross-check the
-outputs against both the lower-level drivers and the persisted CSV.
+These tests drive a whole Fig. 4 characterization study through the
+framework's execution layer (:class:`CampaignExecutor`) and its Vmin
+search, the way a downstream user would, and cross-check the outputs
+against the persisted CSV and a lossy cloud upload.
 """
+
+from typing import Dict, NamedTuple
 
 import pytest
 
-from repro.core.framework import CharacterizationFramework
+from repro.core.executor import CampaignExecutor
 from repro.core.results import ResultStore
+from repro.core.vmin import VminSearch
 from repro.cpu.outcomes import RunOutcome
+from repro.rand import substream
 from repro.soc.xgene2 import build_reference_chips
 from repro.workloads.spec import spec_suite
 
 
+class ChipStudy(NamedTuple):
+    """One part's study: safe Vmin per benchmark and every raw row."""
+
+    vmin: Dict[str, float]
+    store: ResultStore
+
+
+def _characterize(chip):
+    executor = CampaignExecutor(
+        chip, seed=substream(1, f"framework-{chip.serial}"))
+    results = VminSearch(executor, repetitions=5).search_suite(
+        spec_suite(), cores=(chip.strongest_core(),))
+    return ChipStudy({r.workload: r.safe_vmin_mv for r in results},
+                     executor.store)
+
+
 @pytest.fixture(scope="module")
 def study():
-    chips = list(build_reference_chips(seed=1).values())
-    framework = CharacterizationFramework(chips, repetitions=5, seed=1)
-    framework.declare_workloads(spec_suite())
-    # Fleet characterization on each part's most robust core.
-    framework.run()
-    return framework
+    """serial -> study, each part characterized on its most robust core."""
+    return {chip.serial: _characterize(chip)
+            for chip in build_reference_chips(seed=1).values()}
 
 
 def test_facade_reproduces_figure4_ranges(study):
-    """The fleet run through the facade must land on the paper's Fig. 4
-    ranges, matching the dedicated experiment driver."""
-    table = study.vmin_table()
+    """The fleet study must land on the paper's Fig. 4 ranges."""
     expected = {"TTT-ref": (860.0, 885.0), "TFF-ref": (870.0, 885.0),
                 "TSS-ref": (870.0, 900.0)}
     for serial, (lo, hi) in expected.items():
-        values = table[serial].values()
+        values = study[serial].vmin.values()
         assert min(values) == lo, serial
         assert max(values) == hi, serial
 
 
-def test_facade_matches_experiment_driver(study):
-    from repro.experiments.fig4_spec_vmin import run_figure4
-    driver = run_figure4(seed=1, repetitions=5)
-    table = study.vmin_table()
-    for corner, serial in (("TTT", "TTT-ref"), ("TFF", "TFF-ref"),
-                           ("TSS", "TSS-ref")):
-        assert driver.vmin_mv[corner] == table[serial]
-
-
 def test_csv_roundtrip_preserves_study(study, tmp_path):
     """Persist one part's store to disk and reload it losslessly."""
-    store = study.studies["TTT-ref"].store
+    store = study["TTT-ref"].store
     path = tmp_path / "ttt.csv"
     count = store.write_csv(str(path))
     reloaded = ResultStore.from_csv_text(path.read_text())
@@ -60,8 +67,8 @@ def test_csv_roundtrip_preserves_study(study, tmp_path):
 def test_csv_outcomes_explain_vmin(study):
     """For each benchmark, every repetition at the reported safe Vmin is
     safe and the voltage below it holds the first failure."""
-    table = study.vmin_table()["TTT-ref"]
-    store = study.studies["TTT-ref"].store
+    table = study["TTT-ref"].vmin
+    store = study["TTT-ref"].store
     for benchmark, safe_vmin in table.items():
         safe_outcomes = store.outcomes(benchmark, safe_vmin)
         assert safe_outcomes, benchmark
@@ -73,19 +80,6 @@ def test_csv_outcomes_explain_vmin(study):
             assert any(not o.is_safe for o in failing), benchmark
 
 
-def test_merged_csv_parsable_per_chip(study):
-    text = study.merged_csv_text()
-    lines = text.strip().splitlines()
-    header = lines[0]
-    assert header.split(",")[0] == "chip"
-    # Strip the chip column and re-parse one part's rows.
-    ttt_rows = [line.split(",", 1)[1] for line in lines[1:]
-                if line.startswith("TTT-ref,")]
-    body = header.split(",", 1)[1] + "\n" + "\n".join(ttt_rows)
-    reloaded = ResultStore.from_csv_text(body)
-    assert len(reloaded) == len(study.studies["TTT-ref"].store)
-
-
 def test_results_survive_lossy_upload(study):
     """Figure 2's right-hand box: ship the study's raw rows to the cloud
     over a lossy network and re-derive the Vmin table from what arrived.
@@ -93,7 +87,7 @@ def test_results_survive_lossy_upload(study):
     from repro.core.transport import CloudStore, NetworkLink, ResultUploader
     from repro.cpu.outcomes import RunOutcome
 
-    source = study.studies["TTT-ref"].store
+    source = study["TTT-ref"].store
     cloud = CloudStore()
     link = NetworkLink(cloud, loss_rate=0.25, ack_loss_rate=0.1,
                        max_retries=32, seed=9)
@@ -103,7 +97,7 @@ def test_results_survive_lossy_upload(study):
     assert len(received) == len(source)
 
     # Re-derive each benchmark's safe Vmin from the uploaded rows alone.
-    for benchmark, expected_vmin in study.vmin_table()["TTT-ref"].items():
+    for benchmark, expected_vmin in study["TTT-ref"].vmin.items():
         safe = [v for v in received.voltages(benchmark)
                 if all(RunOutcome(r.outcome).is_safe
                        for r in received.rows(benchmark=benchmark,
@@ -114,7 +108,7 @@ def test_results_survive_lossy_upload(study):
 def test_wall_time_reflects_recovery_cost(study):
     """Campaigns that descend into crashes accumulate recovery time:
     mean wall time of unsafe repetitions differs from clean ones."""
-    store = study.studies["TTT-ref"].store
+    store = study["TTT-ref"].store
     clean = [r.wall_time_s for r in store.rows()
              if r.outcome == RunOutcome.CORRECT.value]
     dirty = [r.wall_time_s for r in store.rows()

@@ -1,32 +1,10 @@
-"""Thermal-zone to DRAM-device binding and gradient studies."""
+"""Thermal-zone to DRAM-rank binding (Table I's quarantine path)."""
 
 import pytest
 
-from repro.dram.cells import DramDevicePopulation
 from repro.dram.geometry import DEFAULT_GEOMETRY
 from repro.errors import ConfigurationError
-from repro.thermal.binding import ThermalDramBinding, ZoneBinding
-from repro.thermal.testbed import ThermalTestbed, ZoneConfig
-from repro.units import RELAXED_REFRESH_S
-
-
-@pytest.fixture(scope="module")
-def population():
-    return DramDevicePopulation(seed=3)
-
-
-@pytest.fixture(scope="module")
-def gradient_testbed():
-    """Zones 0..7 regulated to a 49..63 degC staircase."""
-    configs = [ZoneConfig(setpoint_c=49.0 + 2.0 * zone) for zone in range(8)]
-    testbed = ThermalTestbed(configs, seed=3)
-    testbed.run(1200.0)
-    return testbed
-
-
-@pytest.fixture(scope="module")
-def binding(population, gradient_testbed):
-    return ThermalDramBinding(population, gradient_testbed)
+from repro.thermal.binding import ZoneBinding
 
 
 def test_default_binding_covers_all_ranks():
@@ -42,48 +20,12 @@ def test_incomplete_binding_rejected():
         ZoneBinding(geometry=DEFAULT_GEOMETRY, zone_of_rank={(0, 0): 0})
 
 
-def test_devices_on_same_rank_share_zone(binding, population):
-    geometry = population.geometry
+def test_devices_on_same_rank_share_zone():
+    binding = ZoneBinding.paper_default(DEFAULT_GEOMETRY)
     by_rank = {}
-    for device in geometry.device_ids():
-        dimm, rank, _slot = geometry.device_location(device)
+    for device in DEFAULT_GEOMETRY.device_ids():
+        dimm, rank, _slot = DEFAULT_GEOMETRY.device_location(device)
         by_rank.setdefault((dimm, rank), set()).add(
-            binding.binding.zone_of_device(device))
+            binding.zone_of_device(device))
     for (dimm, rank), zones in by_rank.items():
         assert len(zones) == 1, (dimm, rank)
-
-
-def test_device_temperatures_follow_staircase(binding):
-    temps = {binding.device_temperature_c(d)
-             for d in range(binding.population.geometry.num_devices)}
-    assert len(temps) == 8  # eight distinct regulated temperatures
-    assert min(temps) == pytest.approx(49.0, abs=1.0)
-    assert max(temps) == pytest.approx(63.0, abs=1.0)
-
-
-def test_gradient_amplifies_hot_zones(binding):
-    """Arrhenius acceleration must be visible *within one board*: the
-    hottest zone's devices carry far more weak cells than the coolest's."""
-    summary = binding.gradient_summary(RELAXED_REFRESH_S)
-    assert len(summary) == 8
-    temps = [entry["temperature_c"] for entry in summary.values()]
-    counts = [entry["mean_weak_cells"] for entry in summary.values()]
-    ordered = [c for _, c in sorted(zip(temps, counts))]
-    assert ordered[-1] > 4.0 * ordered[0]
-    # Counts rise with zone temperature (allowing sampling noise on
-    # adjacent 2-degree steps): enforce on a 4-degree stride.
-    for i in range(len(ordered) - 2):
-        assert ordered[i + 2] > ordered[i]
-
-
-def test_mismatched_testbed_rejected(population):
-    small = ThermalTestbed([ZoneConfig(setpoint_c=50.0)], seed=1)
-    with pytest.raises(ConfigurationError):
-        ThermalDramBinding(population, small)
-
-
-def test_board_totals_consistent_with_device_queries(binding):
-    totals = binding.board_unique_locations(RELAXED_REFRESH_S)
-    device = 5
-    assert totals[device] == sum(
-        binding.device_unique_locations(device, RELAXED_REFRESH_S))

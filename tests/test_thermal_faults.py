@@ -34,7 +34,7 @@ from repro.core.faults import (
     ThermalFault,
     thermal_faults_recoverable,
 )
-from repro.errors import CampaignError, MeasurementInvalidError
+from repro.errors import CampaignError
 from repro.experiments.common import RunOptions
 from repro.experiments.fig8a_ber import run_figure8a
 from repro.experiments.table1_weak_cells import run_table1
@@ -440,30 +440,6 @@ def test_fig8a_unrecoverable_zone_invalidates_result():
     assert not result.random_is_worst_pattern
     assert result.workload_variation == 0.0
     assert "MEASUREMENT INVALID" in result.format()
-
-
-def test_binding_require_valid_raises_typed_error():
-    from repro.dram.cells import DramDevicePopulation
-    from repro.dram.geometry import DEFAULT_GEOMETRY
-    from repro.thermal.binding import ThermalDramBinding
-
-    bed = _bed(zones=8)
-    population = DramDevicePopulation(geometry=DEFAULT_GEOMETRY, seed=SEED)
-    binding = ThermalDramBinding(population, bed)
-    # Before any regulation no zone has held the band: reads are invalid.
-    with pytest.raises(MeasurementInvalidError):
-        binding.require_valid(0)
-    bed.run(900.0)
-    binding.require_valid(0)
-    assert binding.device_measurement_valid(0)
-    assert binding.device_zone_status(0) == ZONE_OK
-    assert not binding.quarantined_devices()
-    bed.quarantine_zone(0, "thermal-runaway", "test")
-    with pytest.raises(MeasurementInvalidError, match="thermal-runaway"):
-        binding.require_valid(0)
-    assert 0 in binding.quarantined_devices()
-    counts = binding.validated_board_unique_locations(0.5)
-    assert 0 not in counts and counts  # zone 0 skipped, others measured
 
 
 # ----------------------------------------------------------------------
