@@ -43,7 +43,7 @@ from repro.core import (
     select_safe_points,
 )
 from repro.errors import SupervisionError
-from repro.viruses import evolve_didt_virus, dpbench_suite
+from repro.viruses import evolve_didt_virus
 from repro.dram import (
     BitErrorModel,
     DramPowerModel,
@@ -84,7 +84,6 @@ __all__ = [
     "__version__",
     "build_platform",
     "build_reference_chips",
-    "dpbench_suite",
     "evolve_didt_virus",
     "figure5_mix",
     "guardband_report",

@@ -22,7 +22,7 @@ workload's own swing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -187,26 +187,6 @@ class CampaignExecutor:
         return RunRecord(run=run, counts=OutcomeCounts(counts=outcome_counts),
                          wall_time_s=total_wall)
 
-    def execute_campaign(self, campaign: Campaign,
-                         stop_on_unsafe: bool = False) -> List[RunRecord]:
-        """Execute a whole campaign (optionally aborting once unsafe).
-
-        ``stop_on_unsafe`` implements the practical optimization real
-        undervolting campaigns use on descending sweeps: once a voltage
-        fails there is no point probing lower ones.
-        """
-        records = []
-        for run in campaign.runs:
-            record = self.execute_run(run)
-            records.append(record)
-            if stop_on_unsafe and not record.all_safe:
-                break
-        return records
-
-    def execute_all(self, campaigns: Iterable[Campaign],
-                    stop_on_unsafe: bool = False) -> List[RunRecord]:
-        """Execute several campaigns back to back."""
-        records: List[RunRecord] = []
-        for campaign in campaigns:
-            records.extend(self.execute_campaign(campaign, stop_on_unsafe))
-        return records
+    def execute_campaign(self, campaign: Campaign) -> List[RunRecord]:
+        """Execute every run of a campaign, in order."""
+        return [self.execute_run(run) for run in campaign.runs]

@@ -20,7 +20,7 @@ faults and a :class:`FaultInjector` feeds it to the pipeline --
   SPD read timeouts, welded-on and stuck-open relays, dead heater
   elements, ambient disturbance steps), declared here as typed
   :class:`ThermalFault` records and *applied* by
-  :class:`repro.thermal.faults.ThermalFaultInjector`.
+  :class:`repro.thermal.testbed.ThermalTestbed`.
 
 Every decision is a pure function of the plan plus ``(index, attempt)``
 (or, for thermal faults, of the plan plus virtual time), so the same
@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import CampaignError
 from repro.rand import SeedLike, substream
@@ -226,9 +226,8 @@ class FaultPlan:
         shorter than this the worker is terminated; without one the
         sleep returns a marker that is charged as a hang anyway.
     thermal_faults:
-        Time-scheduled :class:`ThermalFault` records applied to the
-        thermal testbed by
-        :class:`repro.thermal.faults.ThermalFaultInjector`.
+        Time-scheduled :class:`ThermalFault` records applied by
+        :class:`repro.thermal.testbed.ThermalTestbed`.
     """
 
     corruption_bursts: Tuple[FaultBurst, ...] = ()
@@ -254,6 +253,26 @@ class FaultPlan:
             if not isinstance(fault, ThermalFault):
                 raise CampaignError(
                     "thermal_faults entries must be ThermalFault records")
+
+    def select_units(self, units: Sequence[int]) -> "FaultPlan":
+        """This plan with its unit faults re-indexed onto ``units``.
+
+        Unit ``units[k]`` of this plan becomes unit ``k``; units not
+        listed lose their faults. A map over a subset of a run's units
+        (the shards a resume left pending) then faults exactly the units
+        the whole run would.
+        """
+        position = {unit: k for k, unit in enumerate(units)}
+        return replace(
+            self,
+            unit_exits=tuple((position[unit], count)
+                             for unit, count in self.unit_exits
+                             if unit in position),
+            unit_hangs=tuple((position[unit], count)
+                             for unit, count in self.unit_hangs
+                             if unit in position),
+            poison_units=tuple(position[unit] for unit in self.poison_units
+                               if unit in position))
 
     @property
     def max_transport_depth(self) -> int:

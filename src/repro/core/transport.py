@@ -290,21 +290,11 @@ class ResultUploader:
 
     def __init__(self, link) -> None:
         self.link = link
-        self.skipped = 0
 
-    def upload(self, store: ResultStore,
-               skip_delivered: bool = False) -> Tuple[int, int]:
-        """Push every row; returns ``(sent_ok, failed)``.
-
-        ``skip_delivered`` consults :meth:`CloudStore.contains` first and
-        skips rows the cloud already holds -- the resume-friendly mode
-        for re-uploading after an interrupted study.
-        """
+    def upload(self, store: ResultStore) -> Tuple[int, int]:
+        """Push every row; returns ``(sent_ok, failed)``."""
         ok = failed = 0
         for row in store.rows():
-            if skip_delivered and self.link.store.contains(row):
-                self.skipped += 1
-                continue
             if self.link.send(row):
                 ok += 1
             else:

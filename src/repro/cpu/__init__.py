@@ -9,9 +9,7 @@ exercises:
   into a per-cycle supply-current waveform plus performance counters
   (:mod:`repro.cpu.execution`),
 - the run-outcome taxonomy shared with the campaign framework
-  (:mod:`repro.cpu.outcomes`), and the fault-site -> outcome
-  classification (:mod:`repro.cpu.faults`, library only, kept with its
-  unit tests).
+  (:mod:`repro.cpu.outcomes`).
 """
 
 from repro.cpu.isa import (
@@ -23,19 +21,16 @@ from repro.cpu.isa import (
 from repro.cpu.kernels import InstructionLoop, square_wave_loop
 from repro.cpu.execution import ExecutionModel, ExecutionProfile, PerfCounters
 from repro.cpu.outcomes import RunOutcome
-from repro.cpu.faults import FaultSite, classify_fault
 
 __all__ = [
     "ExecutionModel",
     "ExecutionProfile",
-    "FaultSite",
     "INSTRUCTION_SPECS",
     "InstrClass",
     "InstructionLoop",
     "InstructionSpec",
     "PerfCounters",
     "RunOutcome",
-    "classify_fault",
     "spec_of",
     "square_wave_loop",
 ]

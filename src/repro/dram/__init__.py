@@ -20,10 +20,7 @@ package provides the simulated equivalent:
 - :mod:`repro.dram.controller` -- an MCU front-end tying the pieces
   together and reporting CE/UE events to SLIMpro;
 - :mod:`repro.dram.errors_model` -- analytic BER/error-count estimation
-  used by the experiment drivers;
-- :mod:`repro.dram.profiling` and :mod:`repro.dram.scrubber` -- VRT
-  profiling rounds and patrol scrubbing (library only, kept with their
-  unit tests and ``examples/retention_profiling.py``).
+  used by the experiment drivers.
 """
 
 from repro.dram.geometry import BankAddress, DramGeometry, DEFAULT_GEOMETRY
@@ -36,8 +33,6 @@ from repro.dram.cells import (
 )
 from repro.dram.refresh import RefreshController, AccessTrace
 from repro.dram.ecc import SecdedCode, DecodeStatus, DecodeResult
-from repro.dram.profiling import ProfilingCampaign, ProfilingRound, profile_bank
-from repro.dram.scrubber import PatrolReport, PatrolScrubber, pairup_probability
 from repro.dram.power import DramPowerModel, DramPowerBreakdown
 from repro.dram.controller import MemoryControlUnit
 from repro.dram.errors_model import BitErrorModel, PatternKind
@@ -54,18 +49,12 @@ __all__ = [
     "DramPowerBreakdown",
     "DramPowerModel",
     "MemoryControlUnit",
-    "PatrolReport",
-    "PatrolScrubber",
     "PatternKind",
-    "ProfilingCampaign",
-    "ProfilingRound",
     "RefreshController",
     "RetentionModel",
     "RetentionParams",
     "SecdedCode",
     "WeakCell",
     "WeakCellMap",
-    "pairup_probability",
-    "profile_bank",
     "sample_weak_cell_count",
 ]

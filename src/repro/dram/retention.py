@@ -266,14 +266,3 @@ class RetentionModel:
         if not 0.0 < tail_probability <= 1.0:
             raise ConfigurationError("tail_probability must be in (0, 1]")
         return self.quantile_retention_s(uniform * tail_probability)
-
-    def interval_for_target_ber(self, target_probability: float, temp_c: float,
-                                coupling: float = 1.0) -> float:
-        """Longest interval keeping per-stressed-cell failure under target.
-
-        The inverse of :meth:`fail_probability` -- used to pick safe
-        refresh relaxations for a BER budget.
-        """
-        z = _normal_icdf(target_probability)
-        theta = math.exp(self.params.ln_median_s + self.params.ln_sigma * z)
-        return theta / (self.acceleration(temp_c) * coupling)

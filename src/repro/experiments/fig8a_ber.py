@@ -127,8 +127,9 @@ def run_figure8a(seed: SeedLike = None, temp_c: float = 60.0,
     quarantines: Tuple[ZoneQuarantine, ...] = ()
     rounds_used = 0
     if regulate:
-        testbed = ThermalTestbed([ZoneConfig(setpoint_c=temp_c)],
-                                 seed=seed, faults=plan)
+        testbed = ThermalTestbed(
+            [ZoneConfig(setpoint_c=temp_c)], seed=seed,
+            faults=plan.thermal_faults if plan is not None else ())
         rounds_used = regulate_to_setpoint(testbed, temp_c)
         quarantines = testbed.zone_quarantines()
         if quarantines:

@@ -189,6 +189,11 @@ def execute_shards(chip: Chip, seed: SeedLike, campaigns: Sequence[Campaign],
     resumed = len(rows)
     pending = [index for index in range(len(campaigns))
                if index not in rows and index not in failures]
+    # The plan's unit indices are campaign indices; the map runs over
+    # the pending shards only.
+    plan = options.plan(units=len(campaigns))
+    if plan is not None:
+        options = replace(options, faults=plan.select_units(pending))
     outcome = map_units(
         _campaign_shard,
         [(chip, base, campaigns[index], checkpoint) for index in pending],

@@ -242,7 +242,7 @@ def run_table1(seed: SeedLike = None,
     if regulate:
         testbed = ThermalTestbed(
             [ZoneConfig(setpoint_c=temps_c[0]) for _ in range(NUM_ZONES)],
-            seed=seed, faults=plan)
+            seed=seed, faults=plan.thermal_faults if plan is not None else ())
         for temp in temps_c:
             rounds_used[temp] = regulate_to_setpoint(testbed, temp)
             regulation_ok = regulation_ok and all(

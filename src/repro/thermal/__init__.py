@@ -16,7 +16,7 @@ This package simulates that rig end-to-end:
 - :mod:`repro.thermal.faults` -- scheduled rig faults (stuck/drifting
   thermocouples, SPD timeouts, welded relays, dead heaters, ambient
   steps) applied deterministically from a
-  :class:`~repro.core.faults.FaultPlan`;
+  :class:`~repro.core.faults.FaultPlan`'s ``thermal_faults``;
 - :mod:`repro.thermal.monitor` -- in-loop fault detection: sensor
   fusion by residual voting, rate plausibility, per-zone degradation
   and the hard safe-state (heater cutoff + typed zone quarantine);
@@ -27,7 +27,7 @@ This package simulates that rig end-to-end:
 
 from repro.core.faults import ThermalFault
 from repro.thermal.binding import ZoneBinding
-from repro.thermal.faults import ThermalFaultInjector, ZoneFaultState
+from repro.thermal.faults import ZoneFaultState
 from repro.thermal.monitor import (
     MonitorParams,
     ZoneMonitor,
@@ -48,7 +48,6 @@ __all__ = [
     "SolidStateRelay",
     "SpdSensor",
     "ThermalFault",
-    "ThermalFaultInjector",
     "ThermalPlant",
     "ThermalTestbed",
     "Thermocouple",

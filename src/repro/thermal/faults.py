@@ -2,8 +2,8 @@
 
 :class:`repro.core.faults.FaultPlan` *declares* thermal faults as typed
 :class:`~repro.core.faults.ThermalFault` records; this module *applies*
-them. A :class:`ThermalFaultInjector` groups a plan's thermal faults by
-zone and, each control tick, lenses the zone's sensor reads and actuator
+them. The testbed gives each faulted zone a :class:`ZoneFaultState`,
+which, each control tick, lenses the zone's sensor reads and actuator
 commands through whatever faults are active at that virtual time:
 
 - sensor faults corrupt what the controller *sees* (a stuck thermocouple
@@ -34,10 +34,8 @@ from repro.core.faults import (
     TC_DRIFT,
     TC_DROPOUT,
     TC_STUCK,
-    FaultPlan,
     FaultStats,
     ThermalFault,
-    thermal_faults_recoverable,
 )
 from repro.errors import CampaignError
 
@@ -117,61 +115,4 @@ class ZoneFaultState:
         return commanded_w
 
 
-class ThermalFaultInjector:
-    """Feeds a plan's thermal faults to a :class:`ThermalTestbed`.
-
-    Groups the declared faults by zone and exposes one
-    :class:`ZoneFaultState` per affected zone; zones without faults get
-    ``None`` and run the clean path. ``stats`` (shared with a
-    :class:`~repro.core.faults.FaultInjector` when built from one)
-    counts each fault once, at its first active tick. One injector
-    instance drives one testbed: the stuck-value capture is per-run
-    state.
-    """
-
-    def __init__(self, faults: Sequence[ThermalFault] = (),
-                 stats: Optional[FaultStats] = None) -> None:
-        self.faults: Tuple[ThermalFault, ...] = tuple(faults)
-        self.stats = stats if stats is not None else FaultStats()
-        by_zone: Dict[int, list] = {}
-        for fault in self.faults:
-            by_zone.setdefault(fault.zone, []).append(fault)
-        self._states: Dict[int, ZoneFaultState] = {
-            zone: ZoneFaultState(zone, zone_faults, self.stats)
-            for zone, zone_faults in by_zone.items()
-        }
-
-    @classmethod
-    def from_plan(cls, plan: FaultPlan,
-                  stats: Optional[FaultStats] = None) -> "ThermalFaultInjector":
-        """Build an injector over a :class:`FaultPlan`'s thermal faults."""
-        return cls(plan.thermal_faults, stats=stats)
-
-    @classmethod
-    def coerce(cls, faults) -> Optional["ThermalFaultInjector"]:
-        """Normalize ``None`` / injector / plan / fault sequence."""
-        if faults is None or isinstance(faults, ThermalFaultInjector):
-            return faults
-        if isinstance(faults, FaultPlan):
-            return cls.from_plan(faults)
-        return cls(tuple(faults))
-
-    @property
-    def recoverable(self) -> bool:
-        """Whether every zone survives the injected schedule."""
-        return thermal_faults_recoverable(self.faults)
-
-    @property
-    def zones(self) -> Tuple[int, ...]:
-        """Zones with at least one scheduled fault, ascending."""
-        return tuple(sorted(self._states))
-
-    def zone_state(self, zone: int) -> Optional[ZoneFaultState]:
-        """The zone's fault lens, or ``None`` for a clean zone."""
-        return self._states.get(zone)
-
-
-__all__ = [
-    "ThermalFaultInjector",
-    "ZoneFaultState",
-]
+__all__ = ["ZoneFaultState"]

@@ -9,18 +9,18 @@ validated by ``tests/test_thermal_testbed.py``.
 The control path is fault-tolerant: each zone's PID acts on the fused
 belief of a :class:`~repro.thermal.monitor.ZoneMonitor` (thermocouple/SPD
 residual voting plus rate plausibility -- never the plant's ground
-truth), scheduled rig faults from a
-:class:`~repro.thermal.faults.ThermalFaultInjector` lens the sensor reads
-and actuator commands, and a zone whose monitor trips its safe-state gets
-its heater cut and is reported as a typed
-:class:`~repro.thermal.monitor.ZoneQuarantine`.
+truth), scheduled rig faults lens the sensor reads and actuator commands
+through each zone's :class:`~repro.thermal.faults.ZoneFaultState`, and a
+zone whose monitor trips its safe-state gets its heater cut and is
+reported as a typed :class:`~repro.thermal.monitor.ZoneQuarantine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.faults import FaultStats, ThermalFault
 from repro.errors import ConfigurationError
 from repro.rand import SeedLike
 from repro.thermal.monitor import (
@@ -29,7 +29,7 @@ from repro.thermal.monitor import (
     ZoneQuarantine,
     settle_time,
 )
-from repro.thermal.faults import ThermalFaultInjector
+from repro.thermal.faults import ZoneFaultState
 from repro.thermal.pid import PidController, PidGains
 from repro.thermal.plant import PlantParams, ThermalPlant
 from repro.thermal.relay import SolidStateRelay
@@ -95,18 +95,17 @@ class ThermalTestbed:
     seed:
         Seed for sensor noise streams.
     faults:
-        Optional thermal rig faults: a
-        :class:`~repro.thermal.faults.ThermalFaultInjector`, a
-        :class:`~repro.core.faults.FaultPlan` (its ``thermal_faults``
-        are used), or a sequence of
-        :class:`~repro.core.faults.ThermalFault`.
+        Scheduled :class:`~repro.core.faults.ThermalFault` records (a
+        plan's ``thermal_faults``); faults on zones beyond ``configs``
+        are ignored. ``fault_stats`` counts each one once, at its first
+        active tick.
     monitor_params:
         Detection thresholds shared by every zone's monitor.
     """
 
     def __init__(self, configs: List[ZoneConfig], control_period_s: float = 2.0,
                  ambient_c: float = 28.0, seed: SeedLike = None,
-                 faults=None,
+                 faults: Sequence[ThermalFault] = (),
                  monitor_params: MonitorParams = MonitorParams()) -> None:
         if not 1 <= len(configs) <= NUM_ZONES:
             raise ConfigurationError(f"1..{NUM_ZONES} zones supported")
@@ -115,7 +114,15 @@ class ThermalTestbed:
         self.now = 0.0
         self.control_period_s = control_period_s
         self.configs = list(configs)
-        self.faults = ThermalFaultInjector.coerce(faults)
+        self.fault_stats = FaultStats()
+        by_zone: Dict[int, List[ThermalFault]] = {}
+        for fault in faults:
+            by_zone.setdefault(fault.zone, []).append(fault)
+        self._fault_states = [
+            ZoneFaultState(i, by_zone[i], self.fault_stats)
+            if i in by_zone else None
+            for i in range(len(configs))
+        ]
         self.plants = [ThermalPlant(cfg.plant, ambient_c=ambient_c) for cfg in configs]
         self.pids = [PidController(cfg.setpoint_c, cfg.gains) for cfg in configs]
         self.relays = [SolidStateRelay(max_power_w=cfg.plant.heater_max_w)
@@ -140,7 +147,7 @@ class ThermalTestbed:
     # ------------------------------------------------------------------
     def _tick(self, now: float, dt: float) -> None:
         for i, plant in enumerate(self.plants):
-            state = self.faults.zone_state(i) if self.faults else None
+            state = self._fault_states[i]
             if state is not None:
                 plant.ambient_c = self._base_ambient_c \
                     + state.ambient_offset_c(now)

@@ -1,12 +1,7 @@
-"""Savings arithmetic, tradeoff ladder and server power accounting."""
+"""Tradeoff ladder and server power accounting."""
 
 import pytest
 
-from repro.analysis.energy import (
-    energy_savings_pct,
-    power_savings_pct,
-    relative_dynamic_power,
-)
 from repro.analysis.server_power import server_power_report
 from repro.analysis.tradeoff import tradeoff_ladder
 from repro.core.safepoints import SafeOperatingPoint
@@ -15,38 +10,6 @@ from repro.units import NOMINAL_REFRESH_S, RELAXED_REFRESH_S
 from repro.workloads.jammer import JAMMER_WORKLOAD
 from repro.workloads.mixes import figure5_mix
 from repro.workloads.spec import spec_workload
-
-
-# ----------------------------------------------------------------------
-# Energy arithmetic
-# ----------------------------------------------------------------------
-def test_power_savings_basic():
-    assert power_savings_pct(31.1, 24.8) == pytest.approx(20.3, abs=0.1)
-
-
-def test_energy_savings_at_full_performance_equals_power():
-    assert energy_savings_pct(100.0, 61.2, 1.0) == pytest.approx(38.8)
-
-
-def test_energy_savings_accounts_dilation():
-    # Same wattage at half performance doubles the energy per work unit.
-    assert energy_savings_pct(100.0, 50.0, 0.5) == pytest.approx(0.0)
-
-
-def test_relative_dynamic_power_figure5_labels():
-    assert relative_dynamic_power(915.0, 980.0, 2.4, 2.4) == \
-        pytest.approx(0.872, abs=0.001)
-    assert relative_dynamic_power(885.0, 980.0, 1.8, 2.4) == \
-        pytest.approx(0.612, abs=0.001)
-
-
-def test_energy_validation():
-    with pytest.raises(ConfigurationError):
-        power_savings_pct(0.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        energy_savings_pct(10.0, 5.0, 0.0)
-    with pytest.raises(ConfigurationError):
-        relative_dynamic_power(0.0, 980.0, 2.4, 2.4)
 
 
 # ----------------------------------------------------------------------

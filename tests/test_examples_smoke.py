@@ -31,12 +31,6 @@ def test_quickstart_smoke():
     assert "PMD rail 930 mV" in out
 
 
-def test_retention_profiling_smoke():
-    out = run_example("retention_profiling.py")
-    assert "single pass covers" in out
-    assert "longest safe TREFP" in out
-
-
 def test_jammer_smoke():
     out = run_example("jammer_energy_savings.py")
     assert "QoS met" in out

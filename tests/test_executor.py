@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.campaign import CharacterizationRun, CharacterizationSetup
 from repro.core.executor import CampaignExecutor, NOMINAL_RUNTIME_S
-from repro.core.campaign import CampaignPlan
 from repro.cpu.outcomes import RunOutcome
 from repro.soc.topology import CoreId
 from repro.workloads.spec import spec_workload
@@ -55,24 +54,6 @@ def test_wall_time_accounts_recovery(ttt_executor):
     assert safe.wall_time_s == pytest.approx(3 * NOMINAL_RUNTIME_S)
     deep = ttt_executor.execute_run(make_run(850.0, reps=3, run_id=3))
     assert deep.wall_time_s != pytest.approx(3 * NOMINAL_RUNTIME_S)
-
-
-def test_campaign_stop_on_unsafe(ttt_executor):
-    plan = CampaignPlan().add_workload(spec_workload("milc"))
-    plan.add_voltage_sweep(980.0, 850.0, 10.0, repetitions=3)
-    campaign = plan.build()[0]
-    records = ttt_executor.execute_campaign(campaign, stop_on_unsafe=True)
-    assert not records[-1].all_safe
-    assert all(r.all_safe for r in records[:-1])
-    assert len(records) < len(campaign.runs)
-
-
-def test_execute_all_runs_every_campaign(ttt_executor):
-    plan = CampaignPlan().add_workloads(
-        [spec_workload("mcf"), spec_workload("gcc")])
-    plan.add_setup(CharacterizationSetup(voltage_mv=980.0, repetitions=2))
-    records = ttt_executor.execute_all(plan.build())
-    assert len(records) == 2
 
 
 def test_executor_deterministic(ttt_chip):

@@ -1,8 +1,5 @@
-"""Fault-site classification and the outcome taxonomy."""
+"""The run-outcome taxonomy."""
 
-import pytest
-
-from repro.cpu.faults import FaultEvent, FaultSite, classify_fault
 from repro.cpu.outcomes import RunOutcome
 
 
@@ -22,50 +19,3 @@ def test_outcome_reset_requirement():
     assert RunOutcome.CRASH.needs_reset
     assert RunOutcome.HANG.needs_reset
     assert not RunOutcome.SDC.needs_reset
-
-
-def test_secded_site_single_bit_corrected():
-    for site in (FaultSite.L1D_DATA, FaultSite.L2_DATA, FaultSite.L3_DATA):
-        assert classify_fault(FaultEvent(site, 1)) is RunOutcome.CORRECTED_ERROR
-
-
-def test_secded_site_double_bit_detected():
-    assert classify_fault(FaultEvent(FaultSite.L2_DATA, 2)) is \
-        RunOutcome.UNCORRECTED_ERROR
-
-
-def test_secded_site_triple_bit_silent():
-    assert classify_fault(FaultEvent(FaultSite.L1D_DATA, 3)) is RunOutcome.SDC
-
-
-def test_parity_icache_odd_recovered_even_crashes():
-    assert classify_fault(FaultEvent(FaultSite.L1I_DATA, 1)) is \
-        RunOutcome.CORRECTED_ERROR
-    assert classify_fault(FaultEvent(FaultSite.L1I_DATA, 2)) is RunOutcome.CRASH
-
-
-def test_tlb_even_multiplicity_escapes():
-    assert classify_fault(FaultEvent(FaultSite.TLB, 2)) is RunOutcome.SDC
-
-
-def test_datapath_faults_are_silent():
-    for site in (FaultSite.REGISTER_FILE, FaultSite.ALU_DATAPATH,
-                 FaultSite.FP_DATAPATH):
-        assert classify_fault(FaultEvent(site, 1)) is RunOutcome.SDC
-
-
-def test_control_and_tag_faults_crash():
-    assert classify_fault(FaultEvent(FaultSite.CONTROL_LOGIC, 1)) is RunOutcome.CRASH
-    assert classify_fault(FaultEvent(FaultSite.CACHE_TAG, 1)) is RunOutcome.CRASH
-
-
-def test_zero_bit_event_rejected():
-    with pytest.raises(ValueError):
-        FaultEvent(FaultSite.L1D_DATA, 0)
-
-
-def test_protection_flags():
-    assert FaultSite.L1D_DATA.ecc_protected
-    assert not FaultSite.L1I_DATA.ecc_protected
-    assert FaultSite.L1I_DATA.parity_protected
-    assert not FaultSite.ALU_DATAPATH.parity_protected

@@ -66,15 +66,6 @@ def test_icdf_cdf_roundtrip(p):
                         rel_tol=1e-4, abs_tol=1e-12)
 
 
-@given(target=st.floats(min_value=1e-10, max_value=1e-3), temp=temps,
-       coupling=couplings)
-@settings(max_examples=200, deadline=None)
-def test_interval_for_target_ber_is_inverse(target, temp, coupling):
-    interval = MODEL.interval_for_target_ber(target, temp, coupling)
-    realized = MODEL.fail_probability(interval, temp, coupling)
-    assert math.isclose(realized, target, rel_tol=1e-4)
-
-
 @given(u=st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
        tail=st.floats(min_value=1e-9, max_value=0.5))
 @settings(max_examples=300, deadline=None)

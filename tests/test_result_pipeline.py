@@ -161,6 +161,27 @@ def test_interrupted_study_resumes_without_reexecution(tmp_path, monkeypatch):
     assert resumed.store.rows() == clean          # bit-identical finish
 
 
+def test_resumed_study_faults_the_same_campaigns(tmp_path, monkeypatch):
+    """Regression: a resumed study applied the plan's unit indices to
+    the positions of the pending shards, so once shard 0 was resumed the
+    poison meant for campaign 2 quarantined campaign 3 instead."""
+    campaigns = _campaigns(benchmarks=4)
+    options = RunOptions(faults=FaultPlan(poison_units=(2,)), max_retries=0)
+    whole = execute_shards(_chip(), SEED, campaigns, 1, options)
+    checkpoint = CampaignCheckpoint(str(tmp_path))
+    _interrupt_at(monkeypatch, 1)
+    with pytest.raises(KeyboardInterrupt):
+        execute_shards(_chip(), SEED, campaigns, 1, options, checkpoint)
+    monkeypatch.undo()
+
+    resumed = execute_shards(_chip(), SEED, campaigns, 1, options, checkpoint)
+    assert resumed.resumed == 1
+    for outcome in (whole, resumed):
+        assert [(f.index, f.label) for f in outcome.failures] == \
+            [(2, campaigns[2].name)]
+    assert resumed.store.rows() == whole.store.rows()
+
+
 def test_fully_checkpointed_study_executes_nothing(tmp_path):
     campaigns = _campaigns(benchmarks=2)
     checkpoint = CampaignCheckpoint(str(tmp_path))

@@ -94,13 +94,6 @@ def test_tail_sample_stays_in_tail(model):
         assert t <= threshold * 1.0001
 
 
-def test_interval_for_target_ber_inverts(model):
-    target = 1e-7
-    interval = model.interval_for_target_ber(target, 60.0, 1.21)
-    assert model.fail_probability(interval, 60.0, 1.21) == pytest.approx(
-        target, rel=1e-6)
-
-
 def test_normal_icdf_roundtrip():
     for p in (1e-9, 1e-5, 0.1, 0.5, 0.9, 1 - 1e-6):
         assert _normal_cdf(_normal_icdf(p)) == pytest.approx(p, rel=1e-5)

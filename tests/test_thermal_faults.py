@@ -38,7 +38,7 @@ from repro.errors import CampaignError
 from repro.experiments.common import RunOptions
 from repro.experiments.fig8a_ber import run_figure8a
 from repro.experiments.table1_weak_cells import run_table1
-from repro.thermal.faults import ThermalFaultInjector, ZoneFaultState
+from repro.thermal.faults import ZoneFaultState
 from repro.thermal.monitor import (
     HEATER_FAILURE,
     SENSOR_LOSS,
@@ -54,7 +54,7 @@ from repro.thermal.testbed import ThermalTestbed, ZoneConfig
 SEED = 11
 
 
-def _bed(faults=None, zones=1, setpoint_c=50.0, seed=SEED):
+def _bed(faults=(), zones=1, setpoint_c=50.0, seed=SEED):
     return ThermalTestbed(
         [ZoneConfig(setpoint_c=setpoint_c) for _ in range(zones)],
         seed=seed, faults=faults)
@@ -183,19 +183,6 @@ def test_zone_fault_state_rejects_foreign_zone():
                        FaultStats())
 
 
-def test_injector_coerce_forms():
-    fault = ThermalFault(zone=2, kind=TC_STUCK, start_s=5.0, duration_s=5.0)
-    assert ThermalFaultInjector.coerce(None) is None
-    injector = ThermalFaultInjector((fault,))
-    assert ThermalFaultInjector.coerce(injector) is injector
-    from_plan = ThermalFaultInjector.coerce(FaultPlan(thermal_faults=(fault,)))
-    assert from_plan.zones == (2,)
-    from_seq = ThermalFaultInjector.coerce([fault])
-    assert from_seq.zone_state(2) is not None
-    assert from_seq.zone_state(0) is None
-    assert from_seq.recoverable
-
-
 # ----------------------------------------------------------------------
 # The controller never reads plant ground truth
 # ----------------------------------------------------------------------
@@ -315,9 +302,9 @@ def test_faults_only_touch_their_zone():
 
 
 def test_faulted_regulation_is_deterministic():
-    plan = FaultPlan.random_thermal(9, zones=4)
-    a = _bed(faults=plan, zones=4).run(900.0)
-    b = _bed(faults=plan, zones=4).run(900.0)
+    faults = FaultPlan.random_thermal(9, zones=4).thermal_faults
+    a = _bed(faults=faults, zones=4).run(900.0)
+    b = _bed(faults=faults, zones=4).run(900.0)
     assert [r.samples for r in a] == [r.samples for r in b]
     assert [r.status for r in a] == [r.status for r in b]
     assert [r.out_of_band_windows for r in a] \

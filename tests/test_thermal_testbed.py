@@ -109,8 +109,9 @@ def test_window_shorter_than_a_period_does_not_tick():
 
 # Seed 9 puts a thermocouple dropout on zone 1 from about 332 s to 476 s,
 # so the faulted case splits the window while that zone is degraded.
-@pytest.mark.parametrize("faults", [None, FaultPlan.random_thermal(9, zones=4)],
-                         ids=["clean", "faulted"])
+@pytest.mark.parametrize(
+    "faults", [(), FaultPlan.random_thermal(9, zones=4).thermal_faults],
+    ids=["clean", "faulted"])
 def test_windows_compose(faults):
     def bed():
         return ThermalTestbed([ZoneConfig(setpoint_c=50.0)] * 4, seed=1,

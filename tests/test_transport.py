@@ -248,19 +248,6 @@ def test_cloud_store_contains_is_public_api():
     assert not cloud.contains(keyed("chip-B/mcf/v=900.0"))
 
 
-def test_uploader_skip_delivered_consults_cloud():
-    cloud = CloudStore()
-    link = NetworkLink(cloud, loss_rate=0.0, ack_loss_rate=0.0, seed=9)
-    source = store_of(5)
-    ResultUploader(link).upload(source)
-    attempts_before = link.stats.attempts
-    resumer = ResultUploader(link)
-    ok, failed = resumer.upload(source, skip_delivered=True)
-    assert (ok, failed) == (0, 0)
-    assert resumer.skipped == len(source)
-    assert link.stats.attempts == attempts_before  # nothing re-sent
-
-
 # ----------------------------------------------------------------------
 # Network link stats: delivered / dropped / ack_lost accounting
 # ----------------------------------------------------------------------
