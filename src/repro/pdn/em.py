@@ -19,26 +19,29 @@ strong but imperfect, as in reality. ``tests/test_em_proxy.py``
 quantifies the correlation.
 
 Measurement noise follows a *counter-based* protocol: read ``r`` of
-evaluation ``e`` draws from ``substream(seed, "em-read", e, r)``, where
-``e`` is a per-sensor evaluation counter. Each logical measurement
-(:meth:`EmSensor.measure` / :meth:`EmSensor.measure_averaged`) consumes
-one counter value and :meth:`EmSensor.measure_block` consumes one per
-stacked waveform, so a block measurement of N waveforms is bit-identical
-to N serial measurements -- the property that lets the GA batch its
-fitness evaluations without perturbing a single result.
+evaluation ``e`` is ``substream(seed, "em-read", e, r).normal(0.0,
+noise_floor)``, where ``e`` is a per-sensor evaluation counter. Every
+read goes through :meth:`EmSensor.read_amplitude`, which consumes one
+counter value per clean amplitude and derives all of a batch's reads
+together with :func:`~repro.rand.substream_normals` -- exactly the
+values ``substream`` gives, without a generator per read
+(``tests/test_rand.py::test_substream_normals_match_substream``). A
+block measurement of N waveforms is therefore bit-identical to N serial
+measurements -- the property that lets the GA batch its fitness
+evaluations without perturbing a single result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.cpu.execution import BLOCK_SCRATCH_BYTES
 from repro.errors import ConfigurationError
 from repro.pdn.rlc import DEFAULT_PDN, PdnModel
-from repro.rand import DEFAULT_SEED, SeedLike, substream
+from repro.rand import DEFAULT_SEED, SeedLike, substream_normals
 
 
 @dataclass(frozen=True)
@@ -145,28 +148,29 @@ class EmSensor:
     # ------------------------------------------------------------------
     # Counter-based receiver noise
     # ------------------------------------------------------------------
-    def _noise(self, eval_index: int, repeat: int) -> float:
-        """Receiver noise of read ``repeat`` within evaluation ``eval_index``."""
-        rng = substream(self._noise_seed, "em-read", eval_index, repeat)
-        return float(rng.normal(0.0, self.noise_floor))
+    def read_amplitude(self, clean_amplitudes: Sequence[float],
+                       repeats: int = 1) -> np.ndarray:
+        """Turn noise-free amplitudes into noisy (averaged) readings.
 
-    def read_amplitude(self, clean_amplitude: float, repeats: int = 1) -> float:
-        """Turn a noise-free amplitude into one noisy (averaged) reading.
-
-        Consumes exactly one evaluation counter value; the ``repeats``
-        reads are clamped at zero individually (a receiver cannot report
-        negative amplitude) and then averaged. Callers that memoize the
-        deterministic amplitude (the GA's batched fitness) still consume
-        counters one per evaluation, keeping them aligned with a fully
-        serial evaluator.
+        Entry ``i`` of the 1-D ``clean_amplitudes`` consumes evaluation
+        counter ``counter + i``; its ``repeats`` reads are clamped at zero
+        individually (a receiver cannot report negative amplitude) and
+        then averaged. Callers that memoize the deterministic amplitude
+        (the GA's batched fitness) still pass one entry per evaluation,
+        keeping the counters aligned with a fully serial evaluator.
         """
         if repeats < 1:
             raise ConfigurationError("repeats must be >= 1")
-        eval_index = self._next_eval
-        self._next_eval += 1
-        reads = [max(0.0, float(clean_amplitude) + self._noise(eval_index, r))
-                 for r in range(repeats)]
-        return float(np.mean(reads))
+        clean = np.asarray(clean_amplitudes, dtype=float)
+        first = self._next_eval
+        self._next_eval += len(clean)
+        reads = np.column_stack((
+            np.repeat(np.arange(first, self._next_eval), repeats),
+            np.tile(np.arange(repeats), len(clean))))
+        noise = substream_normals(self._noise_seed, "em-read", reads,
+                                  self.noise_floor)
+        noisy = clean[:, None] + noise.reshape(len(clean), repeats)
+        return np.where(noisy > 0.0, noisy, 0.0).mean(axis=1)
 
     # ------------------------------------------------------------------
     # Measurement API
@@ -180,9 +184,8 @@ class EmSensor:
         resonance -- plus additive receiver noise. The reported peak
         frequency comes from the noise-free radiated spectrum.
         """
-        amplitudes, peaks = self.clean_block(waveform, freq_ghz, current_scale_a)
-        noisy = self.read_amplitude(float(amplitudes[0]), repeats=1)
-        return EmReading(amplitude=noisy, peak_freq_hz=float(peaks[0]))
+        return self.measure_averaged(waveform, freq_ghz, repeats=1,
+                                     current_scale_a=current_scale_a)
 
     def measure_averaged(self, waveform: np.ndarray, freq_ghz: float,
                          repeats: int = 4,
@@ -193,11 +196,8 @@ class EmSensor:
         (receiver noise only perturbs amplitude), so the reported
         resonance never depends on read ordering.
         """
-        if repeats < 1:
-            raise ConfigurationError("repeats must be >= 1")
-        amplitudes, peaks = self.clean_block(waveform, freq_ghz, current_scale_a)
-        noisy = self.read_amplitude(float(amplitudes[0]), repeats=repeats)
-        return EmReading(amplitude=noisy, peak_freq_hz=float(peaks[0]))
+        return self.measure_block(waveform, freq_ghz, repeats=repeats,
+                                  current_scale_a=current_scale_a)[0]
 
     def measure_block(self, waveforms: np.ndarray, freq_ghz: float,
                       repeats: int = 1,
@@ -211,11 +211,7 @@ class EmSensor:
         evaluation counter ``counter + i`` -- the same noise a serial
         caller would have drawn.
         """
-        if repeats < 1:
-            raise ConfigurationError("repeats must be >= 1")
         amplitudes, peaks = self.clean_block(waveforms, freq_ghz, current_scale_a)
-        return [
-            EmReading(amplitude=self.read_amplitude(float(amp), repeats=repeats),
-                      peak_freq_hz=float(peak))
-            for amp, peak in zip(amplitudes, peaks)
-        ]
+        noisy = self.read_amplitude(amplitudes, repeats=repeats)
+        return [EmReading(amplitude=amp, peak_freq_hz=peak)
+                for amp, peak in zip(noisy.tolist(), peaks.tolist())]

@@ -100,9 +100,8 @@ class EmFitness:
             block = self.exec_model.waveform_block(list(missing.values()))
             amplitudes, _ = self.sensor.clean_block(block, self.freq_ghz)
             cache.update(zip(missing, amplitudes.tolist()))
-        return [self.sensor.read_amplitude(cache[loop.code],
-                                           repeats=self.repeats)
-                for loop in loops]
+        clean = [cache[loop.code] for loop in loops]
+        return self.sensor.read_amplitude(clean, repeats=self.repeats).tolist()
 
 
 class DidtSearch:

@@ -96,6 +96,51 @@ def test_measure_block_validates_repeats():
         EmSensor().measure_block(np.ones((2, 128)), 2.4, repeats=0)
 
 
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_read_amplitude_consumes_one_counter_per_entry(count):
+    sensor = EmSensor(seed=5)
+    sensor.read_amplitude(np.full(count, 0.5), repeats=3)
+    assert sensor._next_eval == count
+    # The next read is the one a sensor that skipped ``count`` evaluations
+    # makes next.
+    reference = EmSensor(seed=5)
+    reference._next_eval = count
+    assert (sensor.read_amplitude([0.5], repeats=2).tolist()
+            == reference.read_amplitude([0.5], repeats=2).tolist())
+
+
+def test_read_amplitude_matches_serial_measure_averaged():
+    waveforms = _random_waveforms(17, 5)
+    clean, _ = EmSensor(seed=4).clean_block(waveforms, 2.4)
+    batched = EmSensor(seed=4).read_amplitude(clean, repeats=3)
+    serial_sensor = EmSensor(seed=4)
+    serial = [serial_sensor.measure_averaged(w, 2.4, repeats=3).amplitude
+              for w in waveforms]
+    assert batched.tolist() == serial
+
+
+def test_read_amplitude_clamps_each_read_before_the_mean():
+    from repro.rand import substream
+    sensor = EmSensor(seed=8, noise_floor=0.05)
+    clean = [0.0, 0.01, 0.02]
+    got = sensor.read_amplitude(clean, repeats=4).tolist()
+    raw = [[c + substream(sensor._noise_seed, "em-read", e, r).normal(0.0, 0.05)
+            for r in range(4)] for e, c in enumerate(clean)]
+    assert any(read < 0.0 for reads in raw for read in reads)
+    assert any(min(reads) < 0.0 < max(reads) for reads in raw)
+    want = [float(np.mean([max(0.0, read) for read in reads])) for reads in raw]
+    assert got == want
+    assert all(value >= 0.0 for value in got)
+
+
+def test_read_amplitude_validates_repeats_without_consuming_a_counter():
+    from repro.errors import ConfigurationError
+    sensor = EmSensor(seed=2)
+    with pytest.raises(ConfigurationError):
+        sensor.read_amplitude([0.3, 0.4], repeats=0)
+    assert sensor._next_eval == 0
+
+
 # ----------------------------------------------------------------------
 # Execution layer
 # ----------------------------------------------------------------------
