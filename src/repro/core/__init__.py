@@ -30,9 +30,7 @@ from repro.core.campaign import (
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.faults import (
     FaultBurst,
-    FaultInjector,
     FaultPlan,
-    FaultStats,
     PoisonError,
 )
 from repro.core.supervisor import (
@@ -62,9 +60,7 @@ __all__ = [
     "CampaignExecutor",
     "CampaignPlan",
     "FaultBurst",
-    "FaultInjector",
     "FaultPlan",
-    "FaultStats",
     "CharacterizationRun",
     "CharacterizationSetup",
     "CloudStore",

@@ -5,7 +5,7 @@ crash, hang and corrupt their own telemetry -- so the harness, not the
 benchmark, must guarantee that every repetition's outcome survives to
 the final CSV. This module makes that guarantee *testable*: a
 :class:`FaultPlan` declares a reproducible schedule of harness-level
-faults and a :class:`FaultInjector` feeds it to the pipeline --
+faults and decides, for each ``(index, attempt)``, whether one strikes --
 
 - **transport corruption/loss bursts**: windows of uploaded rows whose
   first ``depth`` transmit attempts are forcibly corrupted
@@ -21,6 +21,12 @@ faults and a :class:`FaultInjector` feeds it to the pipeline --
   elements, ambient disturbance steps), declared here as typed
   :class:`ThermalFault` records and *applied* by
   :class:`repro.thermal.testbed.ThermalTestbed`.
+
+The plan only decides; the code that observes a fault counts it. The
+supervisor's attempt ledger records the fault of every unit attempt
+(:meth:`repro.core.supervisor.MapOutcome.injected`) and each link counts
+the attempts a burst hit
+(:attr:`repro.core.transport.TransportStats.injected`).
 
 Every decision is a pure function of the plan plus ``(index, attempt)``
 (or, for thermal faults, of the plan plus virtual time), so the same
@@ -41,7 +47,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.errors import CampaignError
 from repro.rand import SeedLike, substream
 
-#: Fault kinds reported by :meth:`FaultInjector.unit_fault`; they really
+#: Fault kinds reported by :meth:`FaultPlan.unit_fault`; they really
 #: happen in the worker process.
 UNIT_EXIT = "unit-exit"          #: worker calls ``os._exit`` mid-unit
 UNIT_HANG = "unit-hang"          #: worker sleeps past its deadline
@@ -211,9 +217,10 @@ class FaultPlan:
         Row windows whose early transmit attempts are corrupted on the
         serial link / dropped on the network link.
     unit_exits / unit_hangs:
-        ``(unit_index, count)`` pairs of *real* process-level faults:
-        the unit's first ``count`` attempts (exits before hangs) really
-        ``os._exit`` the worker / really sleep ``hang_seconds``.
+        ``(unit_index, count)`` pairs, at most one per unit, of *real*
+        process-level faults: the unit's first ``count`` attempts (exits
+        before hangs) really ``os._exit`` the worker / really sleep
+        ``hang_seconds``.
         Both charge the supervisor's retry budget, so keeping
         ``exits + hangs <= max_retries`` per unit guarantees the plan
         converges to clean results.
@@ -245,6 +252,9 @@ class FaultPlan:
                 if shard < 0 or count < 1:
                     raise CampaignError(
                         f"{name} needs shard >= 0 and count >= 1")
+            shards = [shard for shard, _ in pairs]
+            if len(set(shards)) != len(shards):
+                raise CampaignError(f"{name} repeats a unit index")
         if any(unit < 0 for unit in self.poison_units):
             raise CampaignError("poison_units needs unit indices >= 0")
         if self.hang_seconds <= 0:
@@ -253,6 +263,33 @@ class FaultPlan:
             if not isinstance(fault, ThermalFault):
                 raise CampaignError(
                     "thermal_faults entries must be ThermalFault records")
+
+    def unit_fault(self, unit: int, attempt: int) -> Optional[str]:
+        """Fate of one attempt of one supervised work unit.
+
+        Real worker exits first, then real hangs, then -- for poison
+        units -- an unconditional poison raise; ``None`` is a clean
+        attempt.
+        """
+        exits = sum(count for index, count in self.unit_exits
+                    if index == unit)
+        hangs = exits + sum(count for index, count in self.unit_hangs
+                            if index == unit)
+        if attempt < exits:
+            return UNIT_EXIT
+        if attempt < hangs:
+            return UNIT_HANG
+        if unit in self.poison_units:
+            return UNIT_POISON
+        return None
+
+    def corrupts(self, row: int, attempt: int) -> bool:
+        """Whether the serial link corrupts this (row, attempt) frame."""
+        return any(b.hits(row, attempt) for b in self.corruption_bursts)
+
+    def drops(self, row: int, attempt: int) -> bool:
+        """Whether the network link drops this (row, attempt) packet."""
+        return any(b.hits(row, attempt) for b in self.loss_bursts)
 
     def select_units(self, units: Sequence[int]) -> "FaultPlan":
         """This plan with its unit faults re-indexed onto ``units``.
@@ -450,84 +487,3 @@ class FaultSpec:
                                                horizon_s=horizon_s)
             plan = replace(plan, thermal_faults=thermal.thermal_faults)
         return plan
-
-
-@dataclass
-class FaultStats:
-    """What the injector actually fired, for reporting."""
-
-    corrupted_frames: int = 0
-    dropped_packets: int = 0
-    unit_exits: int = 0
-    unit_hangs: int = 0
-    poison_raises: int = 0
-    thermal_sensor_faults: int = 0
-    thermal_actuator_faults: int = 0
-    thermal_disturbances: int = 0
-
-    @property
-    def total(self) -> int:
-        return (self.corrupted_frames + self.dropped_packets
-                + self.unit_exits + self.unit_hangs + self.poison_raises
-                + self.thermal_sensor_faults + self.thermal_actuator_faults
-                + self.thermal_disturbances)
-
-    def note_thermal(self, kind: str) -> None:
-        """Count one fired thermal fault under its taxonomy bucket."""
-        if kind in THERMAL_SENSOR_KINDS:
-            self.thermal_sensor_faults += 1
-        elif kind in THERMAL_ACTUATOR_KINDS:
-            self.thermal_actuator_faults += 1
-        else:
-            self.thermal_disturbances += 1
-
-
-class FaultInjector:
-    """Feeds a :class:`FaultPlan` to the pipeline, counting what fired.
-
-    Decisions are pure functions of ``(index, attempt)`` so they are
-    identical at any worker count and on every retry of the same
-    attempt; only :attr:`stats` is mutable.
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self.stats = FaultStats()
-        self._exits: Dict[int, int] = dict(plan.unit_exits)
-        self._hangs: Dict[int, int] = dict(plan.unit_hangs)
-        self._poisoned = set(plan.poison_units)
-
-    def unit_fault(self, unit_index: int, attempt: int) -> Optional[str]:
-        """Fate of one attempt of one supervised work unit.
-
-        Pure in ``(unit_index, attempt)``: real worker exits first, then
-        real hangs, then -- for poison units -- an unconditional poison
-        raise. The supervisor consults each attempt once, so the stats
-        count what fired, identically at any worker count.
-        """
-        exits = self._exits.get(unit_index, 0)
-        hangs = exits + self._hangs.get(unit_index, 0)
-        if attempt < exits:
-            self.stats.unit_exits += 1
-            return UNIT_EXIT
-        if attempt < hangs:
-            self.stats.unit_hangs += 1
-            return UNIT_HANG
-        if unit_index in self._poisoned:
-            self.stats.poison_raises += 1
-            return UNIT_POISON
-        return None
-
-    def corrupt_frame(self, row_index: int, attempt: int) -> bool:
-        """Should the serial link corrupt this (row, attempt) frame?"""
-        if any(b.hits(row_index, attempt) for b in self.plan.corruption_bursts):
-            self.stats.corrupted_frames += 1
-            return True
-        return False
-
-    def drop_packet(self, row_index: int, attempt: int) -> bool:
-        """Should the network link drop this (row, attempt) packet?"""
-        if any(b.hits(row_index, attempt) for b in self.plan.loss_bursts):
-            self.stats.dropped_packets += 1
-            return True
-        return False

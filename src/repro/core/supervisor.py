@@ -20,9 +20,10 @@ units the same guarantee:
   the others keep running;
 - **bounded retries** -- every failure (crash, hang, poison exception)
   is charged to its unit's retry budget and lands in a structured
-  attempt ledger; after ``max_retries`` + 1 failures the unit is
-  *quarantined* and reported as a typed :class:`UnitFailure` instead of
-  a stack trace;
+  attempt ledger, with the fault injected into that attempt; after
+  ``max_retries`` + 1 failures the unit is *quarantined* and reported
+  as a typed :class:`UnitFailure` instead of a stack trace. The ledger
+  is the map's record: :class:`SupervisorStats` is computed from it;
 - **graceful degradation** -- if a worker cannot be started, the map
   goes on with the workers it has, and inline once it has none
   (injected process-level faults are simulated inline, since a real
@@ -35,12 +36,12 @@ units the same guarantee:
   unit's own Python code, for GEMMs far too small to gain from it.
 
 Every failure is attributed to its unit by construction and the
-injected fault schedule is consulted once per ``(unit, attempt)``, so
-the attempt ledger, the retry budgets and the quarantine list are the
-same at any worker count. Work units are deterministic and results are
-collected by unit index, so a run under any real-fault schedule
-converges to results bit-identical to a clean run -- the property
-``tests/test_supervisor.py`` locks down end to end.
+:class:`~repro.core.faults.FaultPlan` decides each ``(unit, attempt)``
+purely, so the attempt ledger, the retry budgets and the quarantine list
+are the same at any worker count. Work units are deterministic and
+results are collected by unit index, so a run under any real-fault
+schedule converges to results bit-identical to a clean run -- the
+property ``tests/test_supervisor.py`` locks down end to end.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import ctypes
 import multiprocessing
 import sys
 import time
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,7 +61,7 @@ from repro.core.faults import (
     UNIT_EXIT,
     UNIT_HANG,
     UNIT_POISON,
-    FaultStats,
+    FaultPlan,
     run_injected_real_fault,
 )
 from repro.errors import CampaignError, SupervisionError
@@ -76,11 +77,6 @@ _OK = "ok"
 #: Default retry budget: a unit is quarantined after ``max_retries + 1``
 #: failures.
 DEFAULT_MAX_RETRIES = 3
-
-#: Default sleep of an injected hang (seconds). Kept short so plans stay
-#: convergent even without a deadline: the sleeping attempt eventually
-#: returns and is charged as a hang.
-DEFAULT_HANG_SECONDS = 1.0
 
 #: How an injected fault is charged when the unit runs inline.
 _SIMULATED = {
@@ -113,36 +109,25 @@ class AttemptRecord:
 
     index: int              #: unit index
     attempt: int            #: failures charged to the unit before it
-    outcome: str            #: "ok" or a taxonomy kind
-    charged: bool = False   #: whether this outcome consumed retry budget
-    #: (every failure does)
+    outcome: str            #: "ok" or a taxonomy kind (every failure
+    #: is charged to the unit's retry budget)
+    fault: Optional[str] = None     #: the fault injected into this
+    #: attempt (UNIT_EXIT / UNIT_HANG / UNIT_POISON), or None
     detail: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SupervisorStats:
-    """What the supervisor actually did, for reporting and manifests."""
+    """What the supervisor did in one map, summed from its ledger."""
 
-    attempts: int = 0            #: work-unit submissions (incl. inline)
-    retries: int = 0             #: re-submissions after a failure
-    rebuilds: int = 0            #: workers replaced after a crash or hang
-    crashes: int = 0             #: worker deaths
-    hangs: int = 0               #: deadline overruns
-    poisoned: int = 0            #: unit exceptions
-    quarantined: int = 0         #: units that exhausted their budget
-    degraded: bool = False       #: a worker could not be started
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "rebuilds": self.rebuilds,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "poisoned": self.poisoned,
-            "quarantined": self.quarantined,
-            "degraded": self.degraded,
-        }
+    attempts: int                #: work-unit submissions (incl. inline)
+    retries: int                 #: re-submissions after a failure
+    rebuilds: int                #: workers replaced after a crash or hang
+    crashes: int                 #: worker deaths
+    hangs: int                   #: deadline overruns
+    poisoned: int                #: unit exceptions
+    quarantined: int             #: units that exhausted their budget
+    degraded: bool               #: a worker could not be started
 
     def describe(self) -> str:
         text = (f"{self.attempts} attempts, {self.retries} retries, "
@@ -157,19 +142,22 @@ class MapOutcome:
 
     ``values`` has one slot per input item, ``None`` where the unit was
     quarantined; ``failures`` enumerates the quarantined units sorted by
-    index (deterministically, at any worker count). ``faults`` is what
-    the map's fault injector fired, ``None`` when it ran without one.
+    index (deterministically, at any worker count). ``ledger`` records
+    every attempt in the order it ended, and ``stats`` sums it.
     """
 
     values: Tuple
     failures: Tuple[UnitFailure, ...]
     stats: SupervisorStats
     ledger: Tuple[AttemptRecord, ...]
-    faults: Optional[FaultStats] = None
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def injected(self, kind: str) -> int:
+        """How many attempts the fault plan hit with a ``kind`` fault."""
+        return sum(1 for record in self.ledger if record.fault == kind)
 
     def unwrap(self) -> List:
         """The values as a list; raises a typed
@@ -312,52 +300,52 @@ class _MapRun:
     """The supervision state of one :meth:`SupervisedPool.map` call."""
 
     def __init__(self, pool: "SupervisedPool", fn: Callable, items: List,
-                 inject: Optional[Callable[[int, int], Optional[str]]],
-                 hang_seconds: float) -> None:
+                 faults: Optional[FaultPlan]) -> None:
         self.pool = pool
         self.fn = fn
         self.items = items
-        self.inject = inject
-        self.hang_seconds = hang_seconds
+        self.faults = faults
         self.attempts = [0] * len(items)    # failures charged, per unit
         self.results: List[object] = [None] * len(items)
         self.failures: Dict[int, UnitFailure] = {}
-        self.stats = SupervisorStats()
         self.ledger: List[AttemptRecord] = []
+        self.rebuilds = 0
+        self.degraded = False
 
     def outcome(self) -> MapOutcome:
         failures = tuple(self.failures[index] for index in sorted(self.failures))
+        kinds = Counter(record.outcome for record in self.ledger)
+        stats = SupervisorStats(
+            attempts=len(self.ledger),
+            retries=sum(1 for record in self.ledger if record.attempt),
+            rebuilds=self.rebuilds, crashes=kinds[CRASH], hangs=kinds[HANG],
+            poisoned=kinds[POISON], quarantined=len(failures),
+            degraded=self.degraded)
         return MapOutcome(values=tuple(self.results), failures=failures,
-                          stats=self.stats, ledger=tuple(self.ledger))
+                          stats=stats, ledger=tuple(self.ledger))
 
-    def submit(self, index: int) -> Optional[str]:
-        """Count one submission of a unit; its injected fault, if any."""
-        self.stats.attempts += 1
-        if self.attempts[index]:
-            self.stats.retries += 1
-        return self.inject(index, self.attempts[index]) if self.inject else None
+    def fault(self, index: int) -> Optional[str]:
+        """The fault the plan injects into the unit's current attempt."""
+        if self.faults is None:
+            return None
+        return self.faults.unit_fault(index, self.attempts[index])
 
     def succeed(self, index: int, value: object) -> None:
+        # An attempt with an injected fault never runs ``fn``, so a
+        # success carries none.
         self.results[index] = value
         self.ledger.append(AttemptRecord(index, self.attempts[index], _OK))
 
     def charge(self, index: int, kind: str, detail: str) -> bool:
         """Charge one failure to the unit; True while it may be retried."""
         attempt = self.attempts[index]
-        self.ledger.append(AttemptRecord(index, attempt, kind, charged=True,
-                                         detail=detail))
+        self.ledger.append(AttemptRecord(index, attempt, kind,
+                                         self.fault(index), detail))
         self.attempts[index] = attempt + 1
-        if kind == CRASH:
-            self.stats.crashes += 1
-        elif kind == HANG:
-            self.stats.hangs += 1
-        else:
-            self.stats.poisoned += 1
         if attempt + 1 <= self.pool.max_retries:
             return True
         self.failures[index] = UnitFailure(index=index, kind=kind,
                                            attempts=attempt + 1, detail=detail)
-        self.stats.quarantined += 1
         return False
 
     def run_inline(self, indices: Iterable[int]) -> None:
@@ -371,7 +359,7 @@ class _MapRun:
         """
         for index in indices:
             while index not in self.failures:
-                directive = self.submit(index)
+                directive = self.fault(index)
                 if directive is not None:
                     self.charge(index, *_SIMULATED[directive])
                     continue
@@ -389,19 +377,20 @@ class _MapRun:
         try:
             workers.append(_Worker())
         except OSError:
-            self.stats.degraded = True
+            self.degraded = True
             return False
         return True
 
     def send(self, worker: _Worker, index: int) -> None:
-        directive = self.submit(index)
+        directive = self.fault(index)
+        hang_seconds = self.faults.hang_seconds if directive else None
         timeout = self.pool.unit_timeout
         worker.index = index
         worker.deadline = (time.monotonic() + timeout
                            if timeout is not None else None)
         try:
             worker.conn.send((self.fn, self.items[index], directive,
-                              self.hang_seconds))
+                              hang_seconds))
         except OSError:
             pass    # the worker died idle: its EOF is read as this crash
 
@@ -448,7 +437,7 @@ class _MapRun:
                     if worker.index is not None:    # lost: replace it
                         workers.remove(worker)
                         if queue and self.start_worker(workers):
-                            self.stats.rebuilds += 1
+                            self.rebuilds += 1
         finally:
             for worker in workers:
                 worker.stop()
@@ -489,21 +478,21 @@ class SupervisedPool:
         self.max_retries = max_retries
 
     def map(self, fn: Callable, items: Sequence,
-            inject: Optional[Callable[[int, int], Optional[str]]] = None,
-            hang_seconds: float = DEFAULT_HANG_SECONDS) -> MapOutcome:
+            faults: Optional[FaultPlan] = None) -> MapOutcome:
         """Order-preserving supervised map.
 
-        ``inject(index, attempt)`` (usually
-        :meth:`repro.core.faults.FaultInjector.unit_fault`) supplies the
-        injected fault directive for each attempt of each unit, or
-        ``None`` for a clean attempt; it is consulted once per attempt.
-        Results come back by unit index, so completion order never
-        reorders downstream aggregation; quarantined units are
-        enumerated in :attr:`MapOutcome.failures`, sorted by index.
-        Units run with single-threaded BLAS (see
+        ``faults`` injects real process-level faults:
+        :meth:`~repro.core.faults.FaultPlan.unit_fault` decides each
+        attempt of each unit, an injected hang sleeps the plan's
+        ``hang_seconds``, and every attempt's fault lands in the
+        :attr:`MapOutcome.ledger` (counted by
+        :meth:`MapOutcome.injected`). Results come back by unit index,
+        so completion order never reorders downstream aggregation;
+        quarantined units are enumerated in :attr:`MapOutcome.failures`,
+        sorted by index. Units run with single-threaded BLAS (see
         :func:`single_threaded_blas`).
         """
-        run = _MapRun(self, fn, list(items), inject, hang_seconds)
+        run = _MapRun(self, fn, list(items), faults)
         with single_threaded_blas():
             if self.jobs <= 1 or len(run.items) <= 1:
                 run.run_inline(range(len(run.items)))
@@ -515,7 +504,6 @@ class SupervisedPool:
 __all__ = [
     "AttemptRecord",
     "CRASH",
-    "DEFAULT_HANG_SECONDS",
     "DEFAULT_MAX_RETRIES",
     "HANG",
     "MapOutcome",

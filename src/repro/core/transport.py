@@ -20,10 +20,11 @@ This module models that plumbing:
 - :class:`ResultUploader` -- drains a :class:`ResultStore` through any
   link into the cloud store and reports delivery statistics.
 
-Both links accept a :class:`~repro.core.faults.FaultInjector`, which
-forces corruption/loss bursts onto specific rows -- the hook the
+Both links accept a :class:`~repro.core.faults.FaultPlan` whose bursts
+force corruption/loss onto specific rows -- the hook the
 fault-equivalence tests use to prove the pipeline still converges to the
-clean run's exact contents.
+clean run's exact contents. Each link counts the attempts a burst hit in
+its own :attr:`TransportStats.injected`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.faults import FaultInjector
+from repro.core.faults import FaultPlan
 from repro.core.results import ResultRow, ResultStore, result_fields, row_from_record
 from repro.errors import CampaignError
 from repro.rand import SeedLike, substream
@@ -82,6 +83,8 @@ class TransportStats:
     however many retransmissions it took); ``dropped`` counts lost
     packets, ``ack_lost`` lost acknowledgements -- so
     ``attempts - delivered`` is the true retransmission overhead.
+    ``injected`` counts the attempts a fault plan's burst corrupted or
+    dropped (they are also in ``corrupted`` / ``dropped``).
     """
 
     attempts: int = 0
@@ -90,6 +93,7 @@ class TransportStats:
     dropped: int = 0
     ack_lost: int = 0
     gave_up: int = 0
+    injected: int = 0
 
     @property
     def retry_rate(self) -> float:
@@ -146,14 +150,14 @@ class SerialLink:
 
     Every frame is ``payload|crc32`` with the separator and CRC at fixed
     offsets from the end; the receiver recomputes the CRC and NAKs
-    mismatches. The sender retries up to ``max_retries`` times. A
-    :class:`~repro.core.faults.FaultInjector` can force corruption
-    bursts onto specific rows.
+    mismatches. The sender retries up to ``max_retries`` times. The
+    ``corruption_bursts`` of ``faults`` force corruption onto specific
+    rows.
     """
 
     def __init__(self, store: CloudStore, bit_error_rate: float = 1e-5,
                  max_retries: int = 8, seed: SeedLike = None,
-                 fault_injector: Optional[FaultInjector] = None) -> None:
+                 faults: Optional[FaultPlan] = None) -> None:
         if not 0.0 <= bit_error_rate < 1.0:
             raise CampaignError("bit error rate must be in [0, 1)")
         if max_retries < 0:
@@ -162,7 +166,7 @@ class SerialLink:
         self.bit_error_rate = bit_error_rate
         self.max_retries = max_retries
         self._rng = substream(seed, "serial-link")
-        self._injector = fault_injector
+        self._faults = faults
         self._rows_sent = 0
         self.stats = TransportStats()
 
@@ -197,8 +201,9 @@ class SerialLink:
         frame = payload + b"|" + f"{checksum:08x}".encode("ascii")
         for attempt in range(self.max_retries + 1):
             self.stats.attempts += 1
-            if self._injector is not None \
-                    and self._injector.corrupt_frame(row_index, attempt):
+            if self._faults is not None \
+                    and self._faults.corrupts(row_index, attempt):
+                self.stats.injected += 1
                 received = self._injected_corruption(frame, row_index, attempt)
             else:
                 received = self._transmit(frame)
@@ -227,15 +232,14 @@ class NetworkLink:
     Loss drops the whole packet (the row); the sender retries until the
     acknowledgement arrives or the budget runs out. Acknowledgements can
     be lost too, producing duplicate deliveries -- which the idempotent
-    :class:`CloudStore` absorbs. A
-    :class:`~repro.core.faults.FaultInjector` can force loss bursts onto
-    specific rows.
+    :class:`CloudStore` absorbs. The ``loss_bursts`` of ``faults`` force
+    loss onto specific rows.
     """
 
     def __init__(self, store: CloudStore, loss_rate: float = 0.05,
                  ack_loss_rate: float = 0.02, max_retries: int = 8,
                  seed: SeedLike = None,
-                 fault_injector: Optional[FaultInjector] = None) -> None:
+                 faults: Optional[FaultPlan] = None) -> None:
         for name, rate in (("loss_rate", loss_rate),
                            ("ack_loss_rate", ack_loss_rate)):
             if not 0.0 <= rate < 1.0:
@@ -247,7 +251,7 @@ class NetworkLink:
         self.ack_loss_rate = ack_loss_rate
         self.max_retries = max_retries
         self._rng = substream(seed, "network-link")
-        self._injector = fault_injector
+        self._faults = faults
         self._rows_sent = 0
         self.stats = TransportStats()
 
@@ -259,8 +263,9 @@ class NetworkLink:
         for attempt in range(self.max_retries + 1):
             self.stats.attempts += 1
             lost = self._rng.random() < self.loss_rate
-            if self._injector is not None \
-                    and self._injector.drop_packet(row_index, attempt):
+            if self._faults is not None \
+                    and self._faults.drops(row_index, attempt):
+                self.stats.injected += 1
                 lost = True
             if lost:
                 self.stats.dropped += 1

@@ -14,11 +14,11 @@ their supervision settings and fault injection as one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.executor import CampaignExecutor
-from repro.core.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.supervisor import DEFAULT_MAX_RETRIES, MapOutcome, SupervisedPool
 from repro.core.vmin import VminResult, VminSearch
 from repro.rand import SeedLike
@@ -83,23 +83,17 @@ def map_units(fn: Callable, tasks: Sequence, jobs: int,
 
     The one place a :class:`RunOptions` becomes a
     :class:`~repro.core.supervisor.SupervisedPool` of ``jobs`` workers
-    (``jobs=1`` runs inline) plus a
-    :class:`~repro.core.faults.FaultInjector`. The fault plan is sized
-    to ``len(tasks)`` units, so a seeded schedule lands on this map's
-    own units; the injector's counts come back as
-    :attr:`MapOutcome.faults`. :meth:`MapOutcome.unwrap` gives the
-    values, or raises the typed failure of any quarantined unit.
+    (``jobs=1`` runs inline) and the fault plan it runs under. The plan
+    is sized to ``len(tasks)`` units, so a seeded schedule lands on this
+    map's own units; the outcome's ledger records every fault it
+    injected (:meth:`MapOutcome.injected` counts them).
+    :meth:`MapOutcome.unwrap` gives the values, or raises the typed
+    failure of any quarantined unit.
     """
     tasks = list(tasks)
     pool = SupervisedPool(jobs=jobs, unit_timeout=options.unit_timeout,
                           max_retries=options.max_retries)
-    plan = options.plan(units=len(tasks))
-    if plan is None:
-        return pool.map(fn, tasks)
-    injector = FaultInjector(plan)
-    outcome = pool.map(fn, tasks, inject=injector.unit_fault,
-                       hang_seconds=plan.hang_seconds)
-    return replace(outcome, faults=injector.stats)
+    return pool.map(fn, tasks, faults=options.plan(units=len(tasks)))
 
 
 def regulate_to_setpoint(testbed, setpoint_c: float, rounds: int = 3,

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.campaign import Campaign, CampaignPlan
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.executor import CampaignExecutor
-from repro.core.faults import FaultInjector, FaultStats
+from repro.core.faults import UNIT_EXIT, UNIT_HANG, UNIT_POISON
 from repro.core.results import ResultRow, ResultStore
 from repro.core.supervisor import SupervisorStats, UnitFailure
 from repro.core.transport import (
@@ -79,7 +79,8 @@ class PipelineResult:
     failures: Tuple[UnitFailure, ...]
     transport: str
     transport_stats: TransportStats
-    fault_stats: Optional[FaultStats]
+    injected: Optional[Dict[str, int]]  #: injected faults by effect, in
+    #: print order; ``None`` when the run had no fault plan
     exactly_once: bool
     store: ResultStore
 
@@ -101,14 +102,10 @@ class PipelineResult:
             f"{self.duplicates} duplicates absorbed",
         ]
         lines.extend(format_quarantine_lines(self.failures))
-        if self.fault_stats is not None:
-            lines.append(
-                f"injected faults: {self.fault_stats.corrupted_frames} "
-                f"corrupted frames, {self.fault_stats.dropped_packets} "
-                f"dropped packets, "
-                f"{self.fault_stats.unit_exits} worker exits, "
-                f"{self.fault_stats.unit_hangs} hangs, "
-                f"{self.fault_stats.poison_raises} poison raises")
+        if self.injected is not None:
+            lines.append("injected faults: " + ", ".join(
+                f"{count} {effect}"
+                for effect, count in self.injected.items()))
         lines.append("exactly-once contract: "
                      + ("OK (cloud rows == executed rows)"
                         if self.exactly_once else "VIOLATED"))
@@ -155,7 +152,7 @@ class ShardsOutcome:
     resumed: int                #: shards reloaded from the checkpoint
     failures: Tuple[UnitFailure, ...]   #: quarantined shards, in order
     supervision: SupervisorStats
-    faults: Optional[FaultStats]        #: unit faults the map fired
+    injected: Dict[str, int]    #: unit faults the map injected, by kind
 
 
 def execute_shards(chip: Chip, seed: SeedLike, campaigns: Sequence[Campaign],
@@ -215,7 +212,9 @@ def execute_shards(chip: Chip, seed: SeedLike, campaigns: Sequence[Campaign],
     return ShardsOutcome(
         store=store, executed=len(rows) - resumed, resumed=resumed,
         failures=tuple(failures[index] for index in sorted(failures)),
-        supervision=outcome.stats, faults=outcome.faults)
+        supervision=outcome.stats,
+        injected={kind: outcome.injected(kind)
+                  for kind in (UNIT_EXIT, UNIT_HANG, UNIT_POISON)})
 
 
 def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
@@ -251,23 +250,26 @@ def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
         chip, base, campaigns, jobs, replace(options, faults=plan),
         CampaignCheckpoint(resume_dir) if resume_dir else None)
 
-    injector = None if plan is None else FaultInjector(plan)
     cloud = CloudStore()
-    if transport == "serial":
+    serial = transport == "serial"
+    if serial:
         link = SerialLink(cloud, bit_error_rate=1e-4, max_retries=8,
-                          seed=base, fault_injector=injector)
+                          seed=base, faults=plan)
     else:
         link = NetworkLink(cloud, loss_rate=0.05, ack_loss_rate=0.02,
-                           max_retries=8, seed=base, fault_injector=injector)
+                           max_retries=8, seed=base, faults=plan)
     ok, failed = ResultUploader(link).upload(shards.store)
 
     received = cloud.to_store()
     exactly_once = sorted(received.rows()) == sorted(shards.store.rows())
     if out_csv is not None:
         received.write_csv(out_csv)
-    fault_stats = None if injector is None else replace(
-        shards.faults, corrupted_frames=injector.stats.corrupted_frames,
-        dropped_packets=injector.stats.dropped_packets)
+    injected = None if plan is None else {
+        "corrupted frames": link.stats.injected if serial else 0,
+        "dropped packets": 0 if serial else link.stats.injected,
+        "worker exits": shards.injected[UNIT_EXIT],
+        "hangs": shards.injected[UNIT_HANG],
+        "poison raises": shards.injected[UNIT_POISON]}
     return PipelineResult(
         chip=chip.serial,
         campaigns=len(campaigns),
@@ -283,7 +285,7 @@ def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
         failures=shards.failures,
         transport=transport,
         transport_stats=link.stats,
-        fault_stats=fault_stats,
+        injected=injected,
         exactly_once=exactly_once,
         store=received,
     )

@@ -34,7 +34,6 @@ from repro.core.faults import (
     TC_DRIFT,
     TC_DROPOUT,
     TC_STUCK,
-    FaultStats,
     ThermalFault,
 )
 from repro.errors import CampaignError
@@ -45,32 +44,23 @@ _TC_KINDS = (TC_STUCK, TC_DRIFT, TC_DROPOUT)
 class ZoneFaultState:
     """The active-fault lens of one testbed zone.
 
-    Holds the zone's scheduled faults plus the small amount of mutable
-    state fault application needs (the captured stuck value, the
-    fired-once bookkeeping for stats). One instance serves one testbed
-    run; the capture is deterministic because the first active tick is.
+    Holds the zone's scheduled faults plus the one piece of mutable
+    state fault application needs: the captured stuck value. One
+    instance serves one testbed run; the capture is deterministic
+    because the first active tick is.
     """
 
-    def __init__(self, zone: int, faults: Sequence[ThermalFault],
-                 stats: FaultStats) -> None:
+    def __init__(self, zone: int, faults: Sequence[ThermalFault]) -> None:
         if any(f.zone != zone for f in faults):
             raise CampaignError("zone fault state got a foreign-zone fault")
         self.zone = zone
         self.faults: Tuple[ThermalFault, ...] = tuple(
             sorted(faults, key=lambda f: (f.start_s, f.kind)))
-        self.stats = stats
         self._stuck_values: Dict[int, float] = {}
-        self._fired: set = set()
-
-    def _note(self, index: int, fault: ThermalFault) -> None:
-        if index not in self._fired:
-            self._fired.add(index)
-            self.stats.note_thermal(fault.kind)
 
     def _active(self, kinds, now_s: float):
         for index, fault in enumerate(self.faults):
             if fault.kind in kinds and fault.active(now_s):
-                self._note(index, fault)
                 yield index, fault
 
     def ambient_offset_c(self, now_s: float) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.faults import FaultStats, ThermalFault
+from repro.core.faults import ThermalFault
 from repro.errors import ConfigurationError
 from repro.rand import SeedLike
 from repro.thermal.monitor import (
@@ -97,8 +97,9 @@ class ThermalTestbed:
     faults:
         Scheduled :class:`~repro.core.faults.ThermalFault` records (a
         plan's ``thermal_faults``); faults on zones beyond ``configs``
-        are ignored. ``fault_stats`` counts each one once, at its first
-        active tick.
+        are ignored. The testbed keeps no fault counter of its own: what
+        the faults did shows in each zone's :class:`ZoneReport` (its
+        status, validity, out-of-band windows and quarantine).
     monitor_params:
         Detection thresholds shared by every zone's monitor.
     """
@@ -114,13 +115,11 @@ class ThermalTestbed:
         self.now = 0.0
         self.control_period_s = control_period_s
         self.configs = list(configs)
-        self.fault_stats = FaultStats()
         by_zone: Dict[int, List[ThermalFault]] = {}
         for fault in faults:
             by_zone.setdefault(fault.zone, []).append(fault)
         self._fault_states = [
-            ZoneFaultState(i, by_zone[i], self.fault_stats)
-            if i in by_zone else None
+            ZoneFaultState(i, by_zone[i]) if i in by_zone else None
             for i in range(len(configs))
         ]
         self.plants = [ThermalPlant(cfg.plant, ambient_c=ambient_c) for cfg in configs]

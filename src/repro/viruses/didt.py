@@ -139,8 +139,7 @@ class DidtSearch:
         """Averaged EM amplitude of a candidate loop (serial entry)."""
         return self.fitness(loop)
 
-    def run(self, polish: bool = True,
-            batch: bool = True) -> Tuple[DidtVirus, GaResult]:
+    def run(self, polish: bool = True) -> Tuple[DidtVirus, GaResult]:
         """Evolve a virus; returns it plus the raw GA result.
 
         With ``polish=True`` (the default) the GA winner goes through a
@@ -151,15 +150,13 @@ class DidtSearch:
         far more reliably than the GA alone (quantified by the GA
         ablation bench).
 
-        ``batch=True`` (the default) scores each GA generation in one
-        batched fitness call; ``batch=False`` is the serial reference
-        path. The two produce bit-identical results -- same virus, same
-        history, same evaluation count -- which
-        ``tests/test_em_batch.py`` asserts.
+        The GA scores each generation in one batched fitness call,
+        bit-identical to scoring it serially (``tests/test_em_batch.py``
+        asserts it).
         """
         ga = GeneticAlgorithm(self.fitness, config=self.config,
                               seed=substream(self._seed, "didt-ga"),
-                              batch_fitness=self.fitness.batch if batch else None)
+                              batch_fitness=self.fitness.batch)
         result = ga.run()
         best = result.best
         if polish:

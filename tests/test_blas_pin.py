@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from repro.core import supervisor
+from repro.core.faults import FaultPlan
 from repro.core.supervisor import POISON, SupervisedPool, blas_threads
 
 pytestmark = pytest.mark.skipif(
@@ -67,12 +68,15 @@ def test_thread_count_restored_when_a_unit_raises(caller_threads, jobs):
     assert blas_threads() == caller_threads
 
 
-def test_thread_count_restored_when_map_itself_raises(caller_threads):
-    def inject(index, attempt):
-        raise KeyError("injector bug")
+class _BrokenPlan(FaultPlan):
+    def unit_fault(self, unit, attempt):
+        raise KeyError("fault plan bug")
 
+
+def test_thread_count_restored_when_map_itself_raises(caller_threads):
     with pytest.raises(KeyError):
-        SupervisedPool(jobs=1).map(_report_threads, range(2), inject=inject)
+        SupervisedPool(jobs=1).map(_report_threads, range(2),
+                                   faults=_BrokenPlan())
     assert blas_threads() == caller_threads
 
 

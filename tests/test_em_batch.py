@@ -17,12 +17,13 @@ from repro.cpu.isa import GA_ALPHABET
 from repro.cpu.kernels import InstructionLoop
 from repro.experiments.common import RunOptions, map_units
 from repro.pdn.em import EmSensor
+from repro.rand import substream
 from repro.viruses.didt import (
     DidtSearch,
     didt_search_unit,
     random_search_baseline,
 )
-from repro.viruses.genetic import GaConfig
+from repro.viruses.genetic import GaConfig, GeneticAlgorithm
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -166,14 +167,17 @@ def test_waveform_block_empty():
 @settings(max_examples=20, deadline=None)
 def test_ga_batch_run_reproduces_serial_result(seed):
     config = GaConfig(population_size=8, generations=2)
-    batched = DidtSearch(config=config, seed=seed).run(batch=True)
-    serial = DidtSearch(config=config, seed=seed).run(batch=False)
-    virus_b, result_b = batched
-    virus_s, result_s = serial
+
+    def evolve(batched):
+        fitness = DidtSearch(config=config, seed=seed).fitness
+        return GeneticAlgorithm(
+            fitness, config=config, seed=substream(seed, "didt-ga"),
+            batch_fitness=fitness.batch if batched else None).run()
+
+    result_b, result_s = evolve(True), evolve(False)
     assert result_b.best == result_s.best
     assert result_b.history == result_s.history
     assert result_b.evaluations == result_s.evaluations
-    assert virus_b == virus_s
 
 
 def test_batch_fitness_dedups_but_noise_stays_per_eval():

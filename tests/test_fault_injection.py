@@ -10,11 +10,10 @@ from repro.core.faults import (
     UNIT_HANG,
     UNIT_POISON,
     FaultBurst,
-    FaultInjector,
     FaultPlan,
     FaultSpec,
 )
-from repro.core.supervisor import DEFAULT_MAX_RETRIES
+from repro.core.supervisor import DEFAULT_MAX_RETRIES, SupervisedPool
 from repro.errors import CampaignError
 from repro.experiments.common import RunOptions, map_units
 
@@ -51,6 +50,13 @@ def test_plan_validation():
         FaultPlan(unit_exits=((-1, 1),))
     with pytest.raises(CampaignError):
         FaultPlan(unit_hangs=((0, 0),))
+    # A repeated unit index would silently keep only one of its counts.
+    with pytest.raises(CampaignError):
+        FaultPlan(unit_exits=((0, 2), (0, 1)))
+    with pytest.raises(CampaignError):
+        FaultPlan(unit_hangs=((3, 1), (3, 1)))
+    # One unit may both exit and hang.
+    FaultPlan(unit_exits=((0, 1),), unit_hangs=((0, 1),))
 
 
 def test_plan_max_transport_depth():
@@ -133,34 +139,31 @@ def test_fault_spec_plan_matches_constructor_composition(rows):
 
 
 # ----------------------------------------------------------------------
-# FaultInjector
+# FaultPlan decisions, and where their counts live
 # ----------------------------------------------------------------------
 def test_unit_fault_order_exits_then_hangs_then_poison():
-    injector = FaultInjector(FaultPlan(unit_exits=((0, 2),),
-                                       unit_hangs=((0, 1),),
-                                       poison_units=(0,)))
-    assert injector.unit_fault(0, 0) == UNIT_EXIT
-    assert injector.unit_fault(0, 1) == UNIT_EXIT
-    assert injector.unit_fault(0, 2) == UNIT_HANG
-    assert injector.unit_fault(0, 3) == UNIT_POISON
-    assert injector.unit_fault(1, 0) is None       # unlisted unit survives
-    assert injector.stats.unit_exits == 2
-    assert injector.stats.unit_hangs == 1
-    assert injector.stats.poison_raises == 1
+    plan = FaultPlan(unit_exits=((0, 2),), unit_hangs=((0, 1),),
+                     poison_units=(0,), hang_seconds=0.1)
+    assert plan.unit_fault(0, 0) == UNIT_EXIT
+    assert plan.unit_fault(0, 1) == UNIT_EXIT
+    assert plan.unit_fault(0, 2) == UNIT_HANG
+    assert plan.unit_fault(0, 3) == UNIT_POISON
+    assert plan.unit_fault(1, 0) is None       # unlisted unit survives
+    # The supervisor's ledger counts what the plan injected.
+    outcome = SupervisedPool(jobs=1).map(_square, [0, 1], faults=plan)
+    assert outcome.injected(UNIT_EXIT) == 2
+    assert outcome.injected(UNIT_HANG) == 1
+    assert outcome.injected(UNIT_POISON) == 1
 
 
 def test_transport_decisions_are_pure_of_index_and_attempt():
     plan = FaultPlan(corruption_bursts=(FaultBurst(2, 3, 2),),
                      loss_bursts=(FaultBurst(0, 1, 1),))
-    injector = FaultInjector(plan)
     for _ in range(3):  # same (row, attempt) -> same answer, every time
-        assert injector.corrupt_frame(2, 0) is True
-        assert injector.corrupt_frame(2, 2) is False
-        assert injector.drop_packet(0, 0) is True
-        assert injector.drop_packet(1, 0) is False
-    assert injector.stats.corrupted_frames == 3
-    assert injector.stats.dropped_packets == 3
-    assert injector.stats.total == 6
+        assert plan.corrupts(2, 0) is True
+        assert plan.corrupts(2, 2) is False
+        assert plan.drops(0, 0) is True
+        assert plan.drops(1, 0) is False
 
 
 # ----------------------------------------------------------------------
@@ -172,4 +175,4 @@ def test_map_units_reexecutes_killed_units(jobs):
     items = list(range(5))
     outcome = map_units(_square, items, jobs, RunOptions(faults=plan))
     assert outcome.unwrap() == [0, 1, 4, 9, 16]
-    assert outcome.faults.unit_exits == 4
+    assert outcome.injected(UNIT_EXIT) == 4

@@ -14,7 +14,7 @@ import pytest
 from repro.core.campaign import CampaignPlan
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.executor import CampaignExecutor
-from repro.core.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.core.faults import FaultPlan, FaultSpec
 from repro.core.transport import CloudStore, NetworkLink, ResultUploader, SerialLink
 from repro.experiments import pipeline
 from repro.experiments.common import RunOptions
@@ -99,14 +99,13 @@ def test_faulted_transport_converges_to_clean_contents(transport):
                             max_depth=3)
     shards = execute_shards(_chip(), SEED, campaigns, 2,
                             RunOptions(faults=plan))
-    injector = FaultInjector(plan)
     cloud = CloudStore()
     if transport == "serial":
         link = SerialLink(cloud, bit_error_rate=0.0, max_retries=4,
-                          seed=SEED, fault_injector=injector)
+                          seed=SEED, faults=plan)
     else:
         link = NetworkLink(cloud, loss_rate=0.0, ack_loss_rate=0.0,
-                           max_retries=4, seed=SEED, fault_injector=injector)
+                           max_retries=4, seed=SEED, faults=plan)
     ok, failed = ResultUploader(link).upload(shards.store)
     assert failed == 0
     assert plan.max_transport_depth >= 1     # bursts were actually placed
@@ -121,7 +120,8 @@ def test_run_pipeline_driver_fault_equivalence():
     assert clean.exactly_once and faulted.exactly_once
     assert faulted.store.rows() == clean.store.rows()
     assert faulted.store.to_csv_text() == clean.store.to_csv_text()
-    assert faulted.fault_stats is not None and faulted.fault_stats.total > 0
+    assert faulted.injected is not None and sum(faulted.injected.values()) > 0
+    assert clean.injected is None
 
 
 # ----------------------------------------------------------------------

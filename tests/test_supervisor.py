@@ -11,13 +11,14 @@ traceback escaping to the caller.
 import multiprocessing
 import os
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.campaign import CampaignPlan
 from repro.core.checkpoint import CampaignCheckpoint
-from repro.core.faults import FaultInjector, FaultPlan
+from repro.core.faults import UNIT_EXIT, UNIT_HANG, UNIT_POISON, FaultPlan
 from repro.core.supervisor import (
     CRASH,
     HANG,
@@ -97,7 +98,7 @@ def test_unit_legitimately_returning_old_sentinel_value(jobs):
     outcome = map_units(_legacy_sentinel, [0, 1, 2], jobs,
                         RunOptions(faults=FaultPlan(unit_exits=((0, 1),))))
     assert outcome.unwrap() == [LEGACY_SENTINEL] * 3
-    assert outcome.faults.unit_exits == 1
+    assert outcome.injected(UNIT_EXIT) == 1
 
 
 # ----------------------------------------------------------------------
@@ -107,8 +108,7 @@ def test_unit_legitimately_returning_old_sentinel_value(jobs):
 def test_real_fault_plan_converges_bit_identical(jobs):
     plan = _real_plan()
     outcome = SupervisedPool(jobs=jobs).map(
-        _square, list(range(6)), inject=FaultInjector(plan).unit_fault,
-        hang_seconds=plan.hang_seconds)
+        _square, list(range(6)), faults=plan)
     assert outcome.values == (0, 1, None, 9, 16, 25)
     assert [(f.index, f.kind) for f in outcome.failures] == [(2, POISON)]
     assert outcome.failures[0].attempts == 4   # 1 + default max_retries
@@ -122,8 +122,7 @@ def test_quarantine_list_is_jobs_invariant():
     signatures = []
     for jobs in (1, 2, 4):
         outcome = SupervisedPool(jobs=jobs).map(
-            _square, list(range(6)), inject=FaultInjector(plan).unit_fault,
-            hang_seconds=plan.hang_seconds)
+            _square, list(range(6)), faults=plan)
         signatures.append((outcome.values,
                            tuple((f.index, f.kind, f.attempts)
                                  for f in outcome.failures)))
@@ -137,12 +136,12 @@ def test_one_exit_charges_one_crash_to_its_unit_only():
     unit still completes."""
     plan = FaultPlan(unit_exits=((1, 1),))
     outcome = SupervisedPool(jobs=4).map(
-        _square, list(range(6)), inject=FaultInjector(plan).unit_fault)
+        _square, list(range(6)), faults=plan)
     assert outcome.values == (0, 1, 4, 9, 16, 25)
     assert outcome.failures == ()
     losses = [r for r in outcome.ledger if r.outcome != "ok"]
-    assert [(r.index, r.attempt, r.outcome, r.charged) for r in losses] \
-        == [(1, 0, CRASH, True)]
+    assert [(r.index, r.attempt, r.outcome, r.fault) for r in losses] \
+        == [(1, 0, CRASH, UNIT_EXIT)]
     assert "exitcode 13" in losses[0].detail
     assert sorted(r.index for r in outcome.ledger if r.outcome == "ok") \
         == list(range(6))
@@ -152,22 +151,32 @@ def test_one_exit_charges_one_crash_to_its_unit_only():
 
 def test_ledger_is_jobs_invariant_and_every_loss_is_charged():
     """One exit, one hang past a 0.5 s deadline, one poison unit: the
-    ledger's (index, attempt, outcome) records are the same at any
-    worker count, and no record is an uncharged loss. Units take 0.2 s,
-    so siblings are in flight when the hang's deadline expires."""
+    ledger's (index, attempt, outcome, fault) records and the stats
+    summed from them (bar worker rebuilds) are the same at any worker
+    count, and every loss is charged: a unit's attempts run 0, 1, 2, ...
+    with no gap. Units take 0.2 s, so siblings are in flight when the
+    hang's deadline expires."""
     plan = FaultPlan(unit_exits=((0, 1),), unit_hangs=((1, 1),),
                      poison_units=(2,), hang_seconds=5.0)
-    ledgers = []
+    ledgers, stats = [], []
     for jobs in (1, 2, 4):
         outcome = SupervisedPool(jobs=jobs, unit_timeout=0.5).map(
-            _slow_square, list(range(8)),
-            inject=FaultInjector(plan).unit_fault,
-            hang_seconds=plan.hang_seconds)
-        assert all(r.charged for r in outcome.ledger if r.outcome != "ok")
-        ledgers.append(sorted((r.index, r.attempt, r.outcome)
+            _slow_square, list(range(8)), faults=plan)
+        for index in range(8):
+            attempts = sorted(r.attempt for r in outcome.ledger
+                              if r.index == index)
+            assert attempts == list(range(len(attempts)))
+        ledgers.append(sorted((r.index, r.attempt, r.outcome, r.fault)
                               for r in outcome.ledger))
+        stats.append(replace(outcome.stats, rebuilds=0))
     assert ledgers[0] == ledgers[1] == ledgers[2]
-    assert (0, 0, CRASH) in ledgers[0] and (1, 0, HANG) in ledgers[0]
+    assert stats[0] == stats[1] == stats[2]
+    assert (0, 0, CRASH, UNIT_EXIT) in ledgers[0]
+    assert (1, 0, HANG, UNIT_HANG) in ledgers[0]
+    assert [r[3] for r in ledgers[0] if r[0] == 2] == [UNIT_POISON] * 4
+    assert (stats[0].attempts, stats[0].retries) == (13, 5)
+    assert (stats[0].crashes, stats[0].hangs, stats[0].poisoned,
+            stats[0].quarantined) == (1, 1, 4, 1)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +197,7 @@ def test_map_units_raises_typed_supervision_error(jobs):
 def test_max_retries_bounds_the_budget():
     plan = FaultPlan(unit_exits=((0, 1),))
     outcome = SupervisedPool(jobs=2, max_retries=0).map(
-        _square, [0, 1, 2], inject=FaultInjector(plan).unit_fault)
+        _square, [0, 1, 2], faults=plan)
     assert outcome.values == (None, 1, 4)
     assert [(f.index, f.kind, f.attempts)
             for f in outcome.failures] == [(0, CRASH, 1)]
@@ -197,9 +206,9 @@ def test_max_retries_bounds_the_budget():
 def test_attempt_ledger_records_charged_failures():
     plan = _real_plan()
     outcome = SupervisedPool(jobs=2).map(
-        _square, list(range(4)), inject=FaultInjector(plan).unit_fault,
-        hang_seconds=plan.hang_seconds)
-    charged = [(r.index, r.outcome) for r in outcome.ledger if r.charged]
+        _square, list(range(4)), faults=plan)
+    charged = [(r.index, r.outcome) for r in outcome.ledger
+               if r.outcome != "ok"]
     assert (0, CRASH) in charged
     assert (1, HANG) in charged
     assert sum(1 for index, kind in charged
@@ -215,8 +224,7 @@ def test_deadline_terminates_a_really_hung_worker():
     plan = FaultPlan(unit_hangs=((1, 1),), hang_seconds=30.0)
     start = time.monotonic()
     outcome = SupervisedPool(jobs=2, unit_timeout=0.5).map(
-        _square, [0, 1, 2], inject=FaultInjector(plan).unit_fault,
-        hang_seconds=plan.hang_seconds)
+        _square, [0, 1, 2], faults=plan)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0     # nowhere near the 30 s sleep
     assert outcome.values == (0, 1, 4)
@@ -238,8 +246,7 @@ def test_degrades_to_inline_serial_when_pool_unbuildable(no_worker_can_start):
 def test_degraded_inline_still_honors_the_injected_plan(no_worker_can_start):
     plan = _real_plan()
     outcome = SupervisedPool(jobs=4).map(
-        _square, list(range(6)), inject=FaultInjector(plan).unit_fault,
-        hang_seconds=plan.hang_seconds)
+        _square, list(range(6)), faults=plan)
     assert outcome.values == (0, 1, None, 9, 16, 25)
     assert [(f.index, f.kind) for f in outcome.failures] == [(2, POISON)]
     assert outcome.stats.degraded
@@ -255,8 +262,7 @@ def test_degraded_inline_still_honors_the_injected_plan(no_worker_can_start):
 def test_any_seeded_real_plan_converges_inline(seed, units, poison_rate):
     plan = FaultPlan.random_real(seed, units, poison_rate=poison_rate)
     outcome = SupervisedPool(jobs=1).map(
-        _square, list(range(units)), inject=FaultInjector(plan).unit_fault,
-        hang_seconds=plan.hang_seconds)
+        _square, list(range(units)), faults=plan)
     poisoned = set(plan.poison_units)
     for index in range(units):
         if index in poisoned:
@@ -267,8 +273,7 @@ def test_any_seeded_real_plan_converges_inline(seed, units, poison_rate):
     assert all(f.kind == POISON for f in outcome.failures)
     # Deterministic: the same plan replays to the same outcome.
     again = SupervisedPool(jobs=1).map(
-        _square, list(range(units)), inject=FaultInjector(plan).unit_fault,
-        hang_seconds=plan.hang_seconds)
+        _square, list(range(units)), faults=plan)
     assert again.values == outcome.values
     assert again.failures == outcome.failures
 
@@ -387,11 +392,9 @@ def test_real_fault_equivalence_stress(fault_seed):
     units = 10
     plan = FaultPlan.random_real(fault_seed, units, poison_rate=0.2)
     reference = SupervisedPool(jobs=1).map(
-        _square, list(range(units)), inject=FaultInjector(plan).unit_fault,
-        hang_seconds=plan.hang_seconds)
+        _square, list(range(units)), faults=plan)
     outcome = SupervisedPool(jobs=STRESS_JOBS, unit_timeout=30.0).map(
-        _square, list(range(units)), inject=FaultInjector(plan).unit_fault,
-        hang_seconds=plan.hang_seconds)
+        _square, list(range(units)), faults=plan)
     assert outcome.values == reference.values
     assert tuple((f.index, f.kind, f.attempts) for f in outcome.failures) \
         == tuple((f.index, f.kind, f.attempts) for f in reference.failures)

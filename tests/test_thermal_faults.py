@@ -30,7 +30,6 @@ from repro.core.faults import (
     THERMAL_FAULT_KINDS,
     FaultPlan,
     FaultSpec,
-    FaultStats,
     ThermalFault,
     thermal_faults_recoverable,
 )
@@ -137,14 +136,13 @@ def test_fault_plan_rejects_non_thermal_fault_entries():
 # Fault application (thermal/faults.py)
 # ----------------------------------------------------------------------
 def test_zone_fault_state_sensor_lenses():
-    stats = FaultStats()
     state = ZoneFaultState(0, [
         ThermalFault(zone=0, kind=TC_STUCK, start_s=10.0, duration_s=10.0),
         ThermalFault(zone=0, kind=TC_DRIFT, start_s=40.0, duration_s=10.0,
                      magnitude=0.1),
         ThermalFault(zone=0, kind=TC_DROPOUT, start_s=60.0, duration_s=5.0),
         ThermalFault(zone=0, kind=SPD_TIMEOUT, start_s=70.0, duration_s=5.0),
-    ], stats)
+    ])
     assert state.thermocouple_reading(50.0, 0.0) == 50.0
     assert state.thermocouple_reading(51.0, 10.0) == 51.0  # capture
     assert state.thermocouple_reading(55.0, 15.0) == 51.0  # stuck
@@ -153,11 +151,9 @@ def test_zone_fault_state_sensor_lenses():
     assert state.thermocouple_reading(50.0, 62.0) is None
     assert state.spd_reading(50.0, 72.0) is None
     assert state.spd_reading(50.0, 80.0) == 50.0
-    assert stats.thermal_sensor_faults == 4
 
 
 def test_zone_fault_state_actuator_lenses():
-    stats = FaultStats()
     state = ZoneFaultState(1, [
         ThermalFault(zone=1, kind=RELAY_WELDED_ON, start_s=10.0,
                      duration_s=10.0),
@@ -166,21 +162,18 @@ def test_zone_fault_state_actuator_lenses():
         ThermalFault(zone=1, kind=HEATER_FAILED, start_s=50.0),
         ThermalFault(zone=1, kind=AMBIENT_STEP, start_s=0.0,
                      duration_s=20.0, magnitude=5.0),
-    ], stats)
+    ])
     assert state.delivered_power_w(10.0, 0.0, 40.0) == 10.0
     assert state.delivered_power_w(10.0, 15.0, 40.0) == 40.0  # welded on
     assert state.delivered_power_w(10.0, 35.0, 40.0) == 0.0   # stuck open
     assert state.delivered_power_w(40.0, 60.0, 40.0) == 0.0   # dead element
     assert state.ambient_offset_c(5.0) == 5.0
     assert state.ambient_offset_c(25.0) == 0.0
-    assert stats.thermal_actuator_faults == 3
-    assert stats.thermal_disturbances == 1
 
 
 def test_zone_fault_state_rejects_foreign_zone():
     with pytest.raises(CampaignError):
-        ZoneFaultState(0, [ThermalFault(zone=1, kind=TC_STUCK, start_s=0.0)],
-                       FaultStats())
+        ZoneFaultState(0, [ThermalFault(zone=1, kind=TC_STUCK, start_s=0.0)])
 
 
 # ----------------------------------------------------------------------

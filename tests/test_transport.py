@@ -280,46 +280,44 @@ def test_network_ack_loss_not_counted_as_dropped():
 # Injected fault bursts (deterministic, from a FaultPlan)
 # ----------------------------------------------------------------------
 def test_serial_injected_corruption_burst_converges():
-    from repro.core.faults import FaultBurst, FaultInjector, FaultPlan
+    from repro.core.faults import FaultBurst, FaultPlan
 
     plan = FaultPlan(corruption_bursts=(FaultBurst(first_row=0, rows=5,
                                                    depth=2),))
-    injector = FaultInjector(plan)
     cloud = CloudStore()
     link = SerialLink(cloud, bit_error_rate=0.0, max_retries=4, seed=12,
-                      fault_injector=injector)
+                      faults=plan)
     source = store_of(4)  # 12 rows; burst dooms rows 0-4 twice each
     ok, failed = ResultUploader(link).upload(source)
     assert (ok, failed) == (12, 0)
-    assert injector.stats.corrupted_frames == 10
+    assert link.stats.injected == 10
     assert link.stats.corrupted == 10
     assert cloud.to_store().to_csv_text() == source.to_csv_text()
 
 
 def test_network_injected_loss_burst_converges():
-    from repro.core.faults import FaultBurst, FaultInjector, FaultPlan
+    from repro.core.faults import FaultBurst, FaultPlan
 
     plan = FaultPlan(loss_bursts=(FaultBurst(first_row=3, rows=4, depth=3),))
-    injector = FaultInjector(plan)
     cloud = CloudStore()
     link = NetworkLink(cloud, loss_rate=0.0, ack_loss_rate=0.0,
-                       max_retries=4, seed=13, fault_injector=injector)
+                       max_retries=4, seed=13, faults=plan)
     source = store_of(4)
     ok, failed = ResultUploader(link).upload(source)
     assert (ok, failed) == (12, 0)
-    assert injector.stats.dropped_packets == 12  # 4 rows x 3 attempts
+    assert link.stats.injected == 12  # 4 rows x 3 attempts
     assert link.stats.dropped == 12
     assert cloud.to_store().to_csv_text() == source.to_csv_text()
 
 
 def test_serial_burst_deeper_than_retries_gives_up_cleanly():
-    from repro.core.faults import FaultBurst, FaultInjector, FaultPlan
+    from repro.core.faults import FaultBurst, FaultPlan
 
     plan = FaultPlan(corruption_bursts=(FaultBurst(first_row=0, rows=1,
                                                    depth=10),))
     cloud = CloudStore()
     link = SerialLink(cloud, bit_error_rate=0.0, max_retries=2, seed=14,
-                      fault_injector=FaultInjector(plan))
+                      faults=plan)
     ok, failed = ResultUploader(link).upload(store_of(1))
     assert failed == 1                      # row 0 exhausted its retries
     assert ok == 2
