@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Callable, Iterable, List, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.cpu.outcomes import RunOutcome
 from repro.errors import CampaignError
@@ -57,32 +57,25 @@ class ResultRow(NamedTuple):
     run_key: str = ""
 
 
-def row_from_record(record: Mapping[str, str]) -> ResultRow:
-    """Build a :class:`ResultRow` from a string-valued field mapping.
+def row_from_fields(parts: Sequence[str]) -> ResultRow:
+    """Build a :class:`ResultRow` from its string fields, in column order.
 
-    The single place CSV/transport text turns back into typed rows, so
-    the codec in :mod:`repro.core.transport` and
-    :meth:`ResultStore.from_csv_text` can never drift apart. ``run_key``
-    is optional for compatibility with CSVs written before the global
-    run-identity column existed.
+    ``parts`` holds exactly one string per :data:`RESULT_FIELDS` column,
+    in that order. The one place CSV/transport text turns back into
+    typed rows, so the codec in :mod:`repro.core.transport` and
+    :meth:`ResultStore.from_csv_text` can never drift apart. A wrong
+    field count or a non-numeric number raises :class:`CampaignError`.
     """
     try:
+        (run_id, benchmark, suite, voltage_mv, freq_ghz, cores, repetition,
+         outcome, verdict, corrected_errors, uncorrected_errors,
+         wall_time_s, run_key) = parts
         return ResultRow(
-            run_id=int(record["run_id"]),
-            benchmark=record["benchmark"],
-            suite=record["suite"],
-            voltage_mv=float(record["voltage_mv"]),
-            freq_ghz=float(record["freq_ghz"]),
-            cores=record["cores"],
-            repetition=int(record["repetition"]),
-            outcome=record["outcome"],
-            verdict=record["verdict"],
-            corrected_errors=int(record["corrected_errors"]),
-            uncorrected_errors=int(record["uncorrected_errors"]),
-            wall_time_s=float(record["wall_time_s"]),
-            run_key=record.get("run_key", "") or "",
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+            int(run_id), benchmark, suite, float(voltage_mv),
+            float(freq_ghz), cores, int(repetition), outcome, verdict,
+            int(corrected_errors), int(uncorrected_errors),
+            float(wall_time_s), run_key)
+    except (TypeError, ValueError) as exc:
         raise CampaignError(f"malformed row record: {exc}") from exc
 
 
@@ -139,12 +132,16 @@ class ResultStore:
     # Export
     # ------------------------------------------------------------------
     def to_csv_text(self) -> str:
-        """Serialize all rows as CSV text (header included)."""
+        """Serialize all rows as CSV text (header included).
+
+        Rows are tuples in :data:`RESULT_FIELDS` order, so one
+        ``writerows`` call writes them; ``csv`` renders floats with
+        ``repr``, the exact round-trip form.
+        """
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=result_fields())
-        writer.writeheader()
-        for row in self._rows:
-            writer.writerow(row._asdict())
+        writer = csv.writer(buffer)
+        writer.writerow(RESULT_FIELDS)
+        writer.writerows(self._rows)
         return buffer.getvalue()
 
     def write_csv(self, path: str) -> int:
@@ -158,14 +155,34 @@ class ResultStore:
     def from_csv_text(cls, text: str) -> "ResultStore":
         """Parse a CSV produced by :meth:`to_csv_text`.
 
-        ``run_key`` is optional so CSVs written before the global
-        run-identity column existed still load.
+        The header is mapped to column positions once; every record must
+        then have exactly the header's field count. ``run_key`` is
+        optional so CSVs written before the global run-identity column
+        existed still load; extra columns are ignored. Blank lines are
+        skipped.
         """
         store = cls()
-        reader = csv.DictReader(io.StringIO(text))
-        required = set(RESULT_FIELDS) - {"run_key"}
-        if reader.fieldnames is None or required - set(reader.fieldnames):
-            raise CampaignError("CSV is missing required result columns")
-        for record in reader:
-            store.append(row_from_record(record))
+        reader = csv.reader(io.StringIO(text))
+        try:
+            names = next(reader, None)
+            required = set(RESULT_FIELDS) - {"run_key"}
+            if names is None or required - set(names):
+                raise CampaignError("CSV is missing required result columns")
+            positions = None
+            if tuple(names) != RESULT_FIELDS:
+                index = {name: pos for pos, name in enumerate(names)}
+                positions = [index.get(name) for name in RESULT_FIELDS]
+            for parts in reader:
+                if not parts:
+                    continue
+                if len(parts) != len(names):
+                    raise CampaignError(
+                        f"malformed CSV line {reader.line_num}: "
+                        f"{len(parts)} fields, header has {len(names)}")
+                if positions is not None:
+                    parts = ["" if pos is None else parts[pos]
+                             for pos in positions]
+                store.append(row_from_fields(parts))
+        except csv.Error as exc:
+            raise CampaignError(f"malformed CSV: {exc}") from exc
         return store

@@ -33,10 +33,11 @@ import csv
 import io
 import zlib
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
 from repro.core.faults import FaultPlan
-from repro.core.results import ResultRow, ResultStore, result_fields, row_from_record
+from repro.core.results import ResultRow, ResultStore, row_from_fields
 from repro.errors import CampaignError
 from repro.rand import SeedLike, substream
 
@@ -48,31 +49,43 @@ _CRC_DIGITS = 8
 _FRAME_OVERHEAD = _CRC_DIGITS + 1  # "|" + 8 hex digits
 
 
+#: A file for ``csv.writer`` whose ``write`` is ``str``: ``writerow``
+#: returns what ``write`` returns, so it hands back the formatted line
+#: and nothing is buffered.
+_ECHO_FILE = SimpleNamespace(write=str)
+
+
 def encode_row(row: ResultRow) -> str:
     """Serialize one row as a proper CSV record (no trailing newline).
 
-    Uses the same quoting rules as :meth:`ResultStore.to_csv_text`, so
-    field values containing commas, quotes or newlines (benchmark
-    labels, the global ``run_key``) survive the trip intact.
+    Uses the same writer and quoting rules as
+    :meth:`ResultStore.to_csv_text`, so field values containing commas,
+    quotes or newlines (benchmark labels, the global ``run_key``)
+    survive the trip intact.
     """
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow([str(value) for value in row])
-    return buffer.getvalue()[:-2]  # strip the writer's "\r\n"
+    return csv.writer(_ECHO_FILE).writerow(row)[:-2]  # strip "\r\n"
 
 
 def decode_row(line: str) -> ResultRow:
-    """Parse a record produced by :func:`encode_row`."""
+    """Parse a record produced by :func:`encode_row`.
+
+    A line with no quote, CR, LF or NUL that fits in
+    ``csv.field_size_limit()`` -- every row the harness itself builds --
+    is split on commas, which is what ``csv.reader`` does with it. Any
+    other line goes through ``csv.reader``.
+    """
+    # Without these characters csv's default dialect has no quoting, no
+    # record break and (before 3.11) no NUL error to apply.
+    if '"' not in line and "\r" not in line and "\n" not in line \
+            and "\0" not in line and len(line) <= csv.field_size_limit():
+        return row_from_fields(line.split(","))
     try:
         rows = list(csv.reader(io.StringIO(line)))
     except csv.Error as exc:
         raise CampaignError(f"malformed row: {exc}") from exc
     if len(rows) != 1:
         raise CampaignError(f"malformed row: {len(rows)} records in frame")
-    parts = rows[0]
-    names = result_fields()
-    if len(parts) != len(names):
-        raise CampaignError(f"malformed row: {len(parts)} fields")
-    return row_from_record(dict(zip(names, parts)))
+    return row_from_fields(rows[0])
 
 
 @dataclass
@@ -197,8 +210,7 @@ class SerialLink:
         row_index = self._rows_sent
         self._rows_sent += 1
         payload = encode_row(row).encode("utf-8")
-        checksum = zlib.crc32(payload)
-        frame = payload + b"|" + f"{checksum:08x}".encode("ascii")
+        frame = b"%s|%08x" % (payload, zlib.crc32(payload))
         for attempt in range(self.max_retries + 1):
             self.stats.attempts += 1
             if self._faults is not None \

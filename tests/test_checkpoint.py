@@ -1,13 +1,17 @@
 """Campaign checkpoint/resume persistence (repro.core.checkpoint)."""
 
+import csv
+import hashlib
+import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.core.campaign import CampaignPlan
 from repro.core.checkpoint import CampaignCheckpoint
-from repro.core.results import ResultRow
+from repro.core.results import RESULT_FIELDS, ResultRow, ResultStore
 from repro.errors import CampaignError
 from repro.workloads.spec import spec_suite
 
@@ -108,3 +112,69 @@ def test_completed_shards_lists_manifests(tmp_path):
     assert {m["campaign"] for m in manifests} == \
         {c.name for c in campaigns}
     assert all(m["chip"] == "chip-X" for m in manifests)
+
+
+def _adversarial_rows(campaign):
+    """Shard rows whose text fields hold the CSV-significant characters
+    and whose numbers include numpy scalars and extreme floats. (No NUL:
+    csv refuses it on some supported Pythons.)"""
+    rows = _rows(campaign)
+    texts = ['mc,f"q"', "line\nbreak", "cr\rlf\r\n", "pipe|deadbeef",
+             "", " lead", "trail ", "\u00e9\u2028\U0001f600", '"']
+    floats = [np.float64(0.1), -0.0, 1e-310, 1.7976931348623157e308,
+              float("inf"), np.float64(2.4)]
+    return [row._replace(
+        benchmark=texts[i % len(texts)], cores=texts[(i + 3) % len(texts)],
+        verdict=texts[(i + 7) % len(texts)],
+        voltage_mv=floats[i % len(floats)],
+        wall_time_s=floats[(i + 2) % len(floats)],
+        repetition=np.int64(row.repetition))
+        for i, row in enumerate(rows)]
+
+
+def _dict_writer_csv(rows):
+    """The shard CSV text as ``csv.DictWriter`` wrote it before."""
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=list(RESULT_FIELDS))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(row._asdict())
+    return buffer.getvalue()
+
+
+def test_csv_text_is_byte_identical_to_the_dict_writer(tmp_path):
+    campaign = _campaigns()[0]
+    rows = _adversarial_rows(campaign)
+    store = ResultStore()
+    store.extend(rows)
+    text = _dict_writer_csv(rows)
+    assert store.to_csv_text() == text
+    checkpoint = CampaignCheckpoint(str(tmp_path))
+    token = checkpoint.shard_token("chip-X", campaign)
+    checkpoint.save(token, "chip-X", campaign, rows)
+    manifest = checkpoint.completed_shards()[0]
+    assert manifest["sha256"] == \
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert checkpoint.load_rows(token) == rows
+
+
+def test_shard_written_by_the_dict_writer_still_resumes(tmp_path):
+    """A ``--resume`` directory whose shard CSV and manifest were written
+    by the ``DictWriter`` codec loads unchanged."""
+    campaign = _campaigns()[0]
+    rows = _adversarial_rows(campaign)
+    checkpoint = CampaignCheckpoint(str(tmp_path))
+    token = checkpoint.shard_token("chip-X", campaign)
+    text = _dict_writer_csv(rows)
+    with open(os.path.join(str(tmp_path), f"{token}.csv"), "w",
+              encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    with open(os.path.join(str(tmp_path), f"{token}.json"), "w",
+              encoding="utf-8") as handle:
+        json.dump({"token": token, "chip": "chip-X",
+                   "campaign": campaign.name, "status": "completed",
+                   "rows": len(rows),
+                   "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()},
+                  handle, indent=1)
+    assert checkpoint.has(token)
+    assert checkpoint.load_rows(token) == rows

@@ -1,5 +1,7 @@
 """Result store and CSV round-trip."""
 
+import csv
+
 import pytest
 
 from repro.core.results import ResultRow, ResultStore, result_fields
@@ -71,6 +73,57 @@ def test_csv_header_schema():
 def test_csv_missing_columns_rejected():
     with pytest.raises(CampaignError):
         ResultStore.from_csv_text("a,b,c\n1,2,3\n")
+
+
+def _csv_with_last_record(edit) -> str:
+    """A two-row CSV whose last record's fields pass through ``edit``."""
+    store = ResultStore()
+    store.extend([row(), row(rep=1)._replace(run_key="chip/mcf/v=900.0")])
+    header, first, last = store.to_csv_text().splitlines()
+    return "\r\n".join([header, first, edit(last)]) + "\r\n"
+
+
+def test_csv_record_with_an_extra_field_rejected():
+    text = _csv_with_last_record(lambda line: line + ",surplus")
+    with pytest.raises(CampaignError, match="14 fields"):
+        ResultStore.from_csv_text(text)
+
+
+def test_csv_record_missing_its_run_key_rejected():
+    text = _csv_with_last_record(lambda line: line.rsplit(",", 1)[0])
+    with pytest.raises(CampaignError, match="12 fields"):
+        ResultStore.from_csv_text(text)
+
+
+def test_csv_parse_error_is_typed():
+    """``csv.reader``'s own errors (here an oversized field) surface as
+    :class:`CampaignError`, not ``csv.Error``."""
+    oversized = "x" * (csv.field_size_limit() + 1)
+    text = _csv_with_last_record(lambda line: line.replace("mcf", oversized))
+    with pytest.raises(CampaignError, match="field limit"):
+        ResultStore.from_csv_text(text)
+
+
+def test_legacy_csv_without_run_key_column_loads():
+    """CSVs written before the run-identity column still load, with an
+    empty ``run_key`` on every row."""
+    rows = [row(), row(outcome="crash", rep=1, voltage=880.0)]
+    store = ResultStore()
+    store.extend(rows)
+    legacy = "\r\n".join(line.rsplit(",", 1)[0]
+                          for line in store.to_csv_text().splitlines())
+    assert "run_key" not in legacy
+    assert ResultStore.from_csv_text(legacy + "\r\n").rows() == rows
+
+
+def test_csv_columns_are_mapped_by_header_name():
+    """A header in another order, with an extra column, maps by name."""
+    names = list(reversed(result_fields())) + ["note"]
+    original = row(rep=4)._replace(run_key="k")
+    values = dict(zip(result_fields(), original))
+    lines = [",".join(names),
+             ",".join([str(values[name]) for name in names[:-1]] + ["x"])]
+    assert ResultStore.from_csv_text("\n".join(lines)).rows() == [original]
 
 
 def test_write_csv_to_disk(tmp_path):

@@ -1,5 +1,8 @@
 """Result transports: serial framing, lossy network, idempotent cloud."""
 
+import csv
+import sys
+
 import pytest
 
 from repro.core.results import ResultRow, ResultStore
@@ -202,6 +205,50 @@ def test_decode_rejects_non_numeric_fields():
     line = encode_row(row()).replace("900.0", "not-a-voltage")
     with pytest.raises(CampaignError):
         decode_row(line)
+
+
+def test_decode_falls_back_to_csv_reader_on_each_trigger(monkeypatch):
+    """A quote, CR, LF or NUL anywhere in the line, or a line longer than
+    ``csv.field_size_limit()``, sends ``decode_row`` through
+    ``csv.reader``; a plain line is split without it."""
+    parses = []
+    reader = csv.reader
+
+    def counting_reader(*args, **kwargs):
+        parses.append(args)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counting_reader)
+    limit = csv.field_size_limit()
+    plain = row()
+    assert decode_row(encode_row(plain)) == plain
+    assert parses == []
+
+    roundtrips = [
+        plain._replace(benchmark='mc"f'),
+        plain._replace(verdict="completed\r"),
+        plain._replace(run_key="chip\n1"),
+        # Longer than the limit as a line, every field within it.
+        plain._replace(benchmark="b" * (limit // 2), run_key="k" * limit),
+    ]
+    for value in roundtrips:
+        assert decode_row(encode_row(value)) == value
+    assert len(parses) == len(roundtrips)
+
+    # Built by hand: csv.writer quotes (3.9) or refuses (3.10) a NUL.
+    with_nul = plain._replace(cores="0\0")
+    nul_line = ",".join(str(value) for value in with_nul)
+    if sys.version_info >= (3, 11):
+        assert decode_row(nul_line) == with_nul
+    else:  # csv.reader rejects NUL before Python 3.11
+        with pytest.raises(CampaignError):
+            decode_row(nul_line)
+    assert len(parses) == len(roundtrips) + 1
+
+    # One field past the limit: csv.reader's error, typed.
+    with pytest.raises(CampaignError, match="field limit"):
+        decode_row(encode_row(plain._replace(run_key="k" * (limit + 1))))
+    assert len(parses) == len(roundtrips) + 2
 
 
 # ----------------------------------------------------------------------
