@@ -20,12 +20,11 @@ paper-vs-measured record of every table and figure.
 
 from repro.version import __version__
 
-from repro.rand import DEFAULT_SEED, make_rng, substream
+from repro.rand import DEFAULT_SEED, substream
 from repro.soc import (
     Chip,
     ProcessCorner,
     SLIMpro,
-    SocTopology,
     XGene2Platform,
     build_platform,
     build_reference_chips,
@@ -74,7 +73,6 @@ __all__ = [
     "SLIMpro",
     "SafeOperatingPoint",
     "SecdedCode",
-    "SocTopology",
     "SupervisedPool",
     "SupervisionError",
     "UnitFailure",
@@ -87,7 +85,6 @@ __all__ = [
     "evolve_didt_virus",
     "figure5_mix",
     "guardband_report",
-    "make_rng",
     "nas_suite",
     "rodinia_suite",
     "select_safe_points",

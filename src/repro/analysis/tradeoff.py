@@ -39,11 +39,6 @@ class TradeoffPoint:
     def power_savings_pct(self) -> float:
         return (1.0 - self.relative_power) * 100.0
 
-    @property
-    def label(self) -> str:
-        return (f"{self.relative_power * 100:.1f}% - {self.rail_mv:.0f}mV "
-                f"@ perf {self.performance_fraction * 100:.1f}%")
-
 
 def _snap_up(value: float, step: float) -> float:
     return math.ceil(value / step - 1e-9) * step

@@ -41,8 +41,8 @@ from repro.core.supervisor import (
 )
 from repro.core.executor import CampaignExecutor, RunRecord
 from repro.core.watchdog import Watchdog, WatchdogVerdict
-from repro.core.classify import OutcomeCounts, classify_run_log, summarize
-from repro.core.results import ResultStore, result_fields
+from repro.core.classify import OutcomeCounts, classify_run_log
+from repro.core.results import ResultStore
 from repro.core.transport import (
     CloudStore,
     NetworkLink,
@@ -85,7 +85,5 @@ __all__ = [
     "WatchdogVerdict",
     "classify_run_log",
     "guardband_report",
-    "result_fields",
     "select_safe_points",
-    "summarize",
 ]

@@ -95,9 +95,6 @@ class Campaign:
     def name(self) -> str:
         return self.workload.name
 
-    def setups(self) -> List[CharacterizationSetup]:
-        return [run.setup for run in self.runs]
-
 
 class CampaignPlan:
     """The initialization phase: declare benchmarks x setups.

@@ -184,22 +184,3 @@ class CampaignCheckpoint:
             raise CampaignError(
                 f"checkpoint shard {token!r} is corrupt: row count mismatch")
         return rows
-
-    def _manifests(self) -> List[Dict]:
-        manifests = []
-        for name in sorted(os.listdir(self.directory)):
-            if name.endswith(".json"):
-                with open(os.path.join(self.directory, name),
-                          encoding="utf-8") as handle:
-                    manifests.append(json.load(handle))
-        return manifests
-
-    def completed_shards(self) -> List[Dict]:
-        """Manifests of every completed shard, sorted by token."""
-        return [m for m in self._manifests()
-                if m.get("status", STATUS_COMPLETED) == STATUS_COMPLETED]
-
-    def quarantined_shards(self) -> List[Dict]:
-        """Manifests of every quarantined shard, sorted by token."""
-        return [m for m in self._manifests()
-                if m.get("status", STATUS_COMPLETED) == STATUS_QUARANTINED]

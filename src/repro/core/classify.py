@@ -10,7 +10,7 @@ aggregates them per campaign.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.cpu.outcomes import RunOutcome
 from repro.errors import CampaignError
@@ -59,36 +59,7 @@ class OutcomeCounts:
 
     counts: Dict[RunOutcome, int] = field(default_factory=dict)
 
-    def add(self, outcome: RunOutcome) -> None:
-        self.counts[outcome] = self.counts.get(outcome, 0) + 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def of(self, outcome: RunOutcome) -> int:
-        return self.counts.get(outcome, 0)
-
     @property
     def all_safe(self) -> bool:
         """True when every run kept the system up and data intact."""
         return all(outcome.is_safe for outcome in self.counts)
-
-    @property
-    def failure_rate(self) -> float:
-        if self.total == 0:
-            return 0.0
-        failures = sum(n for o, n in self.counts.items() if o.is_failure)
-        return failures / self.total
-
-    def as_row(self) -> Dict[str, int]:
-        """Flat dict suitable for the CSV result store."""
-        return {outcome.value: self.of(outcome) for outcome in RunOutcome}
-
-
-def summarize(outcomes: Iterable[RunOutcome]) -> OutcomeCounts:
-    """Histogram a stream of outcomes."""
-    counts = OutcomeCounts()
-    for outcome in outcomes:
-        counts.add(outcome)
-    return counts

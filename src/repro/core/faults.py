@@ -312,12 +312,6 @@ class FaultPlan:
                                if unit in position))
 
     @property
-    def max_transport_depth(self) -> int:
-        """Deepest burst; links need ``max_retries >= this`` to converge."""
-        bursts = self.corruption_bursts + self.loss_bursts
-        return max((b.depth for b in bursts), default=0)
-
-    @property
     def thermal_recoverable(self) -> bool:
         """Whether the plan's thermal faults leave every zone viable."""
         return thermal_faults_recoverable(self.thermal_faults)

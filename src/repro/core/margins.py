@@ -38,36 +38,8 @@ class GuardbandReport:
     virus_margin_mv: Optional[float]
 
     @property
-    def min_vmin_mv(self) -> float:
-        return min(m.safe_vmin_mv for m in self.per_workload)
-
-    @property
     def max_vmin_mv(self) -> float:
         return max(m.safe_vmin_mv for m in self.per_workload)
-
-    @property
-    def workload_vmin_range_mv(self) -> float:
-        """Workload-to-workload Vmin spread (the Figure 4 spread)."""
-        return self.max_vmin_mv - self.min_vmin_mv
-
-    @property
-    def guaranteed_power_reduction_pct(self) -> float:
-        """Power reduction safe for *every* measured workload.
-
-        Uses the highest per-workload Vmin -- the paper's "at least
-        18.4 %" number for TTT/TFF and 15.7 % for TSS.
-        """
-        return (1.0 - (self.max_vmin_mv / self.nominal_mv) ** 2) * 100.0
-
-    @property
-    def shaveable_mv(self) -> float:
-        """Voltage shaveable even against the worst-case virus.
-
-        ``None``-virus reports fall back to the worst workload margin.
-        """
-        if self.virus_margin_mv is not None:
-            return self.virus_margin_mv
-        return self.nominal_mv - self.max_vmin_mv
 
 
 def guardband_report(chip_serial: str, corner: str,

@@ -29,11 +29,6 @@ class PredictorReport:
     conservative_bias_mv: float
     coefficients: Tuple[float, ...]
 
-    @property
-    def is_safe_on_training_set(self) -> bool:
-        """True when no training workload is under-predicted after bias."""
-        return self.max_underprediction_mv <= self.conservative_bias_mv + 1e-9
-
 
 class VminPredictor:
     """Linear Vmin model over workload counter features."""
@@ -41,10 +36,6 @@ class VminPredictor:
     def __init__(self) -> None:
         self._weights: Optional[np.ndarray] = None
         self._bias_mv = 0.0
-
-    @property
-    def fitted(self) -> bool:
-        return self._weights is not None
 
     def fit(self, workloads: Sequence[Workload],
             vmin_mv: Sequence[float]) -> PredictorReport:

@@ -13,7 +13,6 @@ import csv
 import io
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence
 
-from repro.cpu.outcomes import RunOutcome
 from repro.errors import CampaignError
 
 #: Canonical column order of the final CSV.
@@ -22,11 +21,6 @@ RESULT_FIELDS = (
     "repetition", "outcome", "verdict", "corrected_errors",
     "uncorrected_errors", "wall_time_s", "run_key",
 )
-
-
-def result_fields() -> List[str]:
-    """The CSV schema, as a list (callers may extend with extras)."""
-    return list(RESULT_FIELDS)
 
 
 class ResultRow(NamedTuple):
@@ -92,14 +86,6 @@ class ResultStore:
         """Bulk-append rows (one list op, not one call per row)."""
         self._rows.extend(rows)
 
-    def merge(self, other: "ResultStore") -> None:
-        """Absorb every row of ``other``, preserving its row order.
-
-        The parallel campaign engine executes shards in worker processes
-        and folds their stores back together with this.
-        """
-        self._rows.extend(other._rows)
-
     def __len__(self) -> int:
         return len(self._rows)
 
@@ -115,18 +101,6 @@ class ResultStore:
         if predicate is not None:
             selected = [r for r in selected if predicate(r)]
         return list(selected)
-
-    def outcomes(self, benchmark: str, voltage_mv: float) -> List[RunOutcome]:
-        """Outcome enums for one (benchmark, voltage) cell."""
-        return [RunOutcome(r.outcome)
-                for r in self.rows(benchmark=benchmark, voltage_mv=voltage_mv)]
-
-    def benchmarks(self) -> List[str]:
-        return sorted({r.benchmark for r in self._rows})
-
-    def voltages(self, benchmark: Optional[str] = None) -> List[float]:
-        rows = self.rows(benchmark=benchmark)
-        return sorted({r.voltage_mv for r in rows}, reverse=True)
 
     # ------------------------------------------------------------------
     # Export

@@ -34,10 +34,6 @@ class SafeOperatingPoint:
         return NOMINAL_PMD_MV - self.pmd_mv
 
     @property
-    def soc_undervolt_mv(self) -> float:
-        return NOMINAL_SOC_MV - self.soc_mv
-
-    @property
     def refresh_relaxation(self) -> float:
         return self.trefp_s / NOMINAL_REFRESH_S
 

@@ -151,10 +151,6 @@ class MapOutcome:
     stats: SupervisorStats
     ledger: Tuple[AttemptRecord, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
     def injected(self, kind: str) -> int:
         """How many attempts the fault plan hit with a ``kind`` fault."""
         return sum(1 for record in self.ledger if record.fault == kind)

@@ -143,10 +143,6 @@ class CloudStore:
             return
         self._rows[key] = row
 
-    def contains(self, row: ResultRow) -> bool:
-        """Whether this exact run identity has already been received."""
-        return self.key_of(row) in self._rows
-
     def __len__(self) -> int:
         return len(self._rows)
 

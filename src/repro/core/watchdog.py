@@ -25,9 +25,6 @@ class WatchdogVerdict(enum.Enum):
     TIMEOUT_RESET = "timeout_reset"  # hang -> reset switch recovered it
     TIMEOUT_POWER = "timeout_power"  # reset failed -> power switch cycle
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class RecoveryEvent:
@@ -107,9 +104,6 @@ class Watchdog:
         self._events.append(RecoveryEvent(now_s, verdict, description))
         return SupervisedRun(outcome=outcome, verdict=verdict,
                              wall_time_s=stall + recovery)
-
-    def recovery_events(self) -> List[RecoveryEvent]:
-        return list(self._events)
 
 
 @dataclass(frozen=True)

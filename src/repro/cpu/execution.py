@@ -96,14 +96,6 @@ class PerfCounters:
     mean_current: float
     current_swing: float
 
-    def as_features(self) -> np.ndarray:
-        """Feature vector (with intercept) for the linear predictor."""
-        return np.array([
-            1.0, self.ipc, self.fp_ratio, self.mem_ratio,
-            self.branch_ratio, self.l2_miss_ratio,
-            self.mean_current, self.current_swing,
-        ])
-
 
 @dataclass(frozen=True)
 class ExecutionProfile:
@@ -112,11 +104,6 @@ class ExecutionProfile:
     waveform: np.ndarray  # per-cycle relative current, values in [0, 1]
     counters: PerfCounters
     cycles_per_iteration: float
-
-    @property
-    def peak_to_trough(self) -> float:
-        """Raw current swing of the waveform (max - min)."""
-        return float(self.waveform.max() - self.waveform.min())
 
 
 class ExecutionModel:

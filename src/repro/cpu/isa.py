@@ -39,9 +39,6 @@ class InstrClass(enum.Enum):
     BRANCH = "branch"
     SERIALIZE = "serialize"  # barriers / dependent chains that stall issue
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class InstructionSpec:

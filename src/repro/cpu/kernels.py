@@ -66,13 +66,6 @@ class InstructionLoop:
         """Core cycles consumed by one traversal of the loop body."""
         return sum(spec_of(k).cycles for k in self.body)
 
-    @property
-    def mean_current(self) -> float:
-        """Cycle-weighted mean relative current of the loop."""
-        cycles = self.total_cycles
-        weighted = sum(spec_of(k).current * spec_of(k).cycles for k in self.body)
-        return weighted / cycles
-
     def histogram(self) -> dict:
         """Instruction-class counts, for reporting evolved viruses."""
         counts: dict = {}

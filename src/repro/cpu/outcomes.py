@@ -23,11 +23,6 @@ class RunOutcome(enum.Enum):
     HANG = "hang"
 
     @property
-    def is_failure(self) -> bool:
-        """True for any outcome other than fully correct execution."""
-        return self is not RunOutcome.CORRECT
-
-    @property
     def is_safe(self) -> bool:
         """True when the system kept running and data stayed intact.
 
@@ -41,6 +36,3 @@ class RunOutcome(enum.Enum):
     def needs_reset(self) -> bool:
         """True when the harness must power-cycle the board to recover."""
         return self in (RunOutcome.CRASH, RunOutcome.HANG)
-
-    def __str__(self) -> str:
-        return self.value

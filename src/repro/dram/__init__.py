@@ -12,8 +12,8 @@ package provides the simulated equivalent:
   data-pattern dependence), following the structure established by Liu
   et al. [19];
 - :mod:`repro.dram.cells` -- lazily-sampled weak-cell maps per bank;
-- :mod:`repro.dram.refresh` -- refresh scheduling, including inherent
-  refresh from workload row accesses;
+- :mod:`repro.dram.refresh` -- inherent refresh from workload row
+  accesses;
 - :mod:`repro.dram.ecc` -- a real (72,64) SECDED Hamming code;
 - :mod:`repro.dram.power` -- the DRAM power model with its refresh
   component;
@@ -31,7 +31,7 @@ from repro.dram.cells import (
     WeakCellMap,
     sample_weak_cell_count,
 )
-from repro.dram.refresh import RefreshController, AccessTrace
+from repro.dram.refresh import AccessTrace, access_interval_coverage
 from repro.dram.ecc import SecdedCode, DecodeStatus, DecodeResult
 from repro.dram.power import DramPowerModel, DramPowerBreakdown
 from repro.dram.controller import MemoryControlUnit
@@ -50,11 +50,11 @@ __all__ = [
     "DramPowerModel",
     "MemoryControlUnit",
     "PatternKind",
-    "RefreshController",
     "RetentionModel",
     "RetentionParams",
     "SecdedCode",
     "WeakCell",
     "WeakCellMap",
+    "access_interval_coverage",
     "sample_weak_cell_count",
 ]

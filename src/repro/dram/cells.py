@@ -52,10 +52,6 @@ class WeakCell:
     is_true_cell: bool       # charged when storing '1'
     is_vrt: bool             # variable-retention-time cell
 
-    def charged_by(self, stored_one: bool) -> bool:
-        """Whether storing this value puts charge (= stress) on the cell."""
-        return stored_one == self.is_true_cell
-
 
 def sample_weak_cell_count(rng: np.random.Generator, bits: int, probability: float,
                            variability: float = 1.0) -> int:
@@ -113,10 +109,6 @@ class WeakCellMap:
             self.profile_interval_s, self.profile_temp_c,
             coupling=self.retention.params.coupling_random,
         )
-
-    def population_size(self) -> int:
-        """Number of weak cells sampled at the profiling condition."""
-        return len(self._arrays()["rows"])
 
     def _arrays(self) -> Dict[str, np.ndarray]:
         if self._population is None:
@@ -287,9 +279,3 @@ class DramDevicePopulation:
             self.bank_map(device, bank).unique_locations(interval_s, temp_c)
             for bank in range(self.geometry.banks_per_device)
         ]
-
-    def expected_unique_locations(self, interval_s: float, temp_c: float) -> float:
-        """Analytic per-bank expectation at nominal variation factors."""
-        p = self.retention.fail_probability(
-            interval_s, temp_c, self.retention.params.coupling_random)
-        return self.geometry.bits_per_bank * p

@@ -68,12 +68,6 @@ class MemoryControlUnit:
     def trefp_s(self) -> float:
         return self._trefp_s
 
-    def set_trefp(self, trefp_s: float) -> None:
-        """Program the refresh period (SLIMpro calls this)."""
-        if trefp_s <= 0:
-            raise ConfigurationError("refresh period must be positive")
-        self._trefp_s = trefp_s
-
     # ------------------------------------------------------------------
     # ECC scrub
     # ------------------------------------------------------------------

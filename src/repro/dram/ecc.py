@@ -36,9 +36,6 @@ class DecodeStatus(enum.Enum):
     MISCORRECTED = "miscorrected"      # >2 errors aliased to a valid or
     #                                    correctable-looking word (silent)
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class DecodeResult:
@@ -179,25 +176,3 @@ class SecdedCode:
 
 
 _DATA_SYNDROME_TO_BIT = {col: i for i, col in enumerate(_DATA_COLUMNS)}
-
-
-class ParityCode:
-    """Single-parity-bit protection (detect odd errors only).
-
-    Used by the ECC-strength ablation bench as the weaker comparator the
-    paper mentions for L1I/TLB structures.
-    """
-
-    def encode(self, data: int) -> int:
-        if not 0 <= data < (1 << DATA_BITS):
-            raise EccError(f"data word out of range for {DATA_BITS} bits")
-        parity = bin(data).count("1") & 1
-        return data | (parity << DATA_BITS)
-
-    def decode(self, codeword: int) -> DecodeResult:
-        if not 0 <= codeword < (1 << (DATA_BITS + 1)):
-            raise EccError("codeword out of range for parity code")
-        data = codeword & ((1 << DATA_BITS) - 1)
-        if bin(codeword).count("1") & 1:
-            return DecodeResult(data=data, status=DecodeStatus.DETECTED_UNCORRECTABLE)
-        return DecodeResult(data=data, status=DecodeStatus.CLEAN)

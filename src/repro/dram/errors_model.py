@@ -24,9 +24,6 @@ class PatternKind(enum.Enum):
     CHECKERBOARD = "checkerboard"
     RANDOM = "random"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class DataStressProfile:
@@ -124,8 +121,3 @@ class BitErrorModel:
         cold = 1.0 - hot_row_fraction
         return cold * stress.charged_fraction * self.retention.fail_probability(
             interval_s, temp_c, stress.coupling)
-
-    def worst_pattern(self, interval_s: float, temp_c: float) -> PatternKind:
-        """The DPBench with the highest expected BER at a condition."""
-        return max(PatternKind,
-                   key=lambda p: self.pattern_ber(p, interval_s, temp_c))

@@ -12,7 +12,7 @@ Addresses used by the retention machinery are *bank-local*: a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from repro.errors import TopologyError
 
@@ -54,21 +54,6 @@ class DramGeometry:
     @property
     def bits_per_bank(self) -> int:
         return self.rows_per_bank * self.bits_per_row
-
-    @property
-    def bits_per_device(self) -> int:
-        return self.banks_per_device * self.bits_per_bank
-
-    @property
-    def total_bits(self) -> int:
-        return self.num_devices * self.bits_per_device
-
-    @property
-    def total_bytes(self) -> int:
-        return self.total_bits // 8
-
-    def device_ids(self) -> Iterator[int]:
-        return iter(range(self.num_devices))
 
     def device_location(self, device: int) -> Tuple[int, int, int]:
         """Map a flat device id to ``(dimm, rank, slot)``."""

@@ -1,4 +1,4 @@
-"""Refresh scheduling and inherent (access-driven) refresh.
+"""Inherent (access-driven) refresh.
 
 A DRAM row is recharged both by explicit refresh operations and by any
 activation of that row (reads/writes) -- the "inherent refresh" the
@@ -6,19 +6,17 @@ paper leans on to explain why real workloads see fewer errors than the
 data-pattern viruses, and which its stencil-scheduling study (reference
 [12]) exploits deliberately.
 
-:class:`RefreshController` tracks per-row effective refresh intervals for
-a bank given the programmed TREFP and a workload's row-access trace, and
-reports each row's *exposure*: the longest charge-holding window any
-cell in the row experiences.
+:func:`access_interval_coverage` measures, over a workload's row-access
+trace, the share of rows whose own accesses recharge them more often than
+a target period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import ConfigurationError
-from repro.units import NOMINAL_REFRESH_S
 
 
 @dataclass(frozen=True)
@@ -51,124 +49,27 @@ class AccessTrace:
         return cls(window_s=window_s,
                    accesses={row: tuple(sorted(ts)) for row, ts in by_row.items()})
 
-    def accessed_rows(self) -> List[int]:
-        return sorted(self.accesses)
 
+def access_interval_coverage(trace: AccessTrace, target_s: float) -> float:
+    """Fraction of rows self-refreshed by their own access pattern.
 
-class RefreshController:
-    """Per-row exposure analysis under a programmed refresh period.
-
-    The controller refreshes every row once per ``trefp_s`` (distributed
-    refresh; each row's refresh tick has a fixed phase). A row's exposure
-    is the longest gap between consecutive recharge events (refresh tick
-    or activation) within the window.
+    A row counts as covered when it is accessed at least twice and
+    its largest inter-access gap stays below ``target_s`` -- i.e.
+    the workload alone keeps the row's charge alive over its live
+    span, without relying on scheduled refresh. This is the quantity
+    the paper's stencil-scheduling study optimizes ("all accesses
+    occur within a targeted time period that is less than the next
+    scheduled refresh operation").
     """
-
-    def __init__(self, trefp_s: float = NOMINAL_REFRESH_S,
-                 rows_per_bank: int = 65536) -> None:
-        if trefp_s <= 0:
-            raise ConfigurationError("refresh period must be positive")
-        if rows_per_bank <= 0:
-            raise ConfigurationError("rows_per_bank must be positive")
-        self.trefp_s = trefp_s
-        self.rows_per_bank = rows_per_bank
-
-    def row_refresh_phase(self, row: int) -> float:
-        """Phase offset of a row's distributed-refresh tick within TREFP."""
-        return (row % self.rows_per_bank) / self.rows_per_bank * self.trefp_s
-
-    def row_exposure_s(self, row: int, access_times: Sequence[float] = (),
-                       window_s: float = None) -> float:
-        """Longest charge-holding gap for ``row`` over the window.
-
-        With no accesses this is exactly ``trefp_s``; activations split
-        the refresh interval and can only shorten the exposure.
-
-        Refresh ticks are distributed (one per row per TREFP at the
-        row's phase) and run before and after the window too, so the
-        tick series is extended one period past each window edge before
-        measuring gaps -- without that, the final partial interval would
-        spuriously read as a full TREFP of exposure.
-        """
-        window_s = window_s if window_s is not None else 4.0 * self.trefp_s
-        if window_s <= 0:
-            raise ConfigurationError("window must be positive")
-        phase = self.row_refresh_phase(row)
-        # Ticks from one period before the window to one past its end.
-        first_k = -1 - int(phase / self.trefp_s)
-        ticks = []
-        k = first_k
-        while True:
-            t = phase + k * self.trefp_s
-            ticks.append(t)
-            if t > window_s:
-                break
-            k += 1
-        in_window = [t for t in access_times if 0.0 <= t <= window_s]
-        events = sorted(set(ticks) | set(in_window))
-        # Only the portion of each gap that overlaps the observation
-        # window counts as exposure *observed in this window* (the
-        # recharge history outside the window is the tick series).
-        exposure = 0.0
-        for a, b in zip(events, events[1:]):
-            overlap = min(b, window_s) - max(a, 0.0)
-            if overlap > exposure:
-                exposure = overlap
-        if not events:
-            exposure = self.trefp_s
-        return min(exposure, self.trefp_s)
-
-    def exposure_map(self, trace: AccessTrace) -> Dict[int, float]:
-        """Exposure per accessed row of a trace (others sit at TREFP)."""
-        return {
-            row: self.row_exposure_s(row, times, trace.window_s)
-            for row, times in trace.accesses.items()
-        }
-
-    def covered_fraction(self, trace: AccessTrace, target_s: float = None,
-                         tolerance: float = 1e-3) -> float:
-        """Fraction of accessed rows whose exposure beats ``target_s``.
-
-        With ``target_s = None`` the comparison target is TREFP itself:
-        the share of rows for which inherent refresh shortens exposure --
-        the quantity the stencil-scheduling study maximizes. A row only
-        counts as covered when its exposure sits *meaningfully* below
-        the target (relative ``tolerance``), so window-edge clipping
-        artifacts of a few microseconds never count as coverage.
-        """
-        target = target_s if target_s is not None else self.trefp_s
-        exposures = self.exposure_map(trace)
-        if not exposures:
-            return 0.0
-        covered = sum(1 for e in exposures.values()
-                      if e < target * (1.0 - tolerance))
-        return covered / len(exposures)
-
-    def refresh_commands_per_second(self) -> float:
-        """All-bank refresh command rate implied by TREFP."""
-        return self.rows_per_bank / self.trefp_s
-
-    @staticmethod
-    def access_interval_coverage(trace: AccessTrace, target_s: float) -> float:
-        """Fraction of rows self-refreshed by their own access pattern.
-
-        A row counts as covered when it is accessed at least twice and
-        its largest inter-access gap stays below ``target_s`` -- i.e.
-        the workload alone keeps the row's charge alive over its live
-        span, without relying on scheduled refresh. This is the quantity
-        the paper's stencil-scheduling study optimizes ("all accesses
-        occur within a targeted time period that is less than the next
-        scheduled refresh operation").
-        """
-        if target_s <= 0:
-            raise ConfigurationError("target period must be positive")
-        if not trace.accesses:
-            return 0.0
-        covered = 0
-        for times in trace.accesses.values():
-            if len(times) < 2:
-                continue
-            max_gap = max(b - a for a, b in zip(times, times[1:]))
-            if max_gap < target_s:
-                covered += 1
-        return covered / len(trace.accesses)
+    if target_s <= 0:
+        raise ConfigurationError("target period must be positive")
+    if not trace.accesses:
+        return 0.0
+    covered = 0
+    for times in trace.accesses.values():
+        if len(times) < 2:
+            continue
+        max_gap = max(b - a for a, b in zip(times, times[1:]))
+        if max_gap < target_s:
+            covered += 1
+    return covered / len(trace.accesses)

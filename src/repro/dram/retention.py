@@ -238,31 +238,3 @@ class RetentionModel:
         """
         return _cached_fail_probability(self.params, interval_s, temp_c,
                                         coupling)
-
-    def expected_failures(self, bits: int, interval_s: float, temp_c: float,
-                          coupling: float = 1.0,
-                          stressed_fraction: float = 1.0) -> float:
-        """Expected failing-bit count among ``bits`` cells."""
-        if not 0.0 <= stressed_fraction <= 1.0:
-            raise ConfigurationError("stressed_fraction must be in [0, 1]")
-        return bits * stressed_fraction * self.fail_probability(
-            interval_s, temp_c, coupling)
-
-    def quantile_retention_s(self, probability: float) -> float:
-        """Retention time (s, reference temp) at a tail quantile."""
-        z = _normal_icdf(probability)
-        return math.exp(self.params.ln_median_s + self.params.ln_sigma * z)
-
-    def tail_sample_retention_s(self, uniform: float, tail_probability: float) -> float:
-        """Sample a retention time conditional on being in the weak tail.
-
-        Given ``uniform`` in (0, 1) and the tail mass ``tail_probability``
-        (= P(fail at the profiling condition)), returns a retention time
-        distributed as the conditional weak-tail law. Used by the
-        weak-cell maps so that the same cell population nests correctly
-        across query conditions (a cell failing at 50 degC also fails at
-        60 degC).
-        """
-        if not 0.0 < tail_probability <= 1.0:
-            raise ConfigurationError("tail_probability must be in (0, 1]")
-        return self.quantile_retention_s(uniform * tail_probability)

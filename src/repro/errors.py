@@ -56,9 +56,5 @@ class EccError(ReproError):
     """Malformed input to the ECC encoder/decoder (wrong word width etc.)."""
 
 
-class SimulationError(ReproError):
-    """The discrete-event simulation kernel was misused."""
-
-
 class WorkloadError(ConfigurationError):
     """An unknown workload name or invalid workload parameter."""

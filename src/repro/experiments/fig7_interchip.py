@@ -35,11 +35,6 @@ class Figure7Result:
     viruses: Dict[str, DidtVirus]
     virus_vmin_mv: Dict[str, float]
 
-    @property
-    def virus(self) -> DidtVirus:
-        """The typical-part virus (back-compat with single-virus callers)."""
-        return self.viruses["TTT"]
-
     def margin_mv(self, corner: str) -> float:
         return NOMINAL_PMD_MV - self.virus_vmin_mv[corner]
 

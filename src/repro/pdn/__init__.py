@@ -18,7 +18,7 @@ platform:
 """
 
 from repro.pdn.rlc import PdnModel, PdnParams, DEFAULT_PDN
-from repro.pdn.droop import DroopAnalysis, analyze_loop, swing_of_loop
+from repro.pdn.droop import DroopAnalysis, analyze_loop
 from repro.pdn.em import EmSensor, EmReading
 
 __all__ = [
@@ -29,5 +29,4 @@ __all__ = [
     "PdnModel",
     "PdnParams",
     "analyze_loop",
-    "swing_of_loop",
 ]

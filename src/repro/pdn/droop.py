@@ -66,9 +66,3 @@ def analyze_loop(loop: InstructionLoop, pdn: PdnModel = None,
     reference = _cached_reference(pdn.params, freq_ghz, window_cycles)
     swing = min(1.0, droop / reference) if reference > 0 else 0.0
     return DroopAnalysis(profile=profile, droop_v=droop, resonant_swing=swing)
-
-
-def swing_of_loop(loop: InstructionLoop, pdn: PdnModel = None,
-                  freq_ghz: float = 2.4) -> float:
-    """Shortcut: just the normalized resonant swing of ``loop``."""
-    return analyze_loop(loop, pdn=pdn, freq_ghz=freq_ghz).resonant_swing

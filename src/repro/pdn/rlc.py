@@ -155,13 +155,3 @@ class PdnModel:
         """
         spectrum = self.droop_spectrum(waveform, freq_ghz, current_scale_a)
         return float(spectrum.max())
-
-    def step_response_droop_v(self, step_current_a: float) -> float:
-        """First droop of an ideal current step (underdamped ringing).
-
-        ``V_droop ~= I * Z0 * exp(-pi / (2 Q))`` -- textbook second-order
-        step response; used to sanity-check the spectral estimates.
-        """
-        q = self.params.quality_factor
-        z0 = self.params.characteristic_impedance_ohm
-        return step_current_a * z0 * math.exp(-math.pi / (2.0 * q))

@@ -48,20 +48,6 @@ def resolve_seed(seed) -> int:
     return int(seed)
 
 
-def make_rng(seed: SeedLike = None) -> np.random.Generator:
-    """Coerce ``seed`` into a :class:`numpy.random.Generator`.
-
-    Accepts an existing generator (returned unchanged), an integer seed,
-    or ``None`` (which uses :data:`DEFAULT_SEED` so library behaviour is
-    deterministic unless the caller opts into entropy explicitly).
-    """
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if seed is None:
-        seed = DEFAULT_SEED
-    return np.random.default_rng(seed)
-
-
 def substream(seed: SeedLike, label: str, *indices: int) -> np.random.Generator:
     """Derive an independent generator for the component named ``label``.
 

@@ -25,11 +25,10 @@ from repro.soc.topology import (
     NUM_MCBS,
     NUM_PMDS,
     CoreId,
-    SocTopology,
 )
 from repro.soc.chip import Chip, CoreVminModel
 from repro.soc.domains import VoltageRegulator, DomainName
-from repro.soc.slimpro import SLIMpro, SensorReading, EccReport
+from repro.soc.slimpro import SLIMpro, EccReport
 from repro.soc.power import CorePowerModel
 from repro.soc.xgene2 import XGene2Platform, build_platform, build_reference_chips
 
@@ -53,8 +52,6 @@ __all__ = [
     "NUM_PMDS",
     "ProcessCorner",
     "SLIMpro",
-    "SensorReading",
-    "SocTopology",
     "VoltageRegulator",
     "XGene2Platform",
     "build_platform",

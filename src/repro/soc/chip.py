@@ -23,7 +23,7 @@ import numpy as np
 from repro.cpu.outcomes import RunOutcome
 from repro.errors import TopologyError
 from repro.rand import SeedLike, substream
-from repro.soc.corners import CORNER_PARAMS, NOMINAL_PMD_MV, CornerParams, ProcessCorner
+from repro.soc.corners import CORNER_PARAMS, CornerParams, ProcessCorner
 from repro.soc.topology import NOMINAL_FREQ_GHZ, NUM_CORES, CoreId
 
 #: Width (mV) of the stochastic failure onset band above intrinsic Vmin.
@@ -196,12 +196,6 @@ class Chip:
                        key=lambda i: self._core_offsets_mv[i], reverse=True)
         return [CoreId.from_linear(i) for i in order[:count]]
 
-    def guardband_mv(self, core: CoreId, swing: float,
-                     freq_ghz: float = NOMINAL_FREQ_GHZ,
-                     nominal_mv: float = NOMINAL_PMD_MV) -> float:
-        """Margin between nominal supply and true Vmin (mV, >=0 means safe)."""
-        return nominal_mv - self.vmin_mv(core, swing, freq_ghz)
-
     # ------------------------------------------------------------------
     # Sampled run behaviour (what the campaign executor observes)
     # ------------------------------------------------------------------
@@ -291,6 +285,3 @@ class Chip:
                 codes[:, index] = _classify_uniforms(
                     margins[index], uniforms[:, column], sdc_bias)
         return codes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Chip {self.serial} corner={self.corner.value}>"

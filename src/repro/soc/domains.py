@@ -15,7 +15,7 @@ real board drives through SLIMpro.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import VoltageDomainError
@@ -55,7 +55,6 @@ class VoltageRegulator:
     min_mv: float = 700.0
     max_mv: float = 1050.0
     step_mv: float = 5.0
-    _current_mv: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.min_mv <= self.nominal_mv <= self.max_mv:
@@ -65,31 +64,15 @@ class VoltageRegulator:
             )
         if self.step_mv <= 0:
             raise VoltageDomainError("regulator step must be positive")
-        self._current_mv = self.nominal_mv
-
-    @property
-    def current_mv(self) -> float:
-        """The active set-point."""
-        return self._current_mv
 
     def set_voltage(self, target_mv: float) -> float:
-        """Program a new set-point; returns the snapped value applied."""
+        """Validate a new set-point; returns the snapped value applied."""
         if not self.min_mv <= target_mv <= self.max_mv:
             raise VoltageDomainError(
                 f"{self.domain}: requested {target_mv} mV outside "
                 f"[{self.min_mv}, {self.max_mv}] mV"
             )
-        snapped = round(target_mv / self.step_mv) * self.step_mv
-        self._current_mv = snapped
-        return snapped
-
-    def reset_to_nominal(self) -> None:
-        """Return to the manufacturer's set-point (power-cycle behaviour)."""
-        self._current_mv = self.nominal_mv
-
-    def undervolt_mv(self) -> float:
-        """How far below nominal the rail currently sits (mV, >= 0)."""
-        return self.nominal_mv - self._current_mv
+        return round(target_mv / self.step_mv) * self.step_mv
 
 
 def default_regulators() -> Dict[DomainName, VoltageRegulator]:

@@ -1,12 +1,12 @@
 """SLIMpro management-processor model.
 
 The Scalable Lightweight Intelligent Management Processor is the paper's
-control plane: it boots the system, exposes the on-board power and
-temperature sensors, reports every ECC-corrected/detected error up to the
-Linux kernel, and programs MCU parameters such as the refresh period
-(TREFP). Our model keeps that message-based flavour: callers issue typed
-requests and the SLIMpro mutates board state / returns telemetry, keeping
-an audit log the parsing phase of the framework consumes.
+control plane: it boots the system, programs the voltage rails and MCU
+parameters such as the refresh period (TREFP), and reports every
+ECC-corrected/detected error up to the Linux kernel. Our model keeps that
+message-based flavour: callers issue typed requests, which the SLIMpro
+range-checks, and it keeps the ECC audit log the parsing phase of the
+framework consumes.
 """
 
 from __future__ import annotations
@@ -16,17 +16,6 @@ from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, VoltageDomainError
 from repro.soc.domains import DomainName, VoltageRegulator, default_regulators
-from repro.soc.sensors import Sensor, SensorBank
-from repro.units import NOMINAL_REFRESH_S
-
-
-@dataclass(frozen=True)
-class SensorReading:
-    """A timestamped sensor sample as logged by SLIMpro."""
-
-    time_s: float
-    channel: str
-    value: float
 
 
 @dataclass(frozen=True)
@@ -38,13 +27,9 @@ class EccReport:
     correctable: bool
     address: int = 0
 
-    @property
-    def severity(self) -> str:
-        return "CE" if self.correctable else "UE"
-
 
 class SLIMpro:
-    """The management core: sensors, regulators, MCU config, ECC log.
+    """The management core: regulators, MCU config, ECC log.
 
     Parameters
     ----------
@@ -59,33 +44,16 @@ class SLIMpro:
         if num_mcus <= 0:
             raise ConfigurationError("num_mcus must be positive")
         self.regulators = regulators if regulators is not None else default_regulators()
-        self.sensors = SensorBank()
-        self._trefp_s: List[float] = [NOMINAL_REFRESH_S] * num_mcus
+        self.num_mcus = num_mcus
         self._ecc_log: List[EccReport] = []
-        self._sensor_log: List[SensorReading] = []
         self._booted = False
 
     # ------------------------------------------------------------------
-    # Boot / reset
+    # Boot
     # ------------------------------------------------------------------
     def boot(self) -> None:
-        """Bring the board up at manufacturer defaults."""
-        for regulator in self.regulators.values():
-            regulator.reset_to_nominal()
-        self._trefp_s = [NOMINAL_REFRESH_S] * len(self._trefp_s)
+        """Bring the board up; rails and MCUs accept requests from now on."""
         self._booted = True
-
-    def power_cycle(self) -> None:
-        """Hard reset: what the harness's power switch triggers.
-
-        Clears volatile state but preserves the ECC/sensor audit logs
-        (they live on the management side, which stays powered).
-        """
-        self.boot()
-
-    @property
-    def booted(self) -> bool:
-        return self._booted
 
     # ------------------------------------------------------------------
     # Voltage control
@@ -97,45 +65,21 @@ class SLIMpro:
             raise VoltageDomainError(f"no regulator for domain {domain}")
         return self.regulators[domain].set_voltage(target_mv)
 
-    def domain_voltage(self, domain: DomainName) -> float:
-        return self.regulators[domain].current_mv
-
     # ------------------------------------------------------------------
     # MCU configuration (refresh period)
     # ------------------------------------------------------------------
     def set_refresh_period(self, trefp_s: float, mcu: Optional[int] = None) -> None:
-        """Program TREFP on one MCU, or on all when ``mcu`` is None."""
+        """Check a TREFP request for one MCU, or for all when ``mcu`` is None.
+
+        Each :class:`~repro.dram.controller.MemoryControlUnit` holds the
+        refresh period it scrubs with; this is the management-side check
+        on the request.
+        """
         self._require_boot()
         if trefp_s <= 0:
             raise ConfigurationError("refresh period must be positive")
-        if mcu is None:
-            self._trefp_s = [trefp_s] * len(self._trefp_s)
-        else:
-            if not 0 <= mcu < len(self._trefp_s):
-                raise ConfigurationError(f"mcu index {mcu} out of range")
-            self._trefp_s[mcu] = trefp_s
-
-    def refresh_period(self, mcu: int = 0) -> float:
-        if not 0 <= mcu < len(self._trefp_s):
+        if mcu is not None and not 0 <= mcu < self.num_mcus:
             raise ConfigurationError(f"mcu index {mcu} out of range")
-        return self._trefp_s[mcu]
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def register_sensor(self, sensor: Sensor) -> None:
-        self.sensors.add(sensor)
-
-    def read_sensor(self, channel: str, now_s: float = 0.0) -> float:
-        value = self.sensors.read(channel, now_s)
-        self._sensor_log.append(SensorReading(now_s, channel, value))
-        return value
-
-    def telemetry_dump(self, now_s: float = 0.0) -> Dict[str, float]:
-        snapshot = self.sensors.read_all(now_s)
-        for channel, value in snapshot.items():
-            self._sensor_log.append(SensorReading(now_s, channel, value))
-        return snapshot
 
     # ------------------------------------------------------------------
     # Error reporting
@@ -153,9 +97,6 @@ class SLIMpro:
 
     def uncorrectable_count(self, since_s: float = 0.0) -> int:
         return sum(1 for e in self.ecc_events(since_s) if not e.correctable)
-
-    def sensor_history(self) -> List[SensorReading]:
-        return list(self._sensor_log)
 
     def _require_boot(self) -> None:
         if not self._booted:

@@ -1,7 +1,7 @@
 """Platform factory: a fully-assembled simulated X-Gene2 board.
 
 ``build_platform`` wires together one chip (at a chosen process corner),
-the voltage regulators, the SLIMpro with its sensor channels, and the
+the voltage regulators, the SLIMpro, and the
 per-domain power models with the wattage split calibrated to the paper's
 Figure 9 (31.1 W total under the Jammer workload at nominal settings).
 """
@@ -19,11 +19,9 @@ from repro.soc.corners import (
     NOMINAL_SOC_MV,
     ProcessCorner,
 )
-from repro.soc.domains import DomainName
 from repro.soc.power import CorePowerModel
-from repro.soc.sensors import Sensor
 from repro.soc.slimpro import SLIMpro
-from repro.soc.topology import NOMINAL_FREQ_GHZ, SocTopology
+from repro.soc.topology import NOMINAL_FREQ_GHZ
 
 #: Nominal-domain wattage split under a fully-loaded server (the Jammer
 #: experiment's 31.1 W). "OTHER" covers fans, board losses, SLIMpro and
@@ -41,31 +39,11 @@ class XGene2Platform:
     """One assembled board: chip + control plane + power models."""
 
     chip: Chip
-    topology: SocTopology
     slimpro: SLIMpro
     pmd_power: CorePowerModel
     soc_power: CorePowerModel
     other_watts: float
     dram_nominal_watts: float
-
-    @property
-    def corner(self) -> ProcessCorner:
-        return self.chip.corner
-
-    def pmd_voltage_mv(self) -> float:
-        return self.slimpro.domain_voltage(DomainName.PMD)
-
-    def soc_voltage_mv(self) -> float:
-        return self.slimpro.domain_voltage(DomainName.SOC)
-
-    def clocked_domain_watts(self, utilisation: float = 1.0) -> Dict[str, float]:
-        """PMD + SoC power (W) at the currently-programmed voltages."""
-        return {
-            "PMD": self.pmd_power.watts(self.pmd_voltage_mv(),
-                                        utilisation=utilisation),
-            "SoC": self.soc_power.watts(self.soc_voltage_mv(),
-                                        utilisation=utilisation),
-        }
 
 
 def build_platform(corner: ProcessCorner = ProcessCorner.TTT,
@@ -92,25 +70,14 @@ def build_platform(corner: ProcessCorner = ProcessCorner.TTT,
         leakage_fraction=0.02, leakage_v0_mv=params.leakage_v0_mv,
         nominal_watts=watts["SoC"],
     )
-    platform = XGene2Platform(
+    return XGene2Platform(
         chip=chip,
-        topology=SocTopology(),
         slimpro=slimpro,
         pmd_power=pmd_power,
         soc_power=soc_power,
         other_watts=watts["OTHER"],
         dram_nominal_watts=watts["DRAM"],
     )
-    # Wire the basic telemetry channels the experiments poll.
-    slimpro.register_sensor(Sensor(
-        "power.pmd", lambda p=platform: p.clocked_domain_watts()["PMD"],
-        resolution=0.1,
-    ))
-    slimpro.register_sensor(Sensor(
-        "power.soc", lambda p=platform: p.clocked_domain_watts()["SoC"],
-        resolution=0.1,
-    ))
-    return platform
 
 
 def build_reference_chips(seed: SeedLike = None) -> Dict[ProcessCorner, Chip]:

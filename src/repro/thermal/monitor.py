@@ -156,16 +156,6 @@ class ZoneMonitor:
             return ZONE_DEGRADED_TC
         return ZONE_OK
 
-    @property
-    def in_band(self) -> bool:
-        """Whether the belief currently sits inside the +-band_c band."""
-        return self._in_band_since is not None
-
-    @property
-    def in_band_since_s(self) -> Optional[float]:
-        """Virtual time the belief last entered the band (None if out)."""
-        return self._in_band_since
-
     def in_band_duration_s(self, now_s: float) -> float:
         """How long the belief has been continuously in band."""
         if self._in_band_since is None:

@@ -61,10 +61,6 @@ class ThermalPlant:
         self.temperature_c = ambient_c if initial_c is None else initial_c
         self._heater_w = 0.0
 
-    @property
-    def heater_w(self) -> float:
-        return self._heater_w
-
     def set_heater(self, power_w: float) -> None:
         """Command the resistive element (clamped to its rating)."""
         if power_w < 0:

@@ -9,7 +9,7 @@ zero crossings; the model enforces a minimum on/off dwell).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -33,23 +33,12 @@ class SolidStateRelay:
     max_power_w: float = 40.0
     window_s: float = 2.0
     min_dwell_s: float = 0.05
-    _duty: float = field(default=0.0, init=False)
-    _cycles: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.max_power_w <= 0 or self.window_s <= 0:
             raise ConfigurationError("relay power and window must be positive")
         if not 0 <= self.min_dwell_s < self.window_s:
             raise ConfigurationError("min dwell must be within the window")
-
-    @property
-    def duty(self) -> float:
-        return self._duty
-
-    @property
-    def switch_cycles(self) -> int:
-        """Number of on-pulses commanded so far (wear metric)."""
-        return self._cycles
 
     def command(self, duty: float) -> float:
         """Set the duty cycle; returns the realized average power (W)."""
@@ -62,11 +51,4 @@ class SolidStateRelay:
             realized = 1.0
         else:
             realized = duty
-        if realized > 0.0:
-            self._cycles += 1
-        self._duty = realized
         return realized * self.max_power_w
-
-    def average_power_w(self) -> float:
-        """Average power at the current duty cycle."""
-        return self._duty * self.max_power_w

@@ -213,18 +213,6 @@ class ThermalTestbed:
         self._times[zone].clear()
         self._origin_s[zone] = self.now
 
-    def zone_temperature_c(self, zone: int) -> float:
-        """The plant's true temperature (physics channel, not control)."""
-        return self.plants[zone].temperature_c
-
-    def zone_estimate_c(self, zone: int) -> float:
-        """The controller's fused temperature belief for one zone."""
-        return self.monitors[zone].estimate_c
-
-    def zone_status(self, zone: int) -> str:
-        """The zone's regulation status (``ok``/degraded/quarantined)."""
-        return self.monitors[zone].status
-
     def zone_measurement_valid(self, zone: int) -> bool:
         """Whether a retention measurement taken *now* would be valid.
 

@@ -37,31 +37,6 @@ def celsius_to_kelvin(temp_c: float) -> float:
     return temp_c + KELVIN_OFFSET
 
 
-def kelvin_to_celsius(temp_k: float) -> float:
-    """Convert a Kelvin temperature to Celsius."""
-    return temp_k - KELVIN_OFFSET
-
-
-def mv_to_v(millivolts: float) -> float:
-    """Convert millivolts to volts."""
-    return millivolts / 1000.0
-
-
-def v_to_mv(volts: float) -> float:
-    """Convert volts to millivolts."""
-    return volts * 1000.0
-
-
-def ghz_to_hz(gigahertz: float) -> float:
-    """Convert gigahertz to hertz."""
-    return gigahertz * 1e9
-
-
-def hz_to_ghz(hertz: float) -> float:
-    """Convert hertz to gigahertz."""
-    return hertz / 1e9
-
-
 def percent(before: float, after: float) -> float:
     """Relative reduction from ``before`` to ``after``, in percent.
 

@@ -74,16 +74,6 @@ class GaResult:
     history: Tuple[float, ...]        # best fitness per generation
     evaluations: int
 
-    @property
-    def converged(self) -> bool:
-        """Did the last third of the run stop improving (<1 % gain)?"""
-        if len(self.history) < 6:
-            return False
-        third = len(self.history) // 3
-        early = max(self.history[:-third])
-        late = max(self.history)
-        return late <= early * 1.01
-
 
 class GeneticAlgorithm:
     """Steady-state GA over :class:`InstructionLoop` genomes."""

@@ -24,8 +24,8 @@ figures; see DESIGN.md section 2 for the substitution rationale.
 
 from repro.workloads.base import CpuWorkload, DramProfile, Workload
 from repro.workloads.spec import SPEC_WORKLOADS, spec_workload, spec_suite
-from repro.workloads.nas import NAS_WORKLOADS, nas_suite, nas_workload
-from repro.workloads.rodinia import RODINIA_WORKLOADS, rodinia_suite, rodinia_workload
+from repro.workloads.nas import NAS_WORKLOADS, nas_suite
+from repro.workloads.rodinia import RODINIA_WORKLOADS, rodinia_suite
 from repro.workloads.mixes import MultiprogramMix, figure5_mix
 from repro.workloads.stencil import StencilWorkload, StencilScheduler
 from repro.workloads.jammer import JammerDetector, JammerConfig, JammerRunReport
@@ -45,9 +45,7 @@ __all__ = [
     "Workload",
     "figure5_mix",
     "nas_suite",
-    "nas_workload",
     "rodinia_suite",
-    "rodinia_workload",
     "spec_suite",
     "spec_workload",
 ]

@@ -54,13 +54,6 @@ class MultiprogramMix:
         """Pin members to cores in linear order."""
         return {CoreId.from_linear(i): w for i, w in enumerate(self.members)}
 
-    def chip_vmin_mv(self, chip: Chip, freq_ghz: float = 2.4) -> float:
-        """Vmin of the whole mix: the worst occupied core's Vmin."""
-        return max(
-            chip.vmin_mv(core, self.resonant_swing, freq_ghz)
-            for core in self.placement()
-        )
-
     def per_pmd_vmin_mv(self, chip: Chip, freq_ghz: float = 2.4) -> Dict[int, float]:
         """Vmin per PMD: the binding constraint for per-PMD frequency
         scaling (the Figure 5 ladder)."""
@@ -105,14 +98,3 @@ class HomogeneousMix:
         """Member swing amplified by partial phase alignment, capped at 1."""
         gain = 1.0 + HOMOGENEOUS_ALIGNMENT_PER_CORE * (self.copies - 1)
         return min(1.0, self.workload.resonant_swing * gain)
-
-    def placement(self) -> Dict[CoreId, Workload]:
-        return {CoreId.from_linear(i): self.workload
-                for i in range(self.copies)}
-
-    def chip_vmin_mv(self, chip: Chip, freq_ghz: float = 2.4) -> float:
-        """Vmin of the multi-process run: the worst occupied core."""
-        return max(
-            chip.vmin_mv(core, self.resonant_swing, freq_ghz)
-            for core in self.placement()
-        )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.errors import WorkloadError
 from repro.workloads.base import CpuWorkload, DramProfile, Workload
 
 _SUITE = "nas"
@@ -72,15 +71,6 @@ NAS_WORKLOADS: Dict[str, Workload] = {
                     data_entropy=0.87, bandwidth_gbs=13.0),
     ),
 }
-
-
-def nas_workload(name: str) -> Workload:
-    """Look up one NAS workload by name."""
-    if name not in NAS_WORKLOADS:
-        raise WorkloadError(
-            f"unknown NAS workload {name!r}; known: {sorted(NAS_WORKLOADS)}"
-        )
-    return NAS_WORKLOADS[name]
 
 
 def nas_suite() -> List[Workload]:

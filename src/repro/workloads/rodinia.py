@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.errors import WorkloadError
 from repro.workloads.base import CpuWorkload, DramProfile, Workload
 
 _SUITE = "rodinia"
@@ -61,15 +60,6 @@ RODINIA_WORKLOADS: Dict[str, Workload] = {
                     data_entropy=0.80, bandwidth_gbs=10.0),
     ),
 }
-
-
-def rodinia_workload(name: str) -> Workload:
-    """Look up one Rodinia workload by name."""
-    if name not in RODINIA_WORKLOADS:
-        raise WorkloadError(
-            f"unknown Rodinia workload {name!r}; known: {sorted(RODINIA_WORKLOADS)}"
-        )
-    return RODINIA_WORKLOADS[name]
 
 
 def rodinia_suite() -> List[Workload]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.dram.refresh import AccessTrace, RefreshController
+from repro.dram.refresh import AccessTrace, access_interval_coverage
 from repro.errors import WorkloadError
 
 
@@ -110,8 +110,6 @@ class StencilScheduler:
         driving coverage to ~1 while the natural sweep leaves rows
         exposed.
         """
-        natural = RefreshController.access_interval_coverage(
-            self.row_sweep_trace(), trefp_s)
-        blocked = RefreshController.access_interval_coverage(
-            self.blocked_trace(target_period_s), trefp_s)
+        natural = access_interval_coverage(self.row_sweep_trace(), trefp_s)
+        blocked = access_interval_coverage(self.blocked_trace(target_period_s), trefp_s)
         return natural, blocked

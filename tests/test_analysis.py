@@ -45,11 +45,6 @@ def test_ladder_monotone(ttt_chip):
     assert powers == sorted(powers, reverse=True)
 
 
-def test_ladder_labels(ttt_chip):
-    ladder = tradeoff_ladder(ttt_chip, figure5_mix())
-    assert "915" in ladder[0].label
-
-
 # ----------------------------------------------------------------------
 # Figure 9 server power
 # ----------------------------------------------------------------------

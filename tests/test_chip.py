@@ -1,8 +1,9 @@
 """Chip behavioural model: oracle Vmin and sampled run outcomes."""
 
 
+import numpy as np
+
 from repro.cpu.outcomes import RunOutcome
-from repro.rand import make_rng
 from repro.soc.chip import (
     Chip,
     FAILURE_ONSET_BAND_MV,
@@ -47,11 +48,6 @@ def test_weakest_cores_count_and_order(ttt_chip):
     assert all(core.pmd == 0 for core in weakest)
 
 
-def test_guardband_positive_for_workloads(ttt_chip):
-    core = ttt_chip.strongest_core()
-    assert ttt_chip.guardband_mv(core, 0.595) > 0
-
-
 def test_observe_run_safe_above_vmin(ttt_chip):
     core = CoreId(0, 0)
     vmin = ttt_chip.vmin_mv(core, 0.4)
@@ -62,7 +58,7 @@ def test_observe_run_safe_above_vmin(ttt_chip):
 def test_observe_run_fails_below_vmin(ttt_chip):
     core = CoreId(0, 0)
     vmin = ttt_chip.vmin_mv(core, 0.4)
-    rng = make_rng(9)
+    rng = np.random.default_rng(9)
     outcomes = {ttt_chip.observe_run(core, 0.4, vmin - 5.0, rng=rng)
                 for _ in range(50)}
     assert all(not o.is_safe for o in outcomes)
@@ -71,7 +67,7 @@ def test_observe_run_fails_below_vmin(ttt_chip):
 def test_observe_run_deep_violation_crashes_or_hangs(ttt_chip):
     core = CoreId(0, 0)
     vmin = ttt_chip.vmin_mv(core, 0.4)
-    rng = make_rng(10)
+    rng = np.random.default_rng(10)
     outcomes = {ttt_chip.observe_run(core, 0.4,
                                      vmin - HARD_CRASH_DEPTH_MV - 5, rng=rng)
                 for _ in range(50)}
@@ -81,7 +77,7 @@ def test_observe_run_deep_violation_crashes_or_hangs(ttt_chip):
 def test_observe_run_onset_band_only_ce(ttt_chip):
     core = CoreId(0, 0)
     vmin = ttt_chip.vmin_mv(core, 0.4)
-    rng = make_rng(11)
+    rng = np.random.default_rng(11)
     outcomes = {ttt_chip.observe_run(core, 0.4, vmin + 1.0, rng=rng)
                 for _ in range(200)}
     assert outcomes <= {RunOutcome.CORRECT, RunOutcome.CORRECTED_ERROR}

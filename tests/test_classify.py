@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.classify import OutcomeCounts, RunLog, classify_run_log, summarize
+from repro.core.classify import OutcomeCounts, RunLog, classify_run_log
 from repro.cpu.outcomes import RunOutcome
 from repro.errors import CampaignError
 
@@ -48,32 +48,9 @@ def test_negative_counts_rejected():
         RunLog(True, True, -1, 0, True)
 
 
-def test_summarize_histogram():
-    counts = summarize([RunOutcome.CORRECT, RunOutcome.CORRECT,
-                        RunOutcome.SDC, RunOutcome.CRASH])
-    assert counts.total == 4
-    assert counts.of(RunOutcome.CORRECT) == 2
-    assert counts.of(RunOutcome.SDC) == 1
-    assert counts.failure_rate == pytest.approx(0.5)
-
-
 def test_all_safe_property():
-    safe = summarize([RunOutcome.CORRECT, RunOutcome.CORRECTED_ERROR])
+    safe = OutcomeCounts({RunOutcome.CORRECT: 1, RunOutcome.CORRECTED_ERROR: 1})
     assert safe.all_safe
-    unsafe = summarize([RunOutcome.CORRECT, RunOutcome.SDC])
+    unsafe = OutcomeCounts({RunOutcome.CORRECT: 1, RunOutcome.SDC: 1})
     assert not unsafe.all_safe
-
-
-def test_empty_counts():
-    counts = OutcomeCounts()
-    assert counts.total == 0
-    assert counts.failure_rate == 0.0
-    assert counts.all_safe
-
-
-def test_as_row_covers_all_outcomes():
-    counts = summarize([RunOutcome.HANG])
-    row = counts.as_row()
-    assert set(row) == {o.value for o in RunOutcome}
-    assert row["hang"] == 1
-    assert row["correct"] == 0
+    assert OutcomeCounts().all_safe

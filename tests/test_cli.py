@@ -3,6 +3,9 @@
 import pytest
 
 from repro.__main__ import main
+from repro.experiments import FAST
+from repro.experiments.pipeline import run_pipeline
+from repro.rand import DEFAULT_SEED
 #: Heavy module: deselected from the smoke tier (``pytest -m "not slow"``).
 pytestmark = pytest.mark.slow
 
@@ -55,6 +58,17 @@ def test_run_fast_fig4_real_faults(capsys):
                  "--faults", "real=7", "--unit-timeout", "60"]) == 0
     faulted = capsys.readouterr().out.rsplit("[fig4:", 1)[0]
     assert faulted == clean
+
+
+def test_pipeline_out_writes_the_cloud_csv(tmp_path, capsys):
+    """``pipeline --out`` writes the cloud store's CSV text verbatim."""
+    path = tmp_path / "cloud.csv"
+    assert main(["pipeline", "--fast", "--out", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.rstrip("\n").endswith(f"cloud-side rows written to {path}")
+    expected = run_pipeline(seed=DEFAULT_SEED, **FAST["pipeline"])
+    with open(path, encoding="utf-8", newline="") as handle:
+        assert handle.read() == expected.store.to_csv_text()
 
 
 def test_run_fast_fig8a(capsys):

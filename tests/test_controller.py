@@ -64,14 +64,6 @@ def test_solid_patterns_partition_population(weak_map, slimpro):
     assert ones.raw_bit_errors + zeros.raw_bit_errors == union
 
 
-def test_set_trefp(slimpro):
-    mcu = MemoryControlUnit(0, slimpro)
-    mcu.set_trefp(2.283)
-    assert mcu.trefp_s == 2.283
-    with pytest.raises(ConfigurationError):
-        mcu.set_trefp(-1.0)
-
-
 def test_mcu_without_slimpro_still_scrubs(weak_map):
     mcu = MemoryControlUnit(0, slimpro=None, trefp_s=RELAXED_REFRESH_S)
     result = mcu.scrub_bank(weak_map, temp_c=60.0)

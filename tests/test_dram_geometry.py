@@ -17,7 +17,7 @@ def test_capacity_is_32gb_class():
     geo = DEFAULT_GEOMETRY
     # 8 data devices/rank x 8 ranks x 4Gb = 32 GB of data (+ ECC chips).
     data_devices = geo.num_ranks * 8
-    data_bytes = data_devices * geo.bits_per_device // 8
+    data_bytes = data_devices * geo.banks_per_device * geo.bits_per_bank // 8
     assert data_bytes == 32 * 1024 ** 3
 
 
@@ -29,7 +29,7 @@ def test_bits_per_bank():
 def test_device_location_roundtrip():
     geo = DEFAULT_GEOMETRY
     seen = set()
-    for device in geo.device_ids():
+    for device in range(geo.num_devices):
         dimm, rank, slot = geo.device_location(device)
         assert 0 <= dimm < geo.num_dimms
         assert 0 <= rank < geo.ranks_per_dimm

@@ -20,10 +20,6 @@ def test_pattern_ordering_matches_paper(model):
     assert ber[PatternKind.ALL_ONES] > ber[PatternKind.ALL_ZEROS]
 
 
-def test_worst_pattern_is_random(model):
-    assert model.worst_pattern(RELAXED_REFRESH_S, 60.0) is PatternKind.RANDOM
-
-
 def test_solid_patterns_split_by_orientation(model):
     ones = model.pattern_stress(PatternKind.ALL_ONES)
     zeros = model.pattern_stress(PatternKind.ALL_ZEROS)

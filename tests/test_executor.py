@@ -22,8 +22,7 @@ def make_run(voltage_mv: float, cores=(CoreId(0, 0),), reps=5,
 def test_safe_voltage_all_correct(ttt_executor):
     record = ttt_executor.execute_run(make_run(980.0))
     assert record.all_safe
-    assert record.counts.total == 5
-    assert record.counts.of(RunOutcome.CORRECT) == 5
+    assert record.counts.counts == {RunOutcome.CORRECT: 5}
 
 
 def test_below_vmin_fails(ttt_executor):

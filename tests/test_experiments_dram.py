@@ -105,11 +105,11 @@ def test_fig8b_extremes_match_paper(fig8b):
 
 def test_fig8b_savings_ordered_by_bandwidth(fig8b):
     # Higher bandwidth -> smaller relative refresh saving.
-    from repro.workloads.rodinia import rodinia_workload
+    from repro.workloads.rodinia import RODINIA_WORKLOADS
     for name, savings in fig8b.savings_pct.items():
-        bw = rodinia_workload(name).dram.bandwidth_gbs
+        bw = RODINIA_WORKLOADS[name].dram.bandwidth_gbs
         for other, other_savings in fig8b.savings_pct.items():
-            other_bw = rodinia_workload(other).dram.bandwidth_gbs
+            other_bw = RODINIA_WORKLOADS[other].dram.bandwidth_gbs
             if bw < other_bw:
                 assert savings > other_savings
 

@@ -59,13 +59,6 @@ def test_plan_validation():
     FaultPlan(unit_exits=((0, 1),), unit_hangs=((0, 1),))
 
 
-def test_plan_max_transport_depth():
-    assert FaultPlan().max_transport_depth == 0
-    plan = FaultPlan(corruption_bursts=(FaultBurst(0, 1, 2),),
-                     loss_bursts=(FaultBurst(5, 2, 4),))
-    assert plan.max_transport_depth == 4
-
-
 def test_random_plan_is_reproducible():
     a = FaultPlan.random(99, shards=6, rows=120)
     b = FaultPlan.random(99, shards=6, rows=120)

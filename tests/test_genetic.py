@@ -90,10 +90,3 @@ def test_config_validation():
         GaConfig(elite_count=40, population_size=40)
     with pytest.raises(SearchError):
         GeneticAlgorithm(lambda loop: 0.0, alphabet=[])
-
-
-def test_converged_detection():
-    ga = GeneticAlgorithm(count_fitness(InstrClass.SIMD),
-                          GaConfig(population_size=24, generations=24), seed=3)
-    result = ga.run()
-    assert result.converged

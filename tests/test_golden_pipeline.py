@@ -11,8 +11,8 @@ The printed summary of ``python -m repro pipeline`` -- shard, supervision,
 transport and injected-fault counts -- is pinned too, by the sha256 of
 its stdout in ``tests/golden/pipeline_stdout.sha256``: one digest per
 distinct output, clean (the same at ``--jobs 1`` and ``--jobs 2``),
-faulted, over the serial link, and a checkpointed run with its fully
-resumed rerun.
+faulted, over the serial link, a checkpointed run with its fully
+resumed rerun, and a run that quarantines a shard with its rerun.
 """
 
 import contextlib
@@ -85,3 +85,13 @@ def test_resumed_pipeline_stdout_matches_golden_digests(tmp_path):
     argv = ["--jobs", "2", "--faults", "random=11", "--resume", str(tmp_path)]
     assert _stdout_digest(argv) == STDOUT_DIGESTS["resume-first"]
     assert _stdout_digest(argv) == STDOUT_DIGESTS["resume-rerun"]
+
+
+def test_quarantined_pipeline_stdout_matches_golden_digests(tmp_path):
+    """With no retries a crashed shard is quarantined and checkpointed
+    as such; the rerun resumes the finished shard and re-reports the
+    quarantine without executing anything."""
+    argv = ["--faults", "real=3", "--max-retries", "0",
+            "--resume", str(tmp_path)]
+    assert _stdout_digest(argv) == STDOUT_DIGESTS["quarantine-first"]
+    assert _stdout_digest(argv) == STDOUT_DIGESTS["quarantine-rerun"]

@@ -24,27 +24,12 @@ def test_swing_capped_at_one():
     assert mix.resonant_swing <= 1.0
 
 
-def test_multiprocess_vmin_exceeds_single(ttt_chip):
-    """The paper's multi-process observation: N aligned copies stress
-    the PDN harder than one instance."""
-    single = HomogeneousMix(spec_workload("milc"), copies=1)
-    full = HomogeneousMix(spec_workload("milc"), copies=8)
-    assert full.chip_vmin_mv(ttt_chip) > single.chip_vmin_mv(ttt_chip)
-
-
 def test_multiprocess_vmin_stays_below_virus(ttt_chip):
     """Even 8 aligned copies stay short of the dI/dt virus (swing 1.0)."""
     full = HomogeneousMix(spec_workload("milc"), copies=8)
     core = ttt_chip.strongest_core()
     virus_vmin = ttt_chip.vmin_mv(core, 1.0)
     assert ttt_chip.vmin_mv(core, full.resonant_swing) < virus_vmin
-
-
-def test_placement_covers_copies():
-    mix = HomogeneousMix(spec_workload("mcf"), copies=3)
-    placement = mix.placement()
-    assert len(placement) == 3
-    assert all(w.name == "mcf" for w in placement.values())
 
 
 def test_name():

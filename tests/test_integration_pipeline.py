@@ -59,9 +59,7 @@ def test_csv_roundtrip_preserves_study(study, tmp_path):
     count = store.write_csv(str(path))
     reloaded = ResultStore.from_csv_text(path.read_text())
     assert len(reloaded) == count == len(store)
-    assert reloaded.benchmarks() == store.benchmarks()
-    for benchmark in store.benchmarks():
-        assert reloaded.voltages(benchmark) == store.voltages(benchmark)
+    assert reloaded.rows() == store.rows()
 
 
 def test_csv_outcomes_explain_vmin(study):
@@ -70,14 +68,15 @@ def test_csv_outcomes_explain_vmin(study):
     table = study["TTT-ref"].vmin
     store = study["TTT-ref"].store
     for benchmark, safe_vmin in table.items():
-        safe_outcomes = store.outcomes(benchmark, safe_vmin)
-        assert safe_outcomes, benchmark
-        assert all(o.is_safe for o in safe_outcomes), benchmark
-        below = [v for v in store.voltages(benchmark) if v < safe_vmin]
+        safe_rows = store.rows(benchmark=benchmark, voltage_mv=safe_vmin)
+        assert safe_rows, benchmark
+        assert all(RunOutcome(r.outcome).is_safe for r in safe_rows), benchmark
+        below = [r.voltage_mv for r in store.rows(benchmark=benchmark)
+                 if r.voltage_mv < safe_vmin]
         if below:
-            failing = store.outcomes(benchmark, max(below))
-            assert any(not o.is_failure or o.is_failure for o in failing)
-            assert any(not o.is_safe for o in failing), benchmark
+            failing = store.rows(benchmark=benchmark, voltage_mv=max(below))
+            assert any(not RunOutcome(r.outcome).is_safe for r in failing), \
+                benchmark
 
 
 def test_results_survive_lossy_upload(study):
@@ -98,7 +97,8 @@ def test_results_survive_lossy_upload(study):
 
     # Re-derive each benchmark's safe Vmin from the uploaded rows alone.
     for benchmark, expected_vmin in study["TTT-ref"].vmin.items():
-        safe = [v for v in received.voltages(benchmark)
+        safe = [v for v in {r.voltage_mv
+                            for r in received.rows(benchmark=benchmark)}
                 if all(RunOutcome(r.outcome).is_safe
                        for r in received.rows(benchmark=benchmark,
                                               voltage_mv=v))]

@@ -61,13 +61,6 @@ def test_loop_total_cycles():
     assert loop.total_cycles == pytest.approx(1.0 + 3.0)
 
 
-def test_loop_mean_current_cycle_weighted():
-    loop = InstructionLoop.of([InstrClass.NOP, InstrClass.SIMD])
-    # SIMD occupies 4 cycles at 1.0, NOP 1 cycle at 0.08.
-    expected = (1.0 * 4 + 0.08 * 1) / 5
-    assert loop.mean_current == pytest.approx(expected)
-
-
 def test_loop_histogram_and_describe():
     loop = InstructionLoop.of([InstrClass.SIMD] * 3 + [InstrClass.NOP] * 2)
     hist = loop.histogram()

@@ -31,13 +31,6 @@ def test_placement_one_per_core():
     assert sorted(c.linear for c in placement) == list(range(8))
 
 
-def test_chip_vmin_is_weakest_core_bound(ttt_chip):
-    mix = figure5_mix()
-    vmin = mix.chip_vmin_mv(ttt_chip)
-    # The Figure 5 full-performance rung: safe supply 915 mV.
-    assert 910.0 < vmin <= 915.0
-
-
 def test_per_pmd_vmin_ladder(ttt_chip):
     """The per-PMD constraints produce the paper's 915/900/885/875 rungs."""
     mix = figure5_mix()

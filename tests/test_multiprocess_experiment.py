@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.multiprocess_vmin import run_multiprocess_study
+from repro.soc.topology import NUM_CORES, CoreId
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +26,8 @@ def test_multiprocess_always_needs_more_voltage(result):
 def test_uplift_has_two_components(result, ttt_chip):
     """The uplift combines the weakest-core offset and the alignment
     gain -- it must exceed the offset alone."""
-    max_offset = max(ttt_chip.core_offset_mv(core)
-                     for core in __import__(
-                         "repro.soc.topology",
-                         fromlist=["CoreId"]).SocTopology().cores())
+    max_offset = max(ttt_chip.core_offset_mv(CoreId.from_linear(index))
+                     for index in range(NUM_CORES))
     for name in ("milc", "bwaves"):
         uplift = result.multi_vmin_mv[name] - result.single_vmin_mv[name]
         assert uplift > max_offset

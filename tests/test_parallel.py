@@ -176,7 +176,7 @@ def test_voltage_sweep_has_no_float_drift():
     plan = CampaignPlan()
     plan.add_workload(spec_suite()[0])
     plan.add_voltage_sweep(980.0, 970.0, 0.1, repetitions=1)
-    voltages = [setup.voltage_mv for setup in plan.build()[0].setups()]
+    voltages = [run.setup.voltage_mv for run in plan.build()[0].runs]
     assert len(voltages) == 101
     assert voltages[0] == 980.0
     assert voltages[-1] == 970.0

@@ -7,7 +7,7 @@ from repro.cpu.execution import ExecutionModel
 from repro.cpu.isa import InstrClass
 from repro.cpu.kernels import InstructionLoop, square_wave_loop
 from repro.errors import ConfigurationError
-from repro.pdn.droop import analyze_loop, swing_of_loop
+from repro.pdn.droop import analyze_loop
 from repro.pdn.rlc import DEFAULT_PDN, PdnModel, PdnParams
 
 
@@ -64,18 +64,18 @@ def test_swing_of_resonant_square_wave_is_one():
     res_cycles = 2.4e9 / DEFAULT_PDN.resonant_freq_hz
     loop = square_wave_loop(InstrClass.SIMD, InstrClass.NOP,
                             int(round(res_cycles / 2)))
-    assert swing_of_loop(loop) == pytest.approx(1.0)
+    assert analyze_loop(loop).resonant_swing == pytest.approx(1.0)
 
 
 def test_swing_of_flat_loop_near_zero():
     loop = InstructionLoop.of([InstrClass.INT_ALU] * 16)
-    assert swing_of_loop(loop) < 0.05
+    assert analyze_loop(loop).resonant_swing < 0.05
 
 
 def test_swing_bounded_to_unit_interval():
     for body in ([InstrClass.SIMD, InstrClass.NOP] * 16,
                  [InstrClass.FP_FMA] * 8 + [InstrClass.SERIALIZE] * 8):
-        swing = swing_of_loop(InstructionLoop.of(body))
+        swing = analyze_loop(InstructionLoop.of(body)).resonant_swing
         assert 0.0 <= swing <= 1.0
 
 
@@ -84,14 +84,6 @@ def test_analysis_reports_consistent_droop():
     analysis = analyze_loop(loop)
     assert analysis.droop_mv == pytest.approx(analysis.droop_v * 1000.0)
     assert analysis.droop_v > 0
-
-
-def test_step_response_sanity():
-    model = PdnModel()
-    droop = model.step_response_droop_v(10.0)
-    # An underdamped step droop sits below I*Z0 and above I*Z0*exp(-pi/2).
-    z0 = model.params.characteristic_impedance_ohm
-    assert 10.0 * z0 * 0.2 < droop < 10.0 * z0
 
 
 def test_short_waveform_rejected():

@@ -1,9 +1,11 @@
-"""Property-based tests of the retention model (hypothesis)."""
+"""Property-based tests of the retention model and inherent refresh
+(hypothesis)."""
 
 import math
 
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.dram.refresh import AccessTrace, access_interval_coverage
 from repro.dram.retention import RetentionModel, _normal_cdf, _normal_icdf
 import pytest
 
@@ -66,10 +68,13 @@ def test_icdf_cdf_roundtrip(p):
                         rel_tol=1e-4, abs_tol=1e-12)
 
 
-@given(u=st.floats(min_value=1e-9, max_value=1.0 - 1e-9),
-       tail=st.floats(min_value=1e-9, max_value=0.5))
-@settings(max_examples=300, deadline=None)
-def test_tail_samples_bounded_by_tail_quantile(u, tail):
-    sample = MODEL.tail_sample_retention_s(u, tail)
-    bound = MODEL.quantile_retention_s(tail)
-    assert sample <= bound * (1 + 1e-9)
+@given(times=st.lists(st.floats(min_value=0.0, max_value=10.0,
+                                allow_nan=False, allow_infinity=False),
+                      min_size=2, max_size=20, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_access_interval_coverage_boolean_consistency(times):
+    trace = AccessTrace.from_events(10.0, [(t, 0) for t in times])
+    sorted_times = sorted(times)
+    max_gap = max(b - a for a, b in zip(sorted_times, sorted_times[1:]))
+    covered = access_interval_coverage(trace, target_s=2.0)
+    assert covered == (1.0 if max_gap < 2.0 else 0.0)

@@ -6,24 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rand import DEFAULT_SEED, make_rng, substream, substream_normals
-
-
-def test_make_rng_accepts_generator_passthrough():
-    gen = np.random.default_rng(7)
-    assert make_rng(gen) is gen
-
-
-def test_make_rng_none_is_deterministic():
-    a = make_rng(None).integers(0, 1000, size=10)
-    b = make_rng(None).integers(0, 1000, size=10)
-    assert np.array_equal(a, b)
-
-
-def test_make_rng_int_seed_reproducible():
-    a = make_rng(42).random(5)
-    b = make_rng(42).random(5)
-    assert np.array_equal(a, b)
+from repro.rand import DEFAULT_SEED, substream, substream_normals
 
 
 def test_substream_same_label_same_stream():

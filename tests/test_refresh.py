@@ -1,8 +1,8 @@
-"""Refresh controller: exposure analysis and inherent refresh."""
+"""Inherent refresh: access traces and self-refresh coverage."""
 
 import pytest
 
-from repro.dram.refresh import AccessTrace, RefreshController
+from repro.dram.refresh import AccessTrace, access_interval_coverage
 from repro.errors import ConfigurationError
 
 
@@ -18,46 +18,7 @@ def test_trace_validation():
 def test_trace_from_events_sorts():
     trace = AccessTrace.from_events(10.0, [(5.0, 1), (2.0, 1), (3.0, 2)])
     assert trace.accesses[1] == (2.0, 5.0)
-    assert trace.accessed_rows() == [1, 2]
-
-
-def test_unaccessed_row_exposure_is_trefp():
-    ctrl = RefreshController(trefp_s=2.0)
-    assert ctrl.row_exposure_s(100, (), window_s=10.0) == pytest.approx(2.0)
-
-
-def test_dense_accesses_shrink_exposure():
-    ctrl = RefreshController(trefp_s=2.0)
-    times = tuple(i * 0.25 for i in range(40))  # every 250 ms over 10 s
-    exposure = ctrl.row_exposure_s(0, times, window_s=10.0)
-    assert exposure < 0.5
-
-
-def test_single_access_cannot_beat_trefp():
-    ctrl = RefreshController(trefp_s=2.0)
-    exposure = ctrl.row_exposure_s(7, (5.0,), window_s=10.0)
-    assert exposure == pytest.approx(2.0)
-
-
-def test_exposure_never_exceeds_trefp():
-    ctrl = RefreshController(trefp_s=2.0)
-    for row in (0, 1, 31337):
-        assert ctrl.row_exposure_s(row, (), window_s=100.0) <= 2.0
-
-
-def test_exposure_map_covers_trace_rows():
-    ctrl = RefreshController(trefp_s=1.0)
-    trace = AccessTrace.from_events(4.0, [(0.5, 3), (1.0, 3), (2.0, 9)])
-    exposures = ctrl.exposure_map(trace)
-    assert set(exposures) == {3, 9}
-
-
-def test_covered_fraction_counts_split_rows():
-    ctrl = RefreshController(trefp_s=2.0)
-    events = [(t * 0.2, 0) for t in range(20)]      # row 0: dense
-    events += [(1.0, 1)]                            # row 1: single touch
-    trace = AccessTrace.from_events(4.0, events)
-    assert ctrl.covered_fraction(trace) == pytest.approx(0.5)
+    assert sorted(trace.accesses) == [1, 2]
 
 
 def test_access_interval_coverage():
@@ -66,28 +27,16 @@ def test_access_interval_coverage():
         (0.0, 1), (5.0, 1),               # gap 5.0 -> not covered
         (3.0, 2),                         # single access -> not covered
     ])
-    coverage = RefreshController.access_interval_coverage(trace, target_s=2.0)
+    coverage = access_interval_coverage(trace, target_s=2.0)
     assert coverage == pytest.approx(1 / 3)
 
 
 def test_access_interval_coverage_empty_trace():
     trace = AccessTrace(window_s=1.0, accesses={})
-    assert RefreshController.access_interval_coverage(trace, 1.0) == 0.0
+    assert access_interval_coverage(trace, 1.0) == 0.0
 
 
 def test_access_interval_coverage_bad_target():
     trace = AccessTrace.from_events(1.0, [(0.1, 0)])
     with pytest.raises(ConfigurationError):
-        RefreshController.access_interval_coverage(trace, 0.0)
-
-
-def test_refresh_command_rate():
-    ctrl = RefreshController(trefp_s=0.064, rows_per_bank=65536)
-    assert ctrl.refresh_commands_per_second() == pytest.approx(65536 / 0.064)
-
-
-def test_invalid_controller_params():
-    with pytest.raises(ConfigurationError):
-        RefreshController(trefp_s=0.0)
-    with pytest.raises(ConfigurationError):
-        RefreshController(rows_per_bank=0)
+        access_interval_coverage(trace, 0.0)

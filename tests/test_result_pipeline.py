@@ -108,7 +108,8 @@ def test_faulted_transport_converges_to_clean_contents(transport):
                            max_retries=4, seed=SEED, faults=plan)
     ok, failed = ResultUploader(link).upload(shards.store)
     assert failed == 0
-    assert plan.max_transport_depth >= 1     # bursts were actually placed
+    # bursts were actually placed
+    assert any(b.depth >= 1 for b in plan.corruption_bursts + plan.loss_bursts)
     assert sorted(cloud.to_store().rows()) == sorted(clean)
 
 
@@ -152,7 +153,7 @@ def test_interrupted_study_resumes_without_reexecution(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         execute_shards(_chip(), SEED, campaigns, 1, checkpoint=checkpoint)
     monkeypatch.undo()
-    assert len(checkpoint.completed_shards()) == 1
+    assert len(list(tmp_path.glob("*.json"))) == 1   # one shard manifest
 
     resumed = execute_shards(_chip(), SEED, campaigns, 2,
                              checkpoint=checkpoint)
@@ -205,7 +206,7 @@ def test_interrupted_pipeline_keeps_every_finished_shard(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_pipeline(resume_dir=checkpoint_dir, **kwargs)
     monkeypatch.undo()
-    assert len(CampaignCheckpoint(checkpoint_dir).completed_shards()) == 2
+    assert len(list(tmp_path.glob("*.json"))) == 2   # two shard manifests
 
     finished = run_pipeline(resume_dir=checkpoint_dir, **kwargs)
     assert finished.shards_resumed == 2

@@ -4,8 +4,7 @@ import csv
 
 import pytest
 
-from repro.core.results import ResultRow, ResultStore, result_fields
-from repro.cpu.outcomes import RunOutcome
+from repro.core.results import RESULT_FIELDS, ResultRow, ResultStore
 from repro.errors import CampaignError
 
 
@@ -36,23 +35,6 @@ def test_filtered_queries():
     assert len(store.rows(predicate=lambda r: r.repetition == 0)) == 3
 
 
-def test_outcomes_extraction():
-    store = ResultStore()
-    store.append(row(outcome="correct"))
-    store.append(row(outcome="sdc", rep=1))
-    outcomes = store.outcomes("mcf", 900.0)
-    assert outcomes == [RunOutcome.CORRECT, RunOutcome.SDC]
-
-
-def test_benchmarks_and_voltages_sorted():
-    store = ResultStore()
-    store.append(row(benchmark="milc", voltage=880.0))
-    store.append(row(benchmark="gcc", voltage=900.0))
-    store.append(row(benchmark="gcc", voltage=890.0))
-    assert store.benchmarks() == ["gcc", "milc"]
-    assert store.voltages("gcc") == [900.0, 890.0]  # descending
-
-
 def test_csv_roundtrip():
     store = ResultStore()
     store.append(row())
@@ -67,7 +49,7 @@ def test_csv_roundtrip():
 def test_csv_header_schema():
     text = ResultStore().to_csv_text()
     header = text.splitlines()[0]
-    assert header.split(",") == result_fields()
+    assert header.split(",") == list(RESULT_FIELDS)
 
 
 def test_csv_missing_columns_rejected():
@@ -118,9 +100,9 @@ def test_legacy_csv_without_run_key_column_loads():
 
 def test_csv_columns_are_mapped_by_header_name():
     """A header in another order, with an extra column, maps by name."""
-    names = list(reversed(result_fields())) + ["note"]
+    names = list(reversed(RESULT_FIELDS)) + ["note"]
     original = row(rep=4)._replace(run_key="k")
-    values = dict(zip(result_fields(), original))
+    values = dict(zip(RESULT_FIELDS, original))
     lines = [",".join(names),
              ",".join([str(values[name]) for name in names[:-1]] + ["x"])]
     assert ResultStore.from_csv_text("\n".join(lines)).rows() == [original]

@@ -79,21 +79,6 @@ def test_coupling_increases_failures(model):
     assert coupled > base
 
 
-def test_quantile_retention_inverts_cdf(model):
-    for p in (1e-8, 1e-6, 1e-4, 0.5):
-        t = model.quantile_retention_s(p)
-        z = (math.log(t) - model.params.ln_median_s) / model.params.ln_sigma
-        assert _normal_cdf(z) == pytest.approx(p, rel=1e-6)
-
-
-def test_tail_sample_stays_in_tail(model):
-    tail_p = model.fail_probability(4.0, 62.0, 1.21)
-    threshold = model.effective_threshold_s(4.0, 62.0, 1.21)
-    for u in (0.001, 0.25, 0.5, 0.999):
-        t = model.tail_sample_retention_s(u, tail_p)
-        assert t <= threshold * 1.0001
-
-
 def test_normal_icdf_roundtrip():
     for p in (1e-9, 1e-5, 0.1, 0.5, 0.9, 1 - 1e-6):
         assert _normal_cdf(_normal_icdf(p)) == pytest.approx(p, rel=1e-5)

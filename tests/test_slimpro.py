@@ -1,12 +1,10 @@
-"""SLIMpro management processor and sensor bank."""
+"""SLIMpro management processor."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.soc.domains import DomainName
-from repro.soc.sensors import Sensor, SensorBank
 from repro.soc.slimpro import EccReport, SLIMpro
-from repro.units import NOMINAL_REFRESH_S
 
 
 @pytest.fixture()
@@ -24,28 +22,9 @@ def test_operations_before_boot_rejected():
         sp.set_domain_voltage(DomainName.PMD, 930.0)
 
 
-def test_boot_sets_defaults(slimpro):
-    assert slimpro.booted
-    assert slimpro.domain_voltage(DomainName.PMD) == 980.0
-    assert slimpro.refresh_period() == NOMINAL_REFRESH_S
-
-
 def test_set_domain_voltage_snaps(slimpro):
     applied = slimpro.set_domain_voltage(DomainName.PMD, 931.0)
     assert applied == 930.0
-    assert slimpro.domain_voltage(DomainName.PMD) == 930.0
-
-
-def test_set_refresh_period_all_mcus(slimpro):
-    slimpro.set_refresh_period(2.283)
-    for mcu in range(4):
-        assert slimpro.refresh_period(mcu) == 2.283
-
-
-def test_set_refresh_period_single_mcu(slimpro):
-    slimpro.set_refresh_period(2.283, mcu=1)
-    assert slimpro.refresh_period(1) == 2.283
-    assert slimpro.refresh_period(0) == NOMINAL_REFRESH_S
 
 
 def test_invalid_refresh_period_rejected(slimpro):
@@ -55,16 +34,6 @@ def test_invalid_refresh_period_rejected(slimpro):
         slimpro.set_refresh_period(1.0, mcu=9)
 
 
-def test_power_cycle_restores_defaults_keeps_logs(slimpro):
-    slimpro.set_domain_voltage(DomainName.PMD, 930.0)
-    slimpro.set_refresh_period(2.283)
-    slimpro.report_ecc(EccReport(time_s=1.0, source="mcu0", correctable=True))
-    slimpro.power_cycle()
-    assert slimpro.domain_voltage(DomainName.PMD) == 980.0
-    assert slimpro.refresh_period() == NOMINAL_REFRESH_S
-    assert slimpro.correctable_count() == 1  # audit log survives
-
-
 def test_ecc_event_counting(slimpro):
     slimpro.report_ecc(EccReport(0.0, "mcu0", correctable=True))
     slimpro.report_ecc(EccReport(1.0, "mcu1", correctable=False))
@@ -72,45 +41,3 @@ def test_ecc_event_counting(slimpro):
     assert slimpro.correctable_count() == 2
     assert slimpro.uncorrectable_count() == 1
     assert slimpro.correctable_count(since_s=1.5) == 1
-
-
-def test_ecc_report_severity():
-    assert EccReport(0.0, "x", correctable=True).severity == "CE"
-    assert EccReport(0.0, "x", correctable=False).severity == "UE"
-
-
-def test_sensor_reads_logged(slimpro):
-    slimpro.register_sensor(Sensor("power.test", lambda: 12.34, resolution=0.1))
-    value = slimpro.read_sensor("power.test", now_s=0.0)
-    assert value == pytest.approx(12.3)
-    history = slimpro.sensor_history()
-    assert history and history[-1].channel == "power.test"
-
-
-def test_telemetry_dump_reads_everything(slimpro):
-    slimpro.register_sensor(Sensor("a", lambda: 1.0))
-    slimpro.register_sensor(Sensor("b", lambda: 2.0))
-    snapshot = slimpro.telemetry_dump(now_s=0.0)
-    assert snapshot == {"a": 1.0, "b": 2.0}
-
-
-def test_sensor_rate_limiting():
-    truth = [10.0]
-    sensor = Sensor("s", lambda: truth[0], resolution=0.1, min_interval_s=1.0)
-    assert sensor.read(0.0) == 10.0
-    truth[0] = 20.0
-    assert sensor.read(0.5) == 10.0  # cached: too soon
-    assert sensor.read(1.5) == 20.0
-
-
-def test_sensor_bank_duplicate_rejected():
-    bank = SensorBank()
-    bank.add(Sensor("x", lambda: 0.0))
-    with pytest.raises(ConfigurationError):
-        bank.add(Sensor("x", lambda: 1.0))
-
-
-def test_sensor_bank_unknown_read():
-    bank = SensorBank()
-    with pytest.raises(KeyError):
-        bank.read("missing")

@@ -19,7 +19,7 @@ def test_timing_properties(workload):
 
 def test_row_sweep_trace_shape(workload):
     trace = StencilScheduler(workload).row_sweep_trace()
-    assert len(trace.accessed_rows()) == 200
+    assert len(trace.accesses) == 200
     # Each row touched once per iteration.
     assert all(len(times) == 3 for times in trace.accesses.values())
 

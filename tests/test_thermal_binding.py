@@ -23,7 +23,7 @@ def test_incomplete_binding_rejected():
 def test_devices_on_same_rank_share_zone():
     binding = ZoneBinding.paper_default(DEFAULT_GEOMETRY)
     by_rank = {}
-    for device in DEFAULT_GEOMETRY.device_ids():
+    for device in range(DEFAULT_GEOMETRY.num_devices):
         dimm, rank, _slot = DEFAULT_GEOMETRY.device_location(device)
         by_rank.setdefault((dimm, rank), set()).add(
             binding.zone_of_device(device))

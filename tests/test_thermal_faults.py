@@ -196,7 +196,7 @@ def test_clean_regulation_is_valid_and_ok():
     assert report.measurement_valid
     assert report.within_one_degree
     assert bed.zone_measurement_valid(0)
-    assert abs(bed.zone_estimate_c(0) - bed.zone_temperature_c(0)) < 1.0
+    assert abs(bed.monitors[0].estimate_c - bed.plants[0].temperature_c) < 1.0
 
 
 def test_stuck_thermocouple_is_voted_out_and_rehabilitated():
@@ -210,12 +210,12 @@ def test_stuck_thermocouple_is_voted_out_and_rehabilitated():
     bed.run(100.0)
     # Mid-fault: residual voting sides with the SPD; zone degrades but
     # regulation holds on the surviving sensor.
-    assert bed.zone_status(0) == ZONE_DEGRADED_SPD
+    assert bed.monitors[0].status == ZONE_DEGRADED_SPD
     report = bed.run(800.0)[0]
-    assert bed.zone_status(0) == ZONE_OK  # rehabilitated after recovery
+    assert bed.monitors[0].status == ZONE_OK  # rehabilitated after recovery
     assert report.quarantine is None
     assert report.measurement_valid
-    assert abs(bed.zone_temperature_c(0) - 50.0) < 1.0
+    assert abs(bed.plants[0].temperature_c - 50.0) < 1.0
 
 
 def test_drifting_thermocouple_keeps_truth_in_band():
@@ -225,7 +225,7 @@ def test_drifting_thermocouple_keeps_truth_in_band():
     report = bed.run(900.0)[0]
     assert report.quarantine is None
     # The drift is caught before it can steer the plant out of spec.
-    assert abs(bed.zone_temperature_c(0) - 50.0) < 1.0
+    assert abs(bed.plants[0].temperature_c - 50.0) < 1.0
     assert report.measurement_valid
 
 
@@ -234,9 +234,9 @@ def test_spd_timeout_degrades_to_thermocouple():
                          duration_s=100.0)
     bed = _bed(faults=[fault])
     bed.run(350.0)
-    assert bed.zone_status(0) == ZONE_DEGRADED_TC
+    assert bed.monitors[0].status == ZONE_DEGRADED_TC
     report = bed.run(550.0)[0]
-    assert bed.zone_status(0) == ZONE_OK
+    assert bed.monitors[0].status == ZONE_OK
     assert report.measurement_valid
 
 
@@ -279,7 +279,7 @@ def test_ambient_step_recovers_in_band():
     bed = _bed(faults=[fault])
     report = bed.run(1800.0)[0]
     assert report.quarantine is None
-    assert abs(bed.zone_temperature_c(0) - 50.0) < 1.0
+    assert abs(bed.plants[0].temperature_c - 50.0) < 1.0
     assert report.measurement_valid
 
 
@@ -310,9 +310,11 @@ def test_forced_quarantine_is_idempotent_and_cuts_heater():
     record = bed.quarantine_zone(0, "regulation-timeout", "budget spent")
     again = bed.quarantine_zone(0, "thermal-runaway", "later reason")
     assert again is record and record.kind == "regulation-timeout"
-    assert bed.zone_status(0) == ZONE_QUARANTINED
+    assert bed.monitors[0].status == ZONE_QUARANTINED
     assert not bed.zone_measurement_valid(0)
-    assert bed.relays[0].duty == 0.0
+    before = bed.plants[0].temperature_c
+    bed.run(100.0)
+    assert bed.plants[0].temperature_c < before   # heater cut: it cools
 
 
 # ----------------------------------------------------------------------
@@ -353,9 +355,9 @@ def test_retarget_restarts_settle_telemetry():
 def test_fused_error_bounded_under_any_noise_seed(seed):
     bed = _bed(seed=seed)
     bed.run(400.0)
-    truth = bed.zone_temperature_c(0)
-    assert bed.zone_status(0) == ZONE_OK
-    assert abs(bed.zone_estimate_c(0) - truth) < 1.0
+    truth = bed.plants[0].temperature_c
+    assert bed.monitors[0].status == ZONE_OK
+    assert abs(bed.monitors[0].estimate_c - truth) < 1.0
 
 
 # ----------------------------------------------------------------------

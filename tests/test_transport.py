@@ -286,15 +286,6 @@ def test_cloud_store_still_dedupes_same_identity():
     assert cloud.duplicates == 1
 
 
-def test_cloud_store_contains_is_public_api():
-    cloud = CloudStore()
-    first = keyed("chip-A/mcf/v=900.0")
-    assert not cloud.contains(first)
-    cloud.receive(first)
-    assert cloud.contains(first)
-    assert not cloud.contains(keyed("chip-B/mcf/v=900.0"))
-
-
 # ----------------------------------------------------------------------
 # Network link stats: delivered / dropped / ack_lost accounting
 # ----------------------------------------------------------------------

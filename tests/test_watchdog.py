@@ -49,15 +49,6 @@ def test_power_cycle_costs_more():
         dog.timeout_s + dog.reset_time_s + dog.power_cycle_time_s)
 
 
-def test_recovery_events_logged():
-    dog = Watchdog()
-    dog.supervise(RunOutcome.HANG, 300.0, now_s=10.0, description="run1")
-    dog.supervise(RunOutcome.CORRECT, 300.0, now_s=20.0)
-    events = dog.recovery_events()
-    assert len(events) == 1
-    assert events[0].run_description == "run1"
-
-
 def test_invalid_configuration_rejected():
     with pytest.raises(ConfigurationError):
         Watchdog(timeout_s=0.0)

@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.base import CpuWorkload, DramProfile, Workload
-from repro.workloads.nas import nas_suite, nas_workload
-from repro.workloads.rodinia import rodinia_suite, rodinia_workload
+from repro.workloads.nas import nas_suite
+from repro.workloads.rodinia import rodinia_suite
 from repro.workloads.spec import SPEC_WORKLOADS, spec_suite, spec_workload
 
 
@@ -50,10 +50,6 @@ def test_milc_character():
 def test_unknown_workload_rejected():
     with pytest.raises(WorkloadError):
         spec_workload("doom")
-    with pytest.raises(WorkloadError):
-        nas_workload("doom")
-    with pytest.raises(WorkloadError):
-        rodinia_workload("doom")
 
 
 def test_nas_swings_below_virus_headroom():

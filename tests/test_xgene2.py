@@ -3,33 +3,11 @@
 import pytest
 
 from repro.soc.corners import ProcessCorner
-from repro.soc.domains import DomainName
 from repro.soc.xgene2 import (
     DEFAULT_DOMAIN_WATTS,
     build_platform,
     build_reference_chips,
 )
-
-
-def test_platform_boots_at_nominal(ttt_platform):
-    assert ttt_platform.slimpro.booted
-    assert ttt_platform.pmd_voltage_mv() == 980.0
-    assert ttt_platform.soc_voltage_mv() == 950.0
-
-
-def test_platform_power_sensors_registered(ttt_platform):
-    snapshot = ttt_platform.slimpro.telemetry_dump()
-    assert "power.pmd" in snapshot
-    assert "power.soc" in snapshot
-    assert snapshot["power.pmd"] == pytest.approx(DEFAULT_DOMAIN_WATTS["PMD"], abs=0.2)
-
-
-def test_clocked_domain_watts_track_voltage():
-    platform = build_platform(ProcessCorner.TTT, seed=1)
-    nominal = platform.clocked_domain_watts()["PMD"]
-    platform.slimpro.set_domain_voltage(DomainName.PMD, 930.0)
-    scaled = platform.clocked_domain_watts()["PMD"]
-    assert scaled < nominal
 
 
 def test_reference_chips_one_per_corner():
@@ -56,7 +34,3 @@ def test_domain_watts_override():
                               domain_watts={"PMD": 20.0})
     assert platform.pmd_power.nominal_watts == 20.0
     assert platform.other_watts == DEFAULT_DOMAIN_WATTS["OTHER"]
-
-
-def test_corner_property(ttt_platform):
-    assert ttt_platform.corner is ProcessCorner.TTT
