@@ -71,7 +71,7 @@ def build_report(seed: SeedLike = None, fast: bool = True) -> ReproductionReport
 
     ``fast=True`` runs each experiment at its
     :data:`~repro.experiments.FAST` budget (suitable for CI); otherwise
-    at the drivers' paper budgets, as the benches do.
+    at the drivers' paper budgets, as ``run NAME`` does.
     """
     from repro.experiments import (
         FAST, run_figure4, run_figure5, run_figure6, run_figure7,

@@ -36,16 +36,11 @@ class CharacterizationSetup:
         if self.repetitions < 1:
             raise CampaignError("repetitions must be >= 1")
 
-    def describe(self) -> str:
-        cores = ",".join(str(c.linear) for c in self.cores)
-        return f"{self.voltage_mv:.0f}mV@{self.freq_ghz}GHz cores[{cores}]x{self.repetitions}"
-
     def stream_key(self) -> str:
         """Exact operating-point signature used for RNG substream tags.
 
-        Unlike :meth:`describe` this keeps full float precision, so two
-        setups share a random stream only when they are the same
-        operating point.
+        It keeps full float precision, so two setups share a random
+        stream only when they are the same operating point.
         """
         cores = ",".join(str(c.linear) for c in self.cores)
         return (f"{self.voltage_mv!r}mV@{self.freq_ghz!r}GHz"
@@ -59,9 +54,6 @@ class CharacterizationRun:
     workload: Workload
     setup: CharacterizationSetup
     run_id: int
-
-    def describe(self) -> str:
-        return f"run{self.run_id}:{self.workload.name}@{self.setup.describe()}"
 
     def stream_key(self) -> str:
         """Order-independent signature of this run's sampled behaviour.

@@ -151,7 +151,6 @@ class CampaignExecutor:
         freq_ghz = setup.freq_ghz
         cores_label = ";".join(str(c.linear) for c in setup.cores)
         completed_value = WatchdogVerdict.COMPLETED.value
-        description: Optional[str] = None
         classify_memo: dict = {}
         outcome_counts: dict = {}
         rows: List[ResultRow] = []
@@ -167,10 +166,8 @@ class CampaignExecutor:
                 classify_memo[key] = entry
             classified, outcome_value, needs_reset = entry
             if needs_reset:
-                if description is None:
-                    description = run.describe()
-                supervised = self.watchdog.supervise(
-                    classified, NOMINAL_RUNTIME_S, description=description)
+                supervised = self.watchdog.supervise(classified,
+                                                     NOMINAL_RUNTIME_S)
                 verdict_value = supervised.verdict.value
                 wall_time = supervised.wall_time_s
             else:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List
 
 from repro.cpu.outcomes import RunOutcome
 from repro.errors import ConfigurationError
@@ -24,15 +23,6 @@ class WatchdogVerdict(enum.Enum):
     COMPLETED = "completed"          # benchmark exited by itself
     TIMEOUT_RESET = "timeout_reset"  # hang -> reset switch recovered it
     TIMEOUT_POWER = "timeout_power"  # reset failed -> power switch cycle
-
-
-@dataclass(frozen=True)
-class RecoveryEvent:
-    """One recovery action taken by the harness."""
-
-    time_s: float
-    verdict: WatchdogVerdict
-    run_description: str
 
 
 @dataclass
@@ -59,8 +49,6 @@ class Watchdog:
     reset_time_s: float = 45.0
     power_cycle_time_s: float = 90.0
     reset_success_rate: float = 0.8
-    _events: List[RecoveryEvent] = field(default_factory=list, init=False)
-    _hang_counter: int = field(default=0, init=False)
     _escalation_debt: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
@@ -69,8 +57,8 @@ class Watchdog:
         if not 0.0 <= self.reset_success_rate <= 1.0:
             raise ConfigurationError("reset_success_rate must be in [0, 1]")
 
-    def supervise(self, outcome: RunOutcome, nominal_runtime_s: float,
-                  now_s: float = 0.0, description: str = "") -> "SupervisedRun":
+    def supervise(self, outcome: RunOutcome,
+                  nominal_runtime_s: float) -> "SupervisedRun":
         """Account the wall time and recovery path of one run outcome."""
         if nominal_runtime_s <= 0:
             raise ConfigurationError("nominal runtime must be positive")
@@ -82,7 +70,6 @@ class Watchdog:
         # point of failure (modelled as half the nominal runtime).
         stall = self.timeout_s if outcome is RunOutcome.HANG \
             else nominal_runtime_s * 0.5
-        self._hang_counter += 1
         # Deterministic escalation by error diffusion (Bresenham): each
         # recovery accrues (1 - rate) of escalation debt and the reset
         # switch is defeated exactly when a whole escalation is owed.
@@ -101,7 +88,6 @@ class Watchdog:
         else:
             verdict = WatchdogVerdict.TIMEOUT_RESET
             recovery = self.reset_time_s
-        self._events.append(RecoveryEvent(now_s, verdict, description))
         return SupervisedRun(outcome=outcome, verdict=verdict,
                              wall_time_s=stall + recovery)
 

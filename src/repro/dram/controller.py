@@ -39,6 +39,9 @@ class ScrubResult:
     uncorrectable_words: int
     miscorrected_words: int
     words_scanned: int
+    #: Corrupted words with an even number of failing bits: the words a
+    #: single parity bit would pass as clean.
+    even_words: int
 
     @property
     def all_corrected(self) -> bool:
@@ -117,7 +120,7 @@ class MemoryControlUnit:
         """
         raw_bit_errors = int(rows.size)
         if raw_bit_errors == 0:
-            return ScrubResult(0, 0, 0, 0, 0)
+            return ScrubResult(0, 0, 0, 0, 0, 0)
         # Deduplicate (row, col) and group into (row, word) codewords;
         # np.unique sorts, matching the scrub's address-ordered readback.
         cells = np.unique(
@@ -127,7 +130,7 @@ class MemoryControlUnit:
                      | cell_cols // WORD_DATA_BITS)
         words, counts = np.unique(word_keys, return_counts=True)
         corrected = int(np.count_nonzero(counts == 1))
-        uncorrectable = int(np.count_nonzero(counts == 2))
+        uncorrectable = even_words = int(np.count_nonzero(counts == 2))
         miscorrected = 0
         multi_status = {}
         if np.any(counts >= 3):
@@ -137,6 +140,7 @@ class MemoryControlUnit:
                 lo = starts[index]
                 bits = (cell_cols[lo:lo + counts[index]]
                         % WORD_DATA_BITS).tolist()
+                even_words += len(bits) % 2 == 0
                 codeword = self._code.flip_bits(self._code.encode(true_data),
                                                 sorted(bits))
                 result = self._code.decode_with_truth(codeword, true_data)
@@ -155,6 +159,7 @@ class MemoryControlUnit:
             uncorrectable_words=uncorrectable,
             miscorrected_words=miscorrected,
             words_scanned=int(words.size),
+            even_words=even_words,
         )
 
     def _report_words(self, words: np.ndarray, counts: np.ndarray,

@@ -44,38 +44,6 @@ def _normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def _normal_icdf(p: float) -> float:
-    """Inverse standard normal CDF (Acklam's rational approximation).
-
-    Accurate to ~1e-9 over (0, 1); good enough for tail sampling where
-    the CDF side is the precision-critical direction.
-    """
-    if not 0.0 < p < 1.0:
-        raise ConfigurationError(f"probability {p} outside (0, 1)")
-    # Coefficients for the central and tail rational approximations.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-
-
 _ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
              1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
@@ -94,12 +62,12 @@ def _acklam_tail(q: np.ndarray) -> np.ndarray:
 
 
 def _normal_icdf_array(p: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_normal_icdf` over a float64 array.
+    """Inverse standard normal CDF over a float64 array.
 
-    Evaluates the same Acklam branches with the same float64 polynomial
-    arithmetic as the scalar routine (differences are confined to the
-    <= 1 ulp that ``np.log`` may deviate from ``math.log``), turning the
-    per-cell tail sampling of a whole bank into a handful of array ops.
+    Acklam's rational approximation, accurate to ~1e-9 over (0, 1): good
+    enough for tail sampling, where the CDF side is the precision-critical
+    direction. The per-cell tail sampling of a whole bank is a handful of
+    array ops.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.size and (float(p.min()) <= 0.0 or float(p.max()) >= 1.0):

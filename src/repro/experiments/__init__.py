@@ -2,8 +2,8 @@
 
 Each driver returns a structured result object with a ``rows()`` method
 (printable series matching the paper's presentation) and records the
-paper's reported values alongside the measured ones, so the benchmark
-harness and EXPERIMENTS.md can compare shapes directly.
+paper's reported values alongside the measured ones, so the CLI, the
+report and EXPERIMENTS.md can compare shapes directly.
 
 | Module                     | Reproduces                               |
 |----------------------------|------------------------------------------|
@@ -16,6 +16,8 @@ harness and EXPERIMENTS.md can compare shapes directly.
 | ``fig8b_refresh_power``    | Fig. 8b: DRAM power savings at 35x TREFP  |
 | ``fig9_jammer``            | Fig. 9: per-domain server power, Jammer   |
 | ``stencil_scheduling``     | Sec. IV.C: access-pattern scheduling      |
+| ``multiprocess_vmin``      | (extension) single- vs multi-process Vmin |
+| ``ablations``              | (ablation) GA vs random; ECC vs temp      |
 """
 
 from repro.experiments.fig4_spec_vmin import Figure4Result, run_figure4
@@ -31,11 +33,17 @@ from repro.experiments.multiprocess_vmin import (
     MultiprocessResult,
     run_multiprocess_study,
 )
+from repro.experiments.ablations import (
+    EccAblationResult,
+    GaAblationResult,
+    run_ecc_ablation,
+    run_ga_ablation,
+)
 
 #: Experiment id -> driver callable. Every driver accepts ``seed=`` and
 #: returns a result object with ``rows()``/``format()``; the CLI and the
-#: bench harness both enumerate experiments from this single map, so a
-#: new module only needs one entry here to appear everywhere.
+#: golden-digest tests both enumerate experiments from this single map,
+#: so a new module only needs one entry here to appear everywhere.
 REGISTRY = {
     "fig4": run_figure4,
     "fig5": run_figure5,
@@ -47,6 +55,8 @@ REGISTRY = {
     "fig9": run_figure9,
     "stencil": run_stencil_study,
     "multiprocess": run_multiprocess_study,
+    "ablation-ga": run_ga_ablation,
+    "ablation-ecc": run_ecc_ablation,
 }
 
 #: Experiment id -> reduced budgets for a quick smoke pass (``run
@@ -61,10 +71,12 @@ FAST = {
     "table1": {"regulate": False, "sample_devices": 24},
     "fig9": {"repetitions": 3},
     "multiprocess": {"repetitions": 3},
+    "ablation-ga": {"generations": 8, "population": 16},
     "pipeline": {"benchmarks": 2, "repetitions": 2},
 }
 
 __all__ = [
+    "EccAblationResult",
     "FAST",
     "Figure4Result",
     "Figure5Result",
@@ -73,10 +85,12 @@ __all__ = [
     "Figure8aResult",
     "Figure8bResult",
     "Figure9Result",
+    "GaAblationResult",
     "MultiprocessResult",
     "REGISTRY",
     "StencilResult",
     "Table1Result",
+    "run_ecc_ablation",
     "run_figure4",
     "run_figure5",
     "run_figure6",
@@ -84,6 +98,7 @@ __all__ = [
     "run_figure8a",
     "run_figure8b",
     "run_figure9",
+    "run_ga_ablation",
     "run_multiprocess_study",
     "run_stencil_study",
     "run_table1",

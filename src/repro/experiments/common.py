@@ -170,7 +170,7 @@ def vmin_searches(seed: SeedLike = None, repetitions: int = 10,
 
 
 def format_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Fixed-width text table for bench output."""
+    """Fixed-width text table for experiment output."""
     table: List[List[str]] = [[str(h) for h in header]]
     for row in rows:
         table.append([f"{v:.3f}" if isinstance(v, float) else str(v) for v in row])

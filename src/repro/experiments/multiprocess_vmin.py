@@ -59,11 +59,6 @@ class MultiprocessResult:
         ]
 
     @property
-    def all_multi_above_single(self) -> bool:
-        return all(self.multi_vmin_mv[n] > self.single_vmin_mv[n]
-                   for n in self.single_vmin_mv)
-
-    @property
     def worst_multi_mv(self) -> float:
         return max(self.multi_vmin_mv.values())
 

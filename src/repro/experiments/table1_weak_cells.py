@@ -138,13 +138,15 @@ class Table1Result:
         return "\n".join(lines)
 
 
-def _merge_scrubs(results: List[ScrubResult]) -> ScrubResult:
+def merge_scrubs(results: List[ScrubResult]) -> ScrubResult:
+    """One scrub result summing the counts of ``results``."""
     return ScrubResult(
         raw_bit_errors=sum(r.raw_bit_errors for r in results),
         corrected_words=sum(r.corrected_words for r in results),
         uncorrectable_words=sum(r.uncorrectable_words for r in results),
         miscorrected_words=sum(r.miscorrected_words for r in results),
         words_scanned=sum(r.words_scanned for r in results),
+        even_words=sum(r.even_words for r in results),
     )
 
 
@@ -280,7 +282,7 @@ def run_table1(seed: SeedLike = None,
             device_scrubs.extend(shard_scrubs)
         counts[temp] = tuple(bank_totals)
         per_chip[temp] = tuple(chip_totals)
-        scrubs[temp] = _merge_scrubs(device_scrubs)
+        scrubs[temp] = merge_scrubs(device_scrubs)
     return Table1Result(
         counts=counts,
         per_chip_totals=per_chip,

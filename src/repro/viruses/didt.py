@@ -7,7 +7,7 @@ testing (the virus shows the highest Vmin of any workload, Figure 6).
 
 This module wires the GA engine to the EM sensor as fitness, packages
 the evolved loop as a :class:`DidtVirus` workload-like object, and
-provides the random-search baseline used by the ablation bench.
+provides the random-search baseline of the ``ablation-ga`` experiment.
 
 Fitness evaluation is batched end to end: :class:`EmFitness` decomposes
 each evaluation into a deterministic (noise-free) amplitude -- memoized
@@ -147,8 +147,8 @@ class DidtSearch:
         half-periods bracketing the PDN resonance are evaluated with the
         same EM fitness, and the best stimulus overall wins. This
         GA + local-search hybrid converges to the full resonant swing
-        far more reliably than the GA alone (quantified by the GA
-        ablation bench).
+        far more reliably than the GA alone (quantified by the
+        ``ablation-ga`` experiment).
 
         The GA scores each generation in one batched fitness call,
         bit-identical to scoring it serially (``tests/test_em_batch.py``
@@ -221,11 +221,10 @@ def random_search_baseline(seed: SeedLike = None, evaluations: int = 1200,
                            batch_size: int = 64) -> DidtVirus:
     """Ablation baseline: pure random search with the same budget.
 
-    Draws random loops and keeps the best by the same EM fitness; used
-    by ``benchmarks/test_bench_ablation_ga.py`` to quantify the GA's
-    advantage. Evaluation is batched ``batch_size`` loops at a time;
-    under the counter-based noise protocol the result is identical at
-    any batch size.
+    Draws random loops and keeps the best by the same EM fitness; the
+    ``ablation-ga`` experiment races it against the GA. Evaluation is
+    batched ``batch_size`` loops at a time; under the counter-based
+    noise protocol the result is identical at any batch size.
     """
     search = DidtSearch(pdn=pdn, seed=seed)
     ga = GeneticAlgorithm(search.fitness, seed=substream(seed, "rand-baseline"))

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.campaign import (
     CampaignPlan,
-    CharacterizationRun,
     CharacterizationSetup,
 )
 from repro.errors import CampaignError
@@ -77,10 +76,3 @@ def test_empty_plan_rejected():
     plan = CampaignPlan().add_workload(spec_workload("mcf"))
     with pytest.raises(CampaignError):
         plan.build()  # no setups
-
-
-def test_describe_strings():
-    setup = CharacterizationSetup(voltage_mv=900.0, cores=(CoreId(1, 1),))
-    run = CharacterizationRun(spec_workload("gcc"), setup, run_id=7)
-    assert "900" in setup.describe()
-    assert "gcc" in run.describe()

@@ -108,3 +108,12 @@ def test_decode_failures_multibit_words_use_real_decoder(slimpro):
         (True, (2 << 16) | 0), (False, (2 << 16) | 1),
         (False, (5 << 16) | 1), (True, (9 << 16) | 0),
     ]
+
+
+def test_even_words_counts_the_words_parity_misses():
+    """Words with 2 and 4 failing bits pass a parity bit; 1 and 3 do not."""
+    rows = [1] + [2] * 2 + [3] * 3 + [4] * 4
+    cols = [0, 0, 1, 0, 4, 57, 10, 20, 30, 40]
+    mcu = MemoryControlUnit(0, trefp_s=RELAXED_REFRESH_S)
+    result = mcu._decode_failures(np.array(rows), np.array(cols), now_s=0.0)
+    assert (result.words_scanned, result.even_words) == (4, 2)

@@ -10,11 +10,10 @@ never entered must be on :data:`ALLOWED_UNENTERED` with a reason; every
 other one fails the test, by name.
 
 The allowlist may only shrink: an entry whose function is entered, or
-no longer exists, fails the test too. It holds five groups: code that
+no longer exists, fails the test too. It holds four groups: code that
 runs only inside pool workers (another process, so the profiler cannot
 see it); the scalar oracles tests compare batched paths against; fault
-paths no command reaches; input validation; and functions only
-``perfbench/`` or ``benchmarks/`` call.
+paths no command reaches; and input validation.
 """
 
 import ast
@@ -66,7 +65,6 @@ _ZONE = ("zone-quarantine path: FaultSpec draws only recoverable thermal "
          "plans, so no command quarantines a zone")
 _SECDED = ("SECDED decoder path: the scrub decodes only words with >= 3 "
            "failing bits, and no traced budget produces one")
-_BENCH = "called by benchmarks/"
 
 #: ``module:qualified name`` -> why nothing above enters it.
 ALLOWED_UNENTERED = {
@@ -116,13 +114,6 @@ ALLOWED_UNENTERED = {
         "rejects a binding that misses a (dimm, rank) pair",
     "repro.soc.domains:DomainName.__str__":
         "names the rail in the regulators' range-check errors",
-    # Benchmarks.
-    "repro.viruses.didt:random_search_baseline": _BENCH,
-    "repro.viruses.didt:random_search_unit": _BENCH,
-    "repro.dram.retention:_normal_icdf": _BENCH,
-    "repro.dram.controller:MemoryControlUnit.trefp_s": _BENCH,
-    "repro.experiments.multiprocess_vmin:"
-    "MultiprocessResult.all_multi_above_single": _BENCH,
 }
 
 #: Runs in the traced interpreter: argv[1] is a JSON job description.

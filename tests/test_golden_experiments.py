@@ -6,10 +6,11 @@ seed is pinned in ``tests/golden/experiments_stdout.sha256``, with the
 ``[NAME: x.xs]`` timing line stripped. Figures print at the precision
 they report, so the digests hold across the CI matrix.
 
-6 of the 7 ids that take a fast budget print identical text at both
+6 of the 8 ids that take a fast budget print identical text at both
 budgets because their figures saturate (fig6 prints swing 1.000 at 128
-and at 782 GA evaluations); only table1 differs. fig8a, fig8b and
-stencil take no budget. ``tests/test_golden_ga.py`` stays the exact pin
+and at 782 GA evaluations); table1 and ablation-ga (whose random arm
+prints its budget and swing) differ. fig8a, fig8b, stencil and
+ablation-ecc take no budget. ``tests/test_golden_ga.py`` stays the exact pin
 for the GA arms.
 
 Recoverable injected faults must reproduce the clean digests: the

@@ -190,6 +190,7 @@ def test_experiment_registry_and_run_aliases():
     assert set(experiments.REGISTRY) == {
         "fig4", "fig5", "fig6", "fig7", "table1",
         "fig8a", "fig8b", "fig9", "stencil", "multiprocess",
+        "ablation-ga", "ablation-ecc",
     }
     for name, driver in experiments.REGISTRY.items():
         assert callable(driver), name

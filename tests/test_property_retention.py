@@ -6,7 +6,7 @@ import math
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.dram.refresh import AccessTrace, access_interval_coverage
-from repro.dram.retention import RetentionModel, _normal_cdf, _normal_icdf
+from repro.dram.retention import RetentionModel, _normal_cdf, _normal_icdf_array
 import pytest
 
 #: Heavy module: deselected from the smoke tier (``pytest -m "not slow"``).
@@ -64,7 +64,7 @@ def test_acceleration_composes(t1, t2, t3):
 @given(p=probabilities)
 @settings(max_examples=300, deadline=None)
 def test_icdf_cdf_roundtrip(p):
-    assert math.isclose(_normal_cdf(_normal_icdf(p)), p,
+    assert math.isclose(_normal_cdf(float(_normal_icdf_array(p))), p,
                         rel_tol=1e-4, abs_tol=1e-12)
 
 

@@ -9,7 +9,7 @@ from repro.dram.retention import (
     RetentionModel,
     RetentionParams,
     _normal_cdf,
-    _normal_icdf,
+    _normal_icdf_array,
 )
 from repro.errors import ConfigurationError
 from repro.units import RELAXED_REFRESH_S
@@ -81,14 +81,14 @@ def test_coupling_increases_failures(model):
 
 def test_normal_icdf_roundtrip():
     for p in (1e-9, 1e-5, 0.1, 0.5, 0.9, 1 - 1e-6):
-        assert _normal_cdf(_normal_icdf(p)) == pytest.approx(p, rel=1e-5)
+        assert _normal_cdf(float(_normal_icdf_array(p))) == pytest.approx(p, rel=1e-5)
 
 
 def test_icdf_rejects_boundaries():
     with pytest.raises(ConfigurationError):
-        _normal_icdf(0.0)
+        _normal_icdf_array(0.0)
     with pytest.raises(ConfigurationError):
-        _normal_icdf(1.0)
+        _normal_icdf_array(1.0)
 
 
 def test_invalid_params_rejected():
