@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.core.campaign import Campaign
 from repro.core.results import ResultRow, ResultStore
@@ -82,18 +82,6 @@ class CampaignCheckpoint:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
 
-    def has(self, token: str) -> bool:
-        """Whether this shard *completed* (manifest is the commit point).
-
-        A quarantined shard has a manifest too but no rows; it does not
-        count as completed -- resume surfaces its typed failure instead
-        of reloading rows.
-        """
-        manifest = self._read_manifest(token)
-        return (manifest is not None
-                and manifest.get("status", STATUS_COMPLETED)
-                == STATUS_COMPLETED)
-
     def save(self, token: str, chip_serial: str, campaign: Campaign,
              rows: List[ResultRow]) -> None:
         """Persist one completed shard: rows first, manifest last."""
@@ -148,27 +136,27 @@ class CampaignCheckpoint:
             },
         })
 
-    def quarantined_failure(self, token: str) -> Optional[UnitFailure]:
-        """The typed failure of a quarantined shard, or ``None``."""
-        manifest = self._read_manifest(token)
-        if manifest is None or manifest.get(
-                "status", STATUS_COMPLETED) != STATUS_QUARANTINED:
-            return None
-        failure = manifest.get("failure", {})
-        return UnitFailure(
-            index=-1,
-            kind=failure.get("kind", CRASH),
-            attempts=int(failure.get("attempts", 0)),
-            detail=failure.get("detail", ""),
-            label=failure.get("label", manifest.get("campaign", "")),
-        )
+    def load(self, token: str) -> Union[List[ResultRow], UnitFailure, None]:
+        """What the checkpoint holds for one shard, from one manifest read.
 
-    def load_rows(self, token: str) -> List[ResultRow]:
-        """Reload a completed shard's rows, verifying the manifest."""
-        if not self.has(token):
-            raise CampaignError(f"checkpoint has no completed shard {token!r}")
-        with open(self._manifest_path(token), encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        ``None`` when the shard has no manifest (it never reached its
+        commit point), the typed :class:`UnitFailure` of a quarantined
+        shard, else the completed shard's rows, verified against the
+        manifest: a hash or row-count mismatch raises
+        :class:`~repro.errors.CampaignError`.
+        """
+        manifest = self._read_manifest(token)
+        if manifest is None:
+            return None
+        if manifest.get("status", STATUS_COMPLETED) == STATUS_QUARANTINED:
+            failure = manifest.get("failure", {})
+            return UnitFailure(
+                index=-1,
+                kind=failure.get("kind", CRASH),
+                attempts=int(failure.get("attempts", 0)),
+                detail=failure.get("detail", ""),
+                label=failure.get("label", manifest.get("campaign", "")),
+            )
         # newline="" reads the file verbatim: the CSV uses \r\n row
         # terminators, which universal-newline mode would rewrite and
         # break the manifest hash.

@@ -296,11 +296,12 @@ class _MapRun:
     """The supervision state of one :meth:`SupervisedPool.map` call."""
 
     def __init__(self, pool: "SupervisedPool", fn: Callable, items: List,
-                 faults: Optional[FaultPlan]) -> None:
+                 faults: Optional[FaultPlan], settle: Optional[Callable]) -> None:
         self.pool = pool
         self.fn = fn
         self.items = items
         self.faults = faults
+        self.settle = settle or (lambda index, outcome: None)
         self.attempts = [0] * len(items)    # failures charged, per unit
         self.results: List[object] = [None] * len(items)
         self.failures: Dict[int, UnitFailure] = {}
@@ -331,6 +332,7 @@ class _MapRun:
         # success carries none.
         self.results[index] = value
         self.ledger.append(AttemptRecord(index, self.attempts[index], _OK))
+        self.settle(index, value)
 
     def charge(self, index: int, kind: str, detail: str) -> bool:
         """Charge one failure to the unit; True while it may be retried."""
@@ -342,6 +344,7 @@ class _MapRun:
             return True
         self.failures[index] = UnitFailure(index=index, kind=kind,
                                            attempts=attempt + 1, detail=detail)
+        self.settle(index, self.failures[index])
         return False
 
     def run_inline(self, indices: Iterable[int]) -> None:
@@ -414,7 +417,6 @@ class _MapRun:
                     if worker.conn in ready:
                         try:
                             kind, payload = worker.conn.recv()
-                            worker.index = None
                         except (EOFError, OSError):
                             worker.stop()
                             kind, payload = CRASH, (
@@ -426,11 +428,15 @@ class _MapRun:
                             f"no result within {self.pool.unit_timeout}s deadline")
                     else:
                         continue
+                    lost = worker.conn.closed
+                    worker.index = None
+                    if queue and not lost:  # next unit out before this one settles
+                        self.send(worker, queue.popleft())
                     if kind == _OK:
                         self.succeed(index, payload)
                     elif self.charge(index, kind, payload):
                         queue.append(index)
-                    if worker.index is not None:    # lost: replace it
+                    if lost:    # replace it
                         workers.remove(worker)
                         if queue and self.start_worker(workers):
                             self.rebuilds += 1
@@ -473,8 +479,8 @@ class SupervisedPool:
         self.unit_timeout = unit_timeout
         self.max_retries = max_retries
 
-    def map(self, fn: Callable, items: Sequence,
-            faults: Optional[FaultPlan] = None) -> MapOutcome:
+    def map(self, fn: Callable, items: Sequence, faults: Optional[FaultPlan] = None,
+            settle: Optional[Callable[[int, object], None]] = None) -> MapOutcome:
         """Order-preserving supervised map.
 
         ``faults`` injects real process-level faults:
@@ -487,8 +493,14 @@ class SupervisedPool:
         quarantined units are enumerated in :attr:`MapOutcome.failures`,
         sorted by index. Units run with single-threaded BLAS (see
         :func:`single_threaded_blas`).
+
+        ``settle(index, value | UnitFailure)`` runs in this process once
+        per unit, as it finishes for good: on success or on quarantine,
+        after the unit's worker has its next unit. An exception from the
+        hook is not charged to the unit; it stops the workers and
+        propagates.
         """
-        run = _MapRun(self, fn, list(items), faults)
+        run = _MapRun(self, fn, list(items), faults, settle)
         with single_threaded_blas():
             if self.jobs <= 1 or len(run.items) <= 1:
                 run.run_inline(range(len(run.items)))

@@ -77,8 +77,9 @@ class RunOptions:
         return self.plan(zones=zones, horizon_s=horizon_s) if wanted else None
 
 
-def map_units(fn: Callable, tasks: Sequence, jobs: int,
-              options: RunOptions) -> MapOutcome:
+def map_units(fn: Callable, tasks: Sequence, jobs: int, options: RunOptions,
+              settle: Optional[Callable[[int, object], None]] = None
+              ) -> MapOutcome:
     """Supervised, order-preserving map of ``fn`` over ``tasks``.
 
     The one place a :class:`RunOptions` becomes a
@@ -88,12 +89,13 @@ def map_units(fn: Callable, tasks: Sequence, jobs: int,
     map's own units; the outcome's ledger records every fault it
     injected (:meth:`MapOutcome.injected` counts them).
     :meth:`MapOutcome.unwrap` gives the values, or raises the typed
-    failure of any quarantined unit.
+    failure of any quarantined unit. ``settle`` is passed to
+    :meth:`~repro.core.supervisor.SupervisedPool.map`.
     """
     tasks = list(tasks)
     pool = SupervisedPool(jobs=jobs, unit_timeout=options.unit_timeout,
                           max_retries=options.max_retries)
-    return pool.map(fn, tasks, faults=options.plan(units=len(tasks)))
+    return pool.map(fn, tasks, faults=options.plan(units=len(tasks)), settle=settle)
 
 
 def regulate_to_setpoint(testbed, setpoint_c: float, rounds: int = 3,

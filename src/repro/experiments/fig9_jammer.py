@@ -115,7 +115,6 @@ def run_figure9(seed: SeedLike = None, repetitions: int = 10,
     from repro.soc.domains import DomainName
     platform.slimpro.set_domain_voltage(DomainName.PMD, point.pmd_mv)
     platform.slimpro.set_domain_voltage(DomainName.SOC, point.soc_mv)
-    platform.slimpro.set_refresh_period(point.trefp_s)
 
     power = server_power_report(platform, JAMMER_WORKLOAD, point,
                                 dram_model=DramPowerModel())

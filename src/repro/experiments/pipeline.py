@@ -25,10 +25,11 @@ Sharding keeps every row identical at any ``jobs``:
   keyed by unit index and merge into one :class:`ResultStore` in
   campaign order.
 
-Each shard writes its own checkpoint before it returns, inside the
-worker, so a study that is killed or interrupted keeps every shard that
-finished, and a rerun with the same checkpoint re-executes only the
-rest -- reproducing the same rows when it does.
+The parent checkpoints each shard the moment it settles -- its rows
+when it succeeds, its quarantine when its last allowed failure is
+charged -- so a study that is killed or interrupted keeps every shard
+that was decided, and a rerun with the same checkpoint re-executes only
+the rest, reproducing the same rows when it does.
 """
 
 from __future__ import annotations
@@ -121,25 +122,16 @@ def _declare_campaigns(benchmarks: int, repetitions: int, start_mv: float,
     return plan.build()
 
 
-#: One shard unit: (chip, integer seed, campaign, checkpoint or None).
-ShardTask = Tuple[Chip, int, Campaign, Optional[CampaignCheckpoint]]
+#: One shard unit: (chip, integer seed, campaign).
+ShardTask = Tuple[Chip, int, Campaign]
 
 
 def _campaign_shard(task: ShardTask) -> List[ResultRow]:
-    """Worker body: one campaign on a fresh executor, checkpointed.
-
-    With a checkpoint the rows are saved (CSV first, manifest last)
-    before they are returned, so the shard is durable the moment it
-    finishes, whatever happens to the rest of the study.
-    """
-    chip, seed, campaign, checkpoint = task
+    """Worker body: one campaign on a fresh executor; returns its rows."""
+    chip, seed, campaign = task
     executor = CampaignExecutor(chip, seed=seed)
     executor.execute_campaign(campaign)
-    rows = executor.store.rows()
-    if checkpoint is not None:
-        checkpoint.save(checkpoint.shard_token(chip.serial, campaign),
-                        chip.serial, campaign, rows)
-    return rows
+    return executor.store.rows()
 
 
 @dataclass(frozen=True)
@@ -163,49 +155,52 @@ def execute_shards(chip: Chip, seed: SeedLike, campaigns: Sequence[Campaign],
 
     Shards the checkpoint holds as completed are reloaded and shards it
     holds as quarantined resurface their typed failures; the rest go
-    through :func:`~repro.experiments.common.map_units` and save
-    themselves to the checkpoint as they finish. A shard that exhausts
-    its retry budget is quarantined (and marked so in the checkpoint)
-    instead of failing the study. Rows merge in campaign order,
-    identical to a serial per-campaign loop at any ``jobs``.
+    through :func:`~repro.experiments.common.map_units`, each
+    checkpointed as it settles: its rows, or its quarantine once it
+    exhausts its retry budget. Rows merge in campaign order, identical
+    to a serial per-campaign loop at any ``jobs``.
     """
     base = resolve_seed(seed)
     campaigns = list(campaigns)
     rows: Dict[int, List[ResultRow]] = {}
     failures: Dict[int, UnitFailure] = {}
+
+    def record(index: int, outcome) -> None:
+        if isinstance(outcome, UnitFailure):
+            label = outcome.label or campaigns[index].name
+            failures[index] = replace(outcome, index=index, label=label)
+        else:
+            rows[index] = outcome
+
     if checkpoint is not None:
         for index, campaign in enumerate(campaigns):
-            token = checkpoint.shard_token(chip.serial, campaign)
-            if checkpoint.has(token):
-                rows[index] = checkpoint.load_rows(token)
-                continue
-            failure = checkpoint.quarantined_failure(token)
-            if failure is not None:
-                failures[index] = replace(
-                    failure, index=index, label=failure.label or campaign.name)
+            saved = checkpoint.load(checkpoint.shard_token(chip.serial, campaign))
+            if saved is not None:
+                record(index, saved)
     resumed = len(rows)
     pending = [index for index in range(len(campaigns))
                if index not in rows and index not in failures]
+
+    def settle(position: int, outcome) -> None:
+        index = pending[position]
+        record(index, outcome)
+        if checkpoint is not None:
+            campaign = campaigns[index]
+            token = checkpoint.shard_token(chip.serial, campaign)
+            if index in failures:
+                checkpoint.mark_quarantined(token, chip.serial, campaign,
+                                            failures[index])
+            else:
+                checkpoint.save(token, chip.serial, campaign, outcome)
+
     # The plan's unit indices are campaign indices; the map runs over
     # the pending shards only.
     plan = options.plan(units=len(campaigns))
     if plan is not None:
         options = replace(options, faults=plan.select_units(pending))
     outcome = map_units(
-        _campaign_shard,
-        [(chip, base, campaigns[index], checkpoint) for index in pending],
-        jobs, options)
-    for position, index in enumerate(pending):
-        if outcome.values[position] is not None:
-            rows[index] = outcome.values[position]
-    for failure in outcome.failures:
-        index = pending[failure.index]
-        failures[index] = replace(failure, index=index,
-                                  label=campaigns[index].name)
-        if checkpoint is not None:
-            checkpoint.mark_quarantined(
-                checkpoint.shard_token(chip.serial, campaigns[index]),
-                chip.serial, campaigns[index], failures[index])
+        _campaign_shard, [(chip, base, campaigns[index]) for index in pending],
+        jobs, options, settle)
     store = ResultStore()
     for index in sorted(rows):
         store.extend(rows[index])

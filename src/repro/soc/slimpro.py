@@ -4,9 +4,11 @@ The Scalable Lightweight Intelligent Management Processor is the paper's
 control plane: it boots the system, programs the voltage rails and MCU
 parameters such as the refresh period (TREFP), and reports every
 ECC-corrected/detected error up to the Linux kernel. Our model keeps that
-message-based flavour: callers issue typed requests, which the SLIMpro
-range-checks, and it keeps the ECC audit log the parsing phase of the
-framework consumes.
+message-based flavour for the rails: callers issue typed requests, which
+the SLIMpro range-checks. It also keeps the ECC audit log the parsing
+phase of the framework consumes. The refresh period is not programmed
+here: each :class:`~repro.dram.controller.MemoryControlUnit` holds its
+own TREFP.
 """
 
 from __future__ import annotations
@@ -29,22 +31,16 @@ class EccReport:
 
 
 class SLIMpro:
-    """The management core: regulators, MCU config, ECC log.
+    """The management core: regulators and ECC log.
 
     Parameters
     ----------
     regulators:
         The board's voltage rails; defaults to the X-Gene2 set.
-    num_mcus:
-        Memory control units whose TREFP is programmable (4 on X-Gene2).
     """
 
-    def __init__(self, regulators: Optional[Dict[DomainName, VoltageRegulator]] = None,
-                 num_mcus: int = 4) -> None:
-        if num_mcus <= 0:
-            raise ConfigurationError("num_mcus must be positive")
+    def __init__(self, regulators: Optional[Dict[DomainName, VoltageRegulator]] = None) -> None:
         self.regulators = regulators if regulators is not None else default_regulators()
-        self.num_mcus = num_mcus
         self._ecc_log: List[EccReport] = []
         self._booted = False
 
@@ -52,7 +48,7 @@ class SLIMpro:
     # Boot
     # ------------------------------------------------------------------
     def boot(self) -> None:
-        """Bring the board up; rails and MCUs accept requests from now on."""
+        """Bring the board up; the rails accept requests from now on."""
         self._booted = True
 
     # ------------------------------------------------------------------
@@ -64,22 +60,6 @@ class SLIMpro:
         if domain not in self.regulators:
             raise VoltageDomainError(f"no regulator for domain {domain}")
         return self.regulators[domain].set_voltage(target_mv)
-
-    # ------------------------------------------------------------------
-    # MCU configuration (refresh period)
-    # ------------------------------------------------------------------
-    def set_refresh_period(self, trefp_s: float, mcu: Optional[int] = None) -> None:
-        """Check a TREFP request for one MCU, or for all when ``mcu`` is None.
-
-        Each :class:`~repro.dram.controller.MemoryControlUnit` holds the
-        refresh period it scrubs with; this is the management-side check
-        on the request.
-        """
-        self._require_boot()
-        if trefp_s <= 0:
-            raise ConfigurationError("refresh period must be positive")
-        if mcu is not None and not 0 <= mcu < self.num_mcus:
-            raise ConfigurationError(f"mcu index {mcu} out of range")
 
     # ------------------------------------------------------------------
     # Error reporting

@@ -53,10 +53,9 @@ def test_save_then_load_roundtrips_rows_exactly(tmp_path):
     campaign = _campaigns()[0]
     rows = _rows(campaign)
     token = checkpoint.shard_token("chip-X", campaign)
-    assert not checkpoint.has(token)
+    assert checkpoint.load(token) is None
     checkpoint.save(token, "chip-X", campaign, rows)
-    assert checkpoint.has(token)
-    assert checkpoint.load_rows(token) == rows
+    assert checkpoint.load(token) == rows
 
 
 def test_manifest_is_the_commit_point(tmp_path):
@@ -67,9 +66,7 @@ def test_manifest_is_the_commit_point(tmp_path):
     token = checkpoint.shard_token("chip-X", campaign)
     with open(os.path.join(str(tmp_path), f"{token}.csv"), "w") as handle:
         handle.write("partial garbage")
-    assert not checkpoint.has(token)
-    with pytest.raises(CampaignError):
-        checkpoint.load_rows(token)
+    assert checkpoint.load(token) is None
 
 
 def test_tampered_csv_is_rejected(tmp_path):
@@ -83,7 +80,7 @@ def test_tampered_csv_is_rejected(tmp_path):
     with open(csv_path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text.replace("correct", "crooked", 1))
     with pytest.raises(CampaignError, match="hash mismatch"):
-        checkpoint.load_rows(token)
+        checkpoint.load(token)
 
 
 def test_tampered_manifest_row_count_is_rejected(tmp_path):
@@ -98,7 +95,7 @@ def test_tampered_manifest_row_count_is_rejected(tmp_path):
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle)
     with pytest.raises(CampaignError, match="row count"):
-        checkpoint.load_rows(token)
+        checkpoint.load(token)
 
 
 def _adversarial_rows(campaign):
@@ -144,7 +141,7 @@ def test_csv_text_is_byte_identical_to_the_dict_writer(tmp_path):
         manifest = json.load(handle)
     assert manifest["sha256"] == \
         hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert checkpoint.load_rows(token) == rows
+    assert checkpoint.load(token) == rows
 
 
 def test_shard_written_by_the_dict_writer_still_resumes(tmp_path):
@@ -165,5 +162,4 @@ def test_shard_written_by_the_dict_writer_still_resumes(tmp_path):
                    "rows": len(rows),
                    "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()},
                   handle, indent=1)
-    assert checkpoint.has(token)
-    assert checkpoint.load_rows(token) == rows
+    assert checkpoint.load(token) == rows

@@ -12,7 +12,6 @@ from repro.cpu.isa import (
 )
 from repro.cpu.kernels import (
     MAX_LOOP_LEN,
-    MIN_LOOP_LEN,
     InstructionLoop,
     square_wave_loop,
 )

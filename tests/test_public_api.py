@@ -28,7 +28,10 @@ def test_experiment_entry_points_importable():
         run_figure8a, run_figure8b, run_figure9, run_stencil_study,
         run_table1,
     )
-    assert callable(run_figure4) and callable(run_table1)
+    entry_points = (run_figure4, run_figure5, run_figure6, run_figure7,
+                    run_figure8a, run_figure8b, run_figure9,
+                    run_stencil_study, run_table1)
+    assert all(callable(entry_point) for entry_point in entry_points)
 
 
 def test_subpackage_docstrings_present():

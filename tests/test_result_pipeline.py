@@ -14,7 +14,7 @@ import pytest
 from repro.core.campaign import CampaignPlan
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.executor import CampaignExecutor
-from repro.core.faults import FaultPlan, FaultSpec
+from repro.core.faults import UNIT_POISON, FaultPlan, FaultSpec
 from repro.core.transport import CloudStore, NetworkLink, ResultUploader, SerialLink
 from repro.experiments import pipeline
 from repro.experiments.common import RunOptions
@@ -181,6 +181,31 @@ def test_resumed_study_faults_the_same_campaigns(tmp_path, monkeypatch):
         assert [(f.index, f.label) for f in outcome.failures] == \
             [(2, campaigns[2].name)]
     assert resumed.store.rows() == whole.store.rows()
+
+
+def test_killed_study_does_not_rerun_its_quarantined_shard(tmp_path,
+                                                          monkeypatch):
+    """Regression: a shard's quarantine was checkpointed only after the
+    whole map returned, so a study killed after its poisoned shard was
+    quarantined ran that shard again on resume."""
+    campaigns = _campaigns()
+    options = RunOptions(faults=FaultPlan(poison_units=(0,)), max_retries=0)
+    checkpoint = CampaignCheckpoint(str(tmp_path))
+    # Shard 0 is quarantined without running, so the second shard to
+    # start is shard 2.
+    _interrupt_at(monkeypatch, 1)
+    with pytest.raises(KeyboardInterrupt):
+        execute_shards(_chip(), SEED, campaigns, 1, options, checkpoint)
+    monkeypatch.undo()
+    assert len(list(tmp_path.glob("*.json"))) == 2   # shards 0 and 1
+
+    resumed = execute_shards(_chip(), SEED, campaigns, 1, options, checkpoint)
+    assert (resumed.resumed, resumed.executed) == (1, 1)
+    assert resumed.supervision.attempts == 1         # shard 2's only
+    assert resumed.injected[UNIT_POISON] == 0        # shard 0: none
+    assert [(f.index, f.label) for f in resumed.failures] == \
+        [(0, campaigns[0].name)]
+    assert resumed.store.rows() == _clean_rows(campaigns[1:])
 
 
 def test_fully_checkpointed_study_executes_nothing(tmp_path):

@@ -1,11 +1,8 @@
 """Retention-time statistics: Arrhenius, tail math, calibration."""
 
-import math
-
 import pytest
 
 from repro.dram.retention import (
-    DEFAULT_RETENTION,
     RetentionModel,
     RetentionParams,
     _normal_cdf,

@@ -17,21 +17,12 @@ def slimpro() -> SLIMpro:
 def test_operations_before_boot_rejected():
     sp = SLIMpro()
     with pytest.raises(ConfigurationError):
-        sp.set_refresh_period(1.0)
-    with pytest.raises(ConfigurationError):
         sp.set_domain_voltage(DomainName.PMD, 930.0)
 
 
 def test_set_domain_voltage_snaps(slimpro):
     applied = slimpro.set_domain_voltage(DomainName.PMD, 931.0)
     assert applied == 930.0
-
-
-def test_invalid_refresh_period_rejected(slimpro):
-    with pytest.raises(ConfigurationError):
-        slimpro.set_refresh_period(-1.0)
-    with pytest.raises(ConfigurationError):
-        slimpro.set_refresh_period(1.0, mcu=9)
 
 
 def test_ecc_event_counting(slimpro):

@@ -218,6 +218,67 @@ def test_attempt_ledger_records_charged_failures():
 
 
 # ----------------------------------------------------------------------
+# The settle hook: each unit settles once, in the parent
+# ----------------------------------------------------------------------
+class _HookFailed(Exception):
+    pass
+
+
+def _started_at(x):
+    started = time.time()
+    time.sleep(0.05)
+    return started
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_settle_hook_runs_once_per_unit_in_the_parent(jobs):
+    calls = []
+    outcome = SupervisedPool(jobs=jobs).map(
+        _square, list(range(6)), faults=_real_plan(),
+        settle=lambda index, value: calls.append((index, value, os.getpid())))
+    assert sorted(index for index, _, _ in calls) == list(range(6))
+    assert {pid for _, _, pid in calls} == {os.getpid()}
+    settled = {index: value for index, value, _ in calls}
+    assert isinstance(settled[2], UnitFailure)
+    assert (settled[2].kind, settled[2].attempts) == (POISON, 4)
+    assert outcome.values == tuple(
+        None if isinstance(value, UnitFailure) else value
+        for _, value in sorted(settled.items()))
+    assert outcome.failures == tuple(
+        value for _, value in sorted(settled.items())
+        if isinstance(value, UnitFailure))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_settle_hook_exception_propagates_uncharged(jobs):
+    calls = []
+
+    def settle(index, value):
+        calls.append((index, value))
+        if index == 1:
+            raise _HookFailed(index)
+    with pytest.raises(_HookFailed):
+        SupervisedPool(jobs=jobs).map(_square, list(range(4)), settle=settle)
+    # Charged, the unit would have been retried and settled again.
+    assert [call for call in calls if call[0] == 1] == [(1, 1)]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_gets_its_next_unit_before_the_hook_runs():
+    hooks = []
+
+    def settle(index, value):
+        if not hooks:
+            time.sleep(0.5)
+        hooks.append(time.time())
+    outcome = SupervisedPool(jobs=2).map(_started_at, [0, 1, 2],
+                                         settle=settle)
+    # Unit 2 is queued behind the first two: it starts on the first
+    # worker to return, while that worker's unit is still settling.
+    assert outcome.values[2] < hooks[0]
+
+
+# ----------------------------------------------------------------------
 # Hang detection: the deadline really terminates a wedged worker
 # ----------------------------------------------------------------------
 def test_deadline_terminates_a_really_hung_worker():
@@ -320,9 +381,10 @@ def test_campaign_quarantine_is_jobs_invariant(jobs):
 # ----------------------------------------------------------------------
 def _shard_counts(checkpoint, campaigns):
     """(completed, quarantined) shards of ``campaigns`` in ``checkpoint``."""
-    tokens = [checkpoint.shard_token(_chip().serial, c) for c in campaigns]
-    return (sum(map(checkpoint.has, tokens)),
-            sum(checkpoint.quarantined_failure(t) is not None for t in tokens))
+    loaded = [checkpoint.load(checkpoint.shard_token(_chip().serial, c))
+              for c in campaigns]
+    return (sum(isinstance(shard, list) for shard in loaded),
+            sum(isinstance(shard, UnitFailure) for shard in loaded))
 
 
 def test_resume_skips_quarantined_shards(tmp_path):
@@ -373,19 +435,18 @@ def test_checkpoint_quarantine_manifest_roundtrip(tmp_path):
     failure = UnitFailure(index=0, kind=POISON, attempts=4,
                           detail="PoisonError('injected')")
     checkpoint.mark_quarantined(token, chip.serial, campaigns[0], failure)
-    assert not checkpoint.has(token)         # quarantined != completed
-    loaded = checkpoint.quarantined_failure(token)
+    loaded = checkpoint.load(token)          # quarantined != completed
+    assert isinstance(loaded, UnitFailure)
     assert (loaded.kind, loaded.attempts) == (POISON, 4)
     assert loaded.label == campaigns[0].name
     assert _shard_counts(checkpoint, campaigns) == (0, 1)
 
     # A later successful save promotes the shard to completed...
     checkpoint.save(token, chip.serial, campaigns[0], [])
-    assert checkpoint.has(token)
-    assert checkpoint.quarantined_failure(token) is None
+    assert checkpoint.load(token) == []
     # ...and a quarantine mark never demotes a completed shard.
     checkpoint.mark_quarantined(token, chip.serial, campaigns[0], failure)
-    assert checkpoint.has(token)
+    assert checkpoint.load(token) == []
 
 
 # ----------------------------------------------------------------------

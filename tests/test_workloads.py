@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.base import CpuWorkload, DramProfile, Workload
+from repro.workloads.base import CpuWorkload, DramProfile
 from repro.workloads.nas import nas_suite
 from repro.workloads.rodinia import rodinia_suite
 from repro.workloads.spec import SPEC_WORKLOADS, spec_suite, spec_workload

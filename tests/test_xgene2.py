@@ -1,7 +1,5 @@
 """Platform factory assembly."""
 
-import pytest
-
 from repro.soc.corners import ProcessCorner
 from repro.soc.xgene2 import (
     DEFAULT_DOMAIN_WATTS,
