@@ -26,8 +26,9 @@ import os
 from typing import Dict, List, Optional, Union
 
 from repro.core.campaign import Campaign
-from repro.core.results import ResultRow, ResultStore
+from repro.core.results import CSV_HEADER, ResultRow, ResultStore
 from repro.core.supervisor import CRASH, UnitFailure
+from repro.core.transport import EncodedRows
 from repro.errors import CampaignError
 
 #: Manifest ``status`` values. Manifests written before quarantine
@@ -83,23 +84,25 @@ class CampaignCheckpoint:
             return json.load(handle)
 
     def save(self, token: str, chip_serial: str, campaign: Campaign,
-             rows: List[ResultRow]) -> None:
-        """Persist one completed shard: rows first, manifest last."""
-        store = ResultStore()
-        store.extend(rows)
-        text = store.to_csv_text()
+             shard: EncodedRows) -> None:
+        """Persist one completed shard: rows first, manifest last.
+
+        The CSV is the header plus the shard's already-encoded records,
+        byte for byte :meth:`ResultStore.to_csv_text` of its rows.
+        """
+        data = CSV_HEADER.encode("utf-8") + shard.data
         rows_path = self._rows_path(token)
         tmp_path = rows_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(tmp_path, "wb") as handle:
+            handle.write(data)
         os.replace(tmp_path, rows_path)
         manifest = {
             "token": token,
             "chip": chip_serial,
             "campaign": campaign.name,
             "status": STATUS_COMPLETED,
-            "rows": len(rows),
-            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "rows": len(shard.ends),
+            "sha256": hashlib.sha256(data).hexdigest(),
         }
         self._write_manifest(token, manifest)
 

@@ -22,6 +22,9 @@ RESULT_FIELDS = (
     "uncorrected_errors", "wall_time_s", "run_key",
 )
 
+#: The header record of the final CSV (no column name needs quoting).
+CSV_HEADER = ",".join(RESULT_FIELDS) + "\r\n"
+
 
 class ResultRow(NamedTuple):
     """One repetition of one characterization run.
@@ -109,13 +112,12 @@ class ResultStore:
         """Serialize all rows as CSV text (header included).
 
         Rows are tuples in :data:`RESULT_FIELDS` order, so one
-        ``writerows`` call writes them; ``csv`` renders floats with
-        ``repr``, the exact round-trip form.
+        ``writerows`` call writes them after :data:`CSV_HEADER`; ``csv``
+        renders floats with ``repr``, the exact round-trip form.
         """
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(RESULT_FIELDS)
-        writer.writerows(self._rows)
+        buffer.write(CSV_HEADER)
+        csv.writer(buffer).writerows(self._rows)
         return buffer.getvalue()
 
     def write_csv(self, path: str) -> int:

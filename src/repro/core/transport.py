@@ -8,9 +8,9 @@ loss and duplicated retransmissions.
 
 This module models that plumbing:
 
-- :class:`SerialLink` -- frames each row as a checksummed line over a
-  bit-error-prone UART; the receiver drops bad frames and the sender
-  retries a bounded number of times;
+- :class:`SerialLink` -- frames each row's CSV record as a checksummed
+  line over a bit-error-prone UART; the receiver drops bad frames and
+  the sender retries a bounded number of times;
 - :class:`NetworkLink` -- packetized transfer with seeded packet loss
   and bounded retries (at-least-once delivery: duplicates possible);
 - :class:`CloudStore` -- the receiving end; idempotent on the globally
@@ -32,9 +32,12 @@ from __future__ import annotations
 import csv
 import io
 import zlib
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from types import SimpleNamespace
-from typing import Dict, Optional, Tuple
+from typing import (Dict, Iterable, Iterator, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from repro.core.faults import FaultPlan
 from repro.core.results import ResultRow, ResultStore, row_from_fields
@@ -64,6 +67,38 @@ def encode_row(row: ResultRow) -> str:
     survive the trip intact.
     """
     return csv.writer(_ECHO_FILE).writerow(row)[:-2]  # strip "\r\n"
+
+
+class EncodedRows(NamedTuple):
+    """Rows encoded once, as the CSV records of one buffer.
+
+    ``data`` is exactly the UTF-8 bytes :meth:`ResultStore.to_csv_text`
+    writes after its header for the same rows; ``ends[i]`` is the byte
+    offset just past record ``i``'s ``\\r\\n``. A campaign shard is
+    encoded into one of these where its rows are built, and both the
+    checkpoint and the serial link read it.
+    """
+
+    data: bytes
+    ends: Sequence[int]
+
+    def records(self) -> Iterator[bytes]:
+        """Each record's bytes, without its ``\\r\\n``."""
+        start = 0
+        for end in self.ends:
+            yield self.data[start:end - 2]
+            start = end
+
+
+def encode_rows(rows: Sequence[ResultRow]) -> EncodedRows:
+    """Encode ``rows`` with :func:`encode_row` into one buffer."""
+    lines = [encode_row(row) for row in rows]
+    text = "\r\n".join(lines) + "\r\n" if lines else ""
+    data = text.encode("utf-8")
+    # Pure ASCII (every row the harness builds): bytes == characters.
+    sizes = (len(line) + 2 for line in lines) if len(data) == len(text) \
+        else (len(line.encode("utf-8")) + 2 for line in lines)
+    return EncodedRows(data, array("q", accumulate(sizes)))
 
 
 def decode_row(line: str) -> ResultRow:
@@ -201,11 +236,17 @@ class SerialLink:
         data[position // 8] ^= 1 << (position % 8)
         return bytes(data)
 
-    def send(self, row: ResultRow) -> bool:
-        """Deliver one row; returns False if every retry failed."""
+    def send(self, row: ResultRow, record: Optional[bytes] = None) -> bool:
+        """Deliver one row; returns False if every retry failed.
+
+        ``record`` is the row's CSV record when the caller already holds
+        it (see :meth:`EncodedRows.records`); the row is encoded here
+        otherwise.
+        """
         row_index = self._rows_sent
         self._rows_sent += 1
-        payload = encode_row(row).encode("utf-8")
+        payload = encode_row(row).encode("utf-8") if record is None \
+            else record
         frame = b"%s|%08x" % (payload, zlib.crc32(payload))
         for attempt in range(self.max_retries + 1):
             self.stats.attempts += 1
@@ -295,7 +336,7 @@ class NetworkLink:
             return True
         self.stats.gave_up += 1
         # A previous upload of this same run identity may have landed it.
-        return self.store.contains(row)
+        return CloudStore.key_of(row) in self.store._rows
 
 
 class ResultUploader:
@@ -304,11 +345,19 @@ class ResultUploader:
     def __init__(self, link) -> None:
         self.link = link
 
-    def upload(self, store: ResultStore) -> Tuple[int, int]:
-        """Push every row; returns ``(sent_ok, failed)``."""
+    def upload(self, store: ResultStore,
+               records: Optional[Iterable[bytes]] = None) -> Tuple[int, int]:
+        """Push every row; returns ``(sent_ok, failed)``.
+
+        ``records`` -- one CSV record per row, in order -- lets a
+        :class:`SerialLink` frame rows encoded earlier.
+        """
         ok = failed = 0
-        for row in store.rows():
-            if self.link.send(row):
+        rows = store.rows()
+        sends = map(self.link.send, rows) if records is None \
+            else map(self.link.send, rows, records)
+        for delivered in sends:
+            if delivered:
                 ok += 1
             else:
                 failed += 1

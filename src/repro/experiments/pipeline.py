@@ -45,10 +45,12 @@ from repro.core.results import ResultRow, ResultStore
 from repro.core.supervisor import SupervisorStats, UnitFailure
 from repro.core.transport import (
     CloudStore,
+    EncodedRows,
     NetworkLink,
     ResultUploader,
     SerialLink,
     TransportStats,
+    encode_rows,
 )
 from repro.errors import CampaignError
 from repro.experiments.common import RunOptions, format_quarantine_lines, map_units
@@ -122,16 +124,20 @@ def _declare_campaigns(benchmarks: int, repetitions: int, start_mv: float,
     return plan.build()
 
 
-#: One shard unit: (chip, integer seed, campaign).
-ShardTask = Tuple[Chip, int, Campaign]
+#: One shard unit: (chip, integer seed, campaign, encode its rows?).
+ShardTask = Tuple[Chip, int, Campaign, bool]
+#: A settled shard's rows, with their CSV records when it was encoded.
+Shard = Tuple[List[ResultRow], Optional[EncodedRows]]
 
 
-def _campaign_shard(task: ShardTask) -> List[ResultRow]:
-    """Worker body: one campaign on a fresh executor; returns its rows."""
-    chip, seed, campaign = task
+def _campaign_shard(task: ShardTask) -> Shard:
+    """Worker body: one campaign on a fresh executor; returns its rows,
+    encoded in the same process when ``encode`` is set."""
+    chip, seed, campaign, encode = task
     executor = CampaignExecutor(chip, seed=seed)
     executor.execute_campaign(campaign)
-    return executor.store.rows()
+    rows = executor.store.rows()
+    return rows, encode_rows(rows) if encode else None
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,9 @@ class ShardsOutcome:
     supervision did to produce them."""
 
     store: ResultStore          #: rows in campaign order
+    #: each completed shard's CSV records, in campaign order; empty
+    #: unless ``records`` was asked for
+    records: Tuple[EncodedRows, ...]
     executed: int               #: shards run (and checkpointed) this call
     resumed: int                #: shards reloaded from the checkpoint
     failures: Tuple[UnitFailure, ...]   #: quarantined shards, in order
@@ -149,8 +158,8 @@ class ShardsOutcome:
 
 def execute_shards(chip: Chip, seed: SeedLike, campaigns: Sequence[Campaign],
                    jobs: int = 1, options: RunOptions = RunOptions(),
-                   checkpoint: Optional[CampaignCheckpoint] = None
-                   ) -> ShardsOutcome:
+                   checkpoint: Optional[CampaignCheckpoint] = None,
+                   records: bool = False) -> ShardsOutcome:
     """Run one supervised shard per campaign, resuming from ``checkpoint``.
 
     Shards the checkpoint holds as completed are reloaded and shards it
@@ -159,31 +168,38 @@ def execute_shards(chip: Chip, seed: SeedLike, campaigns: Sequence[Campaign],
     checkpointed as it settles: its rows, or its quarantine once it
     exhausts its retry budget. Rows merge in campaign order, identical
     to a serial per-campaign loop at any ``jobs``.
+
+    A shard's rows are encoded once, by the worker that built them, when
+    the checkpoint or ``records`` (the outcome's
+    :attr:`ShardsOutcome.records`) reads them; a reloaded shard is
+    encoded here only for ``records``.
     """
     base = resolve_seed(seed)
     campaigns = list(campaigns)
-    rows: Dict[int, List[ResultRow]] = {}
+    shards: Dict[int, Shard] = {}
     failures: Dict[int, UnitFailure] = {}
 
-    def record(index: int, outcome) -> None:
+    def keep(index: int, outcome) -> None:
         if isinstance(outcome, UnitFailure):
             label = outcome.label or campaigns[index].name
             failures[index] = replace(outcome, index=index, label=label)
         else:
-            rows[index] = outcome
+            shards[index] = outcome
 
     if checkpoint is not None:
         for index, campaign in enumerate(campaigns):
             saved = checkpoint.load(checkpoint.shard_token(chip.serial, campaign))
-            if saved is not None:
-                record(index, saved)
-    resumed = len(rows)
+            if isinstance(saved, list):
+                keep(index, (saved, encode_rows(saved) if records else None))
+            elif saved is not None:
+                keep(index, saved)
+    resumed = len(shards)
     pending = [index for index in range(len(campaigns))
-               if index not in rows and index not in failures]
+               if index not in shards and index not in failures]
 
     def settle(position: int, outcome) -> None:
         index = pending[position]
-        record(index, outcome)
+        keep(index, outcome)
         if checkpoint is not None:
             campaign = campaigns[index]
             token = checkpoint.shard_token(chip.serial, campaign)
@@ -191,21 +207,26 @@ def execute_shards(chip: Chip, seed: SeedLike, campaigns: Sequence[Campaign],
                 checkpoint.mark_quarantined(token, chip.serial, campaign,
                                             failures[index])
             else:
-                checkpoint.save(token, chip.serial, campaign, outcome)
+                checkpoint.save(token, chip.serial, campaign, outcome[1])
 
     # The plan's unit indices are campaign indices; the map runs over
     # the pending shards only.
     plan = options.plan(units=len(campaigns))
     if plan is not None:
         options = replace(options, faults=plan.select_units(pending))
+    encode = records or checkpoint is not None
     outcome = map_units(
-        _campaign_shard, [(chip, base, campaigns[index]) for index in pending],
+        _campaign_shard,
+        [(chip, base, campaigns[index], encode) for index in pending],
         jobs, options, settle)
     store = ResultStore()
-    for index in sorted(rows):
-        store.extend(rows[index])
+    for index in sorted(shards):
+        store.extend(shards[index][0])
     return ShardsOutcome(
-        store=store, executed=len(rows) - resumed, resumed=resumed,
+        store=store,
+        records=tuple(shards[index][1] for index in sorted(shards))
+        if records else (),
+        executed=len(shards) - resumed, resumed=resumed,
         failures=tuple(failures[index] for index in sorted(failures)),
         supervision=outcome.stats,
         injected={kind: outcome.injected(kind)
@@ -241,19 +262,23 @@ def run_pipeline(seed: SeedLike = None, benchmarks: int = 4,
     total_rows = sum(len(c.runs) for c in campaigns) * repetitions
 
     plan = options.plan(units=len(campaigns), rows=total_rows)
+    serial = transport == "serial"
     shards = execute_shards(
         chip, base, campaigns, jobs, replace(options, faults=plan),
-        CampaignCheckpoint(resume_dir) if resume_dir else None)
+        CampaignCheckpoint(resume_dir) if resume_dir else None,
+        records=serial)
 
     cloud = CloudStore()
-    serial = transport == "serial"
     if serial:
         link = SerialLink(cloud, bit_error_rate=1e-4, max_retries=8,
                           seed=base, faults=plan)
+        records = (record for shard in shards.records
+                   for record in shard.records())
     else:
         link = NetworkLink(cloud, loss_rate=0.05, ack_loss_rate=0.02,
                            max_retries=8, seed=base, faults=plan)
-    ok, failed = ResultUploader(link).upload(shards.store)
+        records = None
+    ok, failed = ResultUploader(link).upload(shards.store, records)
 
     received = cloud.to_store()
     exactly_once = sorted(received.rows()) == sorted(shards.store.rows())

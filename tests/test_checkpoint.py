@@ -12,6 +12,7 @@ import pytest
 from repro.core.campaign import CampaignPlan
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.results import RESULT_FIELDS, ResultRow, ResultStore
+from repro.core.transport import encode_rows
 from repro.errors import CampaignError
 from repro.workloads.spec import spec_suite
 
@@ -54,7 +55,7 @@ def test_save_then_load_roundtrips_rows_exactly(tmp_path):
     rows = _rows(campaign)
     token = checkpoint.shard_token("chip-X", campaign)
     assert checkpoint.load(token) is None
-    checkpoint.save(token, "chip-X", campaign, rows)
+    checkpoint.save(token, "chip-X", campaign, encode_rows(rows))
     assert checkpoint.load(token) == rows
 
 
@@ -73,7 +74,8 @@ def test_tampered_csv_is_rejected(tmp_path):
     checkpoint = CampaignCheckpoint(str(tmp_path))
     campaign = _campaigns()[0]
     token = checkpoint.shard_token("chip-X", campaign)
-    checkpoint.save(token, "chip-X", campaign, _rows(campaign))
+    checkpoint.save(token, "chip-X", campaign,
+                    encode_rows(_rows(campaign)))
     csv_path = os.path.join(str(tmp_path), f"{token}.csv")
     with open(csv_path, encoding="utf-8", newline="") as handle:
         text = handle.read()
@@ -87,7 +89,8 @@ def test_tampered_manifest_row_count_is_rejected(tmp_path):
     checkpoint = CampaignCheckpoint(str(tmp_path))
     campaign = _campaigns()[0]
     token = checkpoint.shard_token("chip-X", campaign)
-    checkpoint.save(token, "chip-X", campaign, _rows(campaign))
+    checkpoint.save(token, "chip-X", campaign,
+                    encode_rows(_rows(campaign)))
     manifest_path = os.path.join(str(tmp_path), f"{token}.json")
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
@@ -135,7 +138,7 @@ def test_csv_text_is_byte_identical_to_the_dict_writer(tmp_path):
     assert store.to_csv_text() == text
     checkpoint = CampaignCheckpoint(str(tmp_path))
     token = checkpoint.shard_token("chip-X", campaign)
-    checkpoint.save(token, "chip-X", campaign, rows)
+    checkpoint.save(token, "chip-X", campaign, encode_rows(rows))
     with open(os.path.join(str(tmp_path), f"{token}.json"),
               encoding="utf-8") as handle:
         manifest = json.load(handle)

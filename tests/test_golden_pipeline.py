@@ -11,8 +11,9 @@ The printed summary of ``python -m repro pipeline`` -- shard, supervision,
 transport and injected-fault counts -- is pinned too, by the sha256 of
 its stdout in ``tests/golden/pipeline_stdout.sha256``: one digest per
 distinct output, clean (the same at ``--jobs 1`` and ``--jobs 2``),
-faulted, over the serial link, a checkpointed run with its fully
-resumed rerun, and a run that quarantines a shard with its rerun.
+faulted, over the serial link (with or without a checkpoint), a
+checkpointed run with its fully resumed rerun, and a run that
+quarantines a shard with its rerun.
 """
 
 import contextlib
@@ -60,13 +61,18 @@ def _stdout_goldens():
 
 STDOUT_DIGESTS = _stdout_goldens()
 FAULTS = ["--faults", "random=77,real=7", "--unit-timeout", "60"]
+SERIAL = ["--jobs", "2", "--transport", "serial", "--faults", "random=11"]
 
 
-def _stdout_digest(argv) -> str:
+def _stdout(argv) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         assert main(["pipeline", "--fast"] + argv) == 0
-    return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+    return buffer.getvalue()
+
+
+def _stdout_digest(argv) -> str:
+    return hashlib.sha256(_stdout(argv).encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("golden,argv", [
@@ -74,11 +80,30 @@ def _stdout_digest(argv) -> str:
     ("fast", ["--jobs", "2"]),
     ("faulted-jobs1", ["--jobs", "1"] + FAULTS),
     ("faulted-jobs2", ["--jobs", "2"] + FAULTS),
-    ("serial-jobs2", ["--jobs", "2", "--transport", "serial",
-                      "--faults", "random=11"]),
-], ids=["jobs1", "jobs2", "jobs1-faulted", "jobs2-faulted", "jobs2-serial"])
-def test_pipeline_stdout_matches_golden_digest(golden, argv):
+    ("serial-jobs2", SERIAL),
+    # The benchmark's configuration: a checkpoint changes no printed line.
+    ("serial-jobs2", SERIAL + ["--resume", "{dir}"]),
+], ids=["jobs1", "jobs2", "jobs1-faulted", "jobs2-faulted", "jobs2-serial",
+        "jobs2-serial-resume"])
+def test_pipeline_stdout_matches_golden_digest(golden, argv, tmp_path):
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     assert _stdout_digest(argv) == STDOUT_DIGESTS[golden]
+
+
+def test_resumed_serial_pipeline_delivers_the_same_cloud_csv(tmp_path):
+    """A fully resumed rerun frames the rows it reloads from the
+    checkpoint exactly as the first run framed the rows it built."""
+    argv = SERIAL + ["--resume", str(tmp_path / "resume")]
+    first = _stdout(argv + ["--out", str(tmp_path / "first.csv")])
+    rerun = _stdout(argv + ["--out", str(tmp_path / "rerun.csv")])
+    assert "shards: 0 executed" in rerun
+
+    def transport(stdout):
+        return [line for line in stdout.splitlines()
+                if line.startswith("transport ")]
+    assert transport(rerun) == transport(first)
+    assert (tmp_path / "rerun.csv").read_bytes() == \
+        (tmp_path / "first.csv").read_bytes()
 
 
 def test_resumed_pipeline_stdout_matches_golden_digests(tmp_path):

@@ -6,8 +6,10 @@ import io
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.results import RESULT_FIELDS, ResultRow, ResultStore
-from repro.core.transport import CloudStore, decode_row, encode_row
+from repro.core.results import (CSV_HEADER, RESULT_FIELDS, ResultRow,
+                                ResultStore)
+from repro.core.transport import (CloudStore, decode_row, encode_row,
+                                  encode_rows)
 from repro.errors import CampaignError
 import pytest
 
@@ -60,6 +62,17 @@ numpy_rows = result_rows().flatmap(lambda row: st.builds(
 special_chars = st.sampled_from([",", '"', "\r", "\n", "\0", "|"])
 line_chars = st.one_of(special_chars,
                        st.characters(blacklist_categories=("Cs",)))
+
+#: Rows whose label and run key mix CSV-significant characters with
+#: multi-byte UTF-8, so a record's byte length differs from its length.
+label_text = st.text(alphabet=st.one_of(
+    st.sampled_from([",", '"', "\r", "\n", "\u00e9", "\u2028",
+                     "\U0001f600"]),
+    st.characters(blacklist_categories=("Cs",))), max_size=12)
+labelled_rows = result_rows().flatmap(lambda row: st.builds(
+    lambda benchmark, run_key: row._replace(benchmark=benchmark,
+                                            run_key=run_key),
+    label_text, label_text))
 #: The type each CSV column parses to, in column order.
 COLUMN_TYPES = (int, str, str, float, float, str, int, str, str, int, int,
                 float, str)
@@ -142,6 +155,25 @@ def test_csv_text_matches_the_dict_writer(rows):
     store = ResultStore()
     store.extend(rows)
     assert store.to_csv_text() == buffer.getvalue()
+
+
+@given(rows=st.lists(st.one_of(result_rows(), numpy_rows, labelled_rows),
+                     max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_shard_encoding_is_the_encoded_rows_and_the_csv_text(rows):
+    """Each byte range of a shard's buffer is one encoded row, and the
+    CSV header plus the buffer is the shard's checkpoint CSV."""
+    shard = encode_rows(rows)
+    starts = [0] + list(shard.ends[:-1])
+    assert [shard.data[start:end] for start, end in zip(starts, shard.ends)] \
+        == [encode_row(row).encode("utf-8") + b"\r\n" for row in rows]
+    assert len(shard.ends) == len(rows)
+    assert list(shard.records()) == \
+        [encode_row(row).encode("utf-8") for row in rows]
+    store = ResultStore()
+    store.extend(rows)
+    assert CSV_HEADER.encode("utf-8") + shard.data == \
+        store.to_csv_text().encode("utf-8")
 
 
 @given(row=result_rows())

@@ -14,7 +14,9 @@ import pytest
 from repro.core.campaign import CampaignPlan
 from repro.core.checkpoint import CampaignCheckpoint
 from repro.core.executor import CampaignExecutor
+from repro.core import transport as transport_module
 from repro.core.faults import UNIT_POISON, FaultPlan, FaultSpec
+from repro.core.results import ResultStore
 from repro.core.transport import CloudStore, NetworkLink, ResultUploader, SerialLink
 from repro.experiments import pipeline
 from repro.experiments.common import RunOptions
@@ -123,6 +125,38 @@ def test_run_pipeline_driver_fault_equivalence():
     assert faulted.store.to_csv_text() == clean.store.to_csv_text()
     assert faulted.injected is not None and sum(faulted.injected.values()) > 0
     assert clean.injected is None
+
+
+@pytest.mark.parametrize("transport,checkpointed", [
+    ("network", False), ("serial", False), ("network", True),
+    ("serial", True)])
+def test_run_pipeline_encodes_each_row_once_where_it_is_read(
+        monkeypatch, tmp_path, transport, checkpointed):
+    """Rows become CSV text only for a checkpoint or the serial link,
+    once per row however many read it; a resumed rerun encodes them
+    again only for the serial link."""
+    encoded = []
+    encode_row, to_csv_text = transport_module.encode_row, ResultStore.to_csv_text
+
+    def counting_encode_row(row):
+        encoded.append(row)
+        return encode_row(row)
+
+    def counting_to_csv_text(store):
+        encoded.extend(store.rows())
+        return to_csv_text(store)
+    monkeypatch.setattr(transport_module, "encode_row", counting_encode_row)
+    monkeypatch.setattr(ResultStore, "to_csv_text", counting_to_csv_text)
+
+    resume_dir = str(tmp_path) if checkpointed else None
+    runs = 2 if checkpointed else 1
+    for run in range(runs):
+        encoded.clear()
+        result = run_pipeline(seed=9, benchmarks=2, repetitions=2,
+                              transport=transport, resume_dir=resume_dir)
+        assert result.exactly_once
+        reads = transport == "serial" or (checkpointed and run == 0)
+        assert sorted(encoded) == (sorted(result.store.rows()) if reads else [])
 
 
 # ----------------------------------------------------------------------

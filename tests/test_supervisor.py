@@ -26,6 +26,7 @@ from repro.core.supervisor import (
     SupervisedPool,
     UnitFailure,
 )
+from repro.core.transport import encode_rows
 from repro.errors import SupervisionError
 from repro.experiments.common import RunOptions, map_units
 from repro.experiments.pipeline import execute_shards
@@ -442,7 +443,7 @@ def test_checkpoint_quarantine_manifest_roundtrip(tmp_path):
     assert _shard_counts(checkpoint, campaigns) == (0, 1)
 
     # A later successful save promotes the shard to completed...
-    checkpoint.save(token, chip.serial, campaigns[0], [])
+    checkpoint.save(token, chip.serial, campaigns[0], encode_rows([]))
     assert checkpoint.load(token) == []
     # ...and a quarantine mark never demotes a completed shard.
     checkpoint.mark_quarantined(token, chip.serial, campaigns[0], failure)

@@ -163,6 +163,33 @@ def test_network_send_reports_arrival_despite_final_ack_loss():
     assert len(cloud) == 1
 
 
+def _doomed_network_link(cloud: CloudStore) -> NetworkLink:
+    """A link whose first row loses all of its three attempts."""
+    from repro.core.faults import FaultBurst, FaultPlan
+
+    return NetworkLink(cloud, max_retries=2, faults=FaultPlan(
+        loss_bursts=(FaultBurst(first_row=0, rows=1, depth=3),)))
+
+
+def test_network_send_gives_up_when_every_attempt_is_lost():
+    cloud = CloudStore()
+    link = _doomed_network_link(cloud)
+    assert link.send(row()) is False
+    assert (link.stats.gave_up, link.stats.dropped) == (1, 3)
+    assert len(cloud) == 0
+
+
+def test_network_send_that_gives_up_counts_a_row_landed_earlier():
+    """A row an earlier upload of the same run identity landed is
+    delivered, even when this send loses every attempt."""
+    cloud = CloudStore()
+    cloud.receive(row())
+    link = _doomed_network_link(cloud)
+    assert link.send(row()) is True
+    assert (link.stats.gave_up, link.stats.dropped) == (1, 3)
+    assert len(cloud) == 1
+
+
 def test_network_validation():
     with pytest.raises(CampaignError):
         NetworkLink(CloudStore(), loss_rate=1.0)
