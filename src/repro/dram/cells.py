@@ -12,13 +12,15 @@ map answers 50 degC and 60 degC queries about the *same* silicon.
 
 This is the SoftMC-style retention-profiling trick in simulation form.
 The population is held in numpy arrays; :class:`WeakCell` objects are
-materialized only for the (small) failing subsets callers ask for.
+materialized only for the (small) failing subsets callers ask for. A
+:class:`WeakCellView` lays several banks' populations end to end, so a
+query over a whole device is one vectorized pass, not one per bank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +62,27 @@ def sample_weak_cell_count(rng: np.random.Generator, bits: int, probability: flo
         raise ConfigurationError(f"probability {probability} outside [0, 1]")
     mean = bits * probability * variability
     return int(rng.poisson(mean))
+
+
+def _query_threshold_s(cells, interval_s: float, temp_c: float,
+                       coupling: float) -> float:
+    """Retention threshold of a query on a map or view of ``cells``.
+
+    Raises :class:`ConfigurationError` for a condition beyond the
+    profiling condition, whose failing cells were never sampled.
+    """
+    retention = cells.retention
+    threshold = retention.effective_threshold_s(interval_s, temp_c, coupling)
+    profile_threshold = retention.effective_threshold_s(
+        cells.profile_interval_s, cells.profile_temp_c,
+        retention.params.coupling_random,
+    )
+    if threshold > profile_threshold:
+        raise ConfigurationError(
+            f"query condition ({interval_s}s, {temp_c}C, c={coupling}) exceeds "
+            f"the profiling condition of this map"
+        )
+    return threshold
 
 
 class WeakCellMap:
@@ -137,23 +160,9 @@ class WeakCellMap:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _check_condition(self, interval_s: float, temp_c: float,
-                         coupling: float) -> float:
-        threshold = self.retention.effective_threshold_s(interval_s, temp_c, coupling)
-        profile_threshold = self.retention.effective_threshold_s(
-            self.profile_interval_s, self.profile_temp_c,
-            self.retention.params.coupling_random,
-        )
-        if threshold > profile_threshold:
-            raise ConfigurationError(
-                f"query condition ({interval_s}s, {temp_c}C, c={coupling}) exceeds "
-                f"the profiling condition of this map"
-            )
-        return threshold
-
     def _failing_mask(self, interval_s: float, temp_c: float,
                       stored_ones: Optional[bool], coupling: float) -> np.ndarray:
-        threshold = self._check_condition(interval_s, temp_c, coupling)
+        threshold = _query_threshold_s(self, interval_s, temp_c, coupling)
         arrays = self._arrays()
         mask = arrays["retention_ref_s"] < threshold
         if stored_ones is not None:
@@ -191,22 +200,6 @@ class WeakCellMap:
             for i in indices
         ]
 
-    def failing_arrays(self, interval_s: float, temp_c: float,
-                       stored_ones: Optional[bool] = None,
-                       coupling: float = 1.0
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Failing cells at a condition, as parallel numpy arrays.
-
-        Returns ``(rows, cols, is_true)`` for the same cells
-        :meth:`failing_cells` would materialize, in the same order --
-        the vectorized view hot paths (the MCU scrub) use to avoid
-        constructing one :class:`WeakCell` object per failing bit.
-        """
-        mask = self._failing_mask(interval_s, temp_c, stored_ones, coupling)
-        arrays = self._arrays()
-        return (arrays["rows"][mask], arrays["cols"][mask],
-                arrays["is_true"][mask])
-
     def unique_locations(self, interval_s: float, temp_c: float) -> int:
         """Unique error locations across the full DPBench suite.
 
@@ -219,6 +212,73 @@ class WeakCellMap:
             interval_s, temp_c, stored_ones=None,
             coupling=self.retention.params.coupling_random,
         )
+
+
+class WeakCellView:
+    """The weak cells of several banks as one flat set of arrays.
+
+    Built once from ``maps`` -- which must share geometry, retention
+    statistics and profiling condition -- it answers a query over every
+    bank in one vectorized pass: one threshold per condition, one
+    comparison over all cells, per-bank counts from one ``bincount``.
+    Bank ``i`` of the view is ``maps[i]``. Each cell carries a packed
+    ``(bank, row, col)`` key whose field widths come from the geometry,
+    so sorted keys run bank by bank, each bank in (row, col) address
+    order. The view keeps no reference to the maps.
+    """
+
+    def __init__(self, maps: Sequence[WeakCellMap]) -> None:
+        if not maps:
+            raise ConfigurationError("a weak-cell view needs at least one bank")
+        first = maps[0]
+        condition = (first.geometry, first.retention.params,
+                     first.profile_interval_s, first.profile_temp_c)
+        if any((m.geometry, m.retention.params, m.profile_interval_s,
+                m.profile_temp_c) != condition for m in maps[1:]):
+            raise ConfigurationError(
+                "the banks of one view must share geometry, retention "
+                "statistics and profiling condition")
+        geometry = first.geometry
+        self.retention = first.retention
+        self.profile_interval_s = first.profile_interval_s
+        self.profile_temp_c = first.profile_temp_c
+        self.banks = len(maps)
+        self.col_bits = (geometry.bits_per_row - 1).bit_length()
+        self.row_bits = (geometry.rows_per_bank - 1).bit_length()
+        key_bits = (self.banks - 1).bit_length() + self.row_bits + self.col_bits
+        if key_bits > 63:
+            raise ConfigurationError(
+                f"a (bank, row, col) key of {self.banks} banks needs "
+                f"{key_bits} bits; at most 63 fit")
+        arrays = [m._arrays() for m in maps]
+        rows = np.concatenate([a["rows"] for a in arrays])
+        cols = np.concatenate([a["cols"] for a in arrays])
+        self.bank = np.repeat(np.arange(self.banks),
+                              [a["rows"].size for a in arrays])
+        self.retention_ref_s = np.concatenate(
+            [a["retention_ref_s"] for a in arrays])
+        self.is_true = np.concatenate([a["is_true"] for a in arrays])
+        self.keys = (self.bank << (self.row_bits + self.col_bits)
+                     | rows << self.col_bits | cols)
+        # Non-solid patterns charge about half the weak cells: the
+        # deterministic half by column parity (checker), or by a seeded
+        # coin implicit in the cell's address (random-like).
+        charged_parity = np.where(self.is_true, 0, 1)
+        self.keep_checker = cols % 2 == charged_parity
+        self.keep_random = (cols + rows) % 2 == charged_parity
+
+    def failing(self, interval_s: float, temp_c: float,
+                coupling: float) -> np.ndarray:
+        """Mask of every bank's cells failing at a condition."""
+        return self.retention_ref_s < _query_threshold_s(
+            self, interval_s, temp_c, coupling)
+
+    def unique_locations(self, interval_s: float, temp_c: float) -> List[int]:
+        """:meth:`WeakCellMap.unique_locations` of every bank, in order."""
+        failing = self.failing(interval_s, temp_c,
+                               self.retention.params.coupling_random)
+        return np.bincount(self.bank[failing],
+                           minlength=self.banks).tolist()
 
 
 class DramDevicePopulation:
@@ -256,21 +316,36 @@ class DramDevicePopulation:
         self.bank_factors = shared[np.newaxis, :] * noise
         self._maps: Dict[Tuple[int, int], WeakCellMap] = {}
 
+    def _new_map(self, device: int, bank: int) -> WeakCellMap:
+        address = BankAddress(device, bank)
+        address.validate(self.geometry)
+        return WeakCellMap(
+            address, geometry=self.geometry, retention=self.retention,
+            chip_factor=float(self.chip_factors[device]),
+            bank_factor=float(self.bank_factors[device, bank]),
+            profile_interval_s=self.profile_interval_s,
+            profile_temp_c=self.profile_temp_c,
+            seed=self._seed,
+        )
+
     def bank_map(self, device: int, bank: int) -> WeakCellMap:
         """The (cached) weak-cell map of one bank."""
         key = (device, bank)
         if key not in self._maps:
-            address = BankAddress(device, bank)
-            address.validate(self.geometry)
-            self._maps[key] = WeakCellMap(
-                address, geometry=self.geometry, retention=self.retention,
-                chip_factor=float(self.chip_factors[device]),
-                bank_factor=float(self.bank_factors[device, bank]),
-                profile_interval_s=self.profile_interval_s,
-                profile_temp_c=self.profile_temp_c,
-                seed=self._seed,
-            )
+            self._maps[key] = self._new_map(device, bank)
         return self._maps[key]
+
+    def device_cells(self, devices: Iterable[int]) -> WeakCellView:
+        """Every bank of ``devices`` as one :class:`WeakCellView`.
+
+        Bank ``i * banks_per_device + b`` of the view is bank ``b`` of
+        the ``i``-th device. Each bank samples from its own substream,
+        exactly as :meth:`bank_map` would, but nothing is cached: the
+        populations live only as long as the caller holds the view.
+        """
+        return WeakCellView([self._new_map(device, bank)
+                             for device in devices
+                             for bank in range(self.geometry.banks_per_device)])
 
     def device_unique_locations(self, device: int, interval_s: float,
                                 temp_c: float) -> List[int]:

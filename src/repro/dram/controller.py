@@ -6,9 +6,9 @@ and forwards every corrected/detected event to SLIMpro -- the reporting
 path the paper extended for its characterization framework.
 
 The scrub pass is the simulation analogue of the DPBench read-back: given
-a bank's weak-cell map and the stored pattern, it materializes the
-failing bits, groups them into 72-bit codewords, runs the real decoder on
-each, and reports CE/UE/miscorrection counts.
+the weak cells of one or more banks and the stored pattern, it selects
+the failing bits, groups them into 72-bit codewords, runs the real
+decoder on each, and reports CE/UE/miscorrection counts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.dram.cells import WeakCellMap
+from repro.dram.cells import WeakCellMap, WeakCellView
 from repro.dram.ecc import DecodeStatus, SecdedCode
 from repro.dram.errors_model import PatternKind
 from repro.dram.geometry import DEFAULT_GEOMETRY, DramGeometry
@@ -77,57 +77,63 @@ class MemoryControlUnit:
     def scrub_bank(self, weak_map: WeakCellMap, temp_c: float,
                    pattern: PatternKind = PatternKind.RANDOM,
                    now_s: float = 0.0) -> ScrubResult:
-        """Read back a bank through ECC after one refresh interval.
+        """Read back one bank through ECC: :meth:`scrub_banks` of it alone."""
+        return self.scrub_banks(WeakCellView([weak_map]), temp_c, pattern,
+                                now_s)
+
+    def scrub_banks(self, cells: WeakCellView, temp_c: float,
+                    pattern: PatternKind = PatternKind.RANDOM,
+                    now_s: float = 0.0) -> ScrubResult:
+        """Read back every bank of ``cells`` through ECC, after one
+        refresh interval, in one pass.
 
         Weak cells that fail under the programmed TREFP at ``temp_c``
         with the given stored pattern are grouped into 64-bit words by
-        their (row, col // 64) position; each corrupted word is decoded
-        by the real SECDED code.
+        their (bank, row, col // 64) position; each corrupted word is
+        decoded by the real SECDED code. The result is the sum of the
+        banks' scrubs, and SLIMpro receives each bank's reports in turn.
         """
-        stress_ones: Optional[bool]
-        retention = weak_map.retention.params
+        retention = cells.retention.params
         if pattern is PatternKind.ALL_ZEROS:
-            stress_ones, coupling = False, 1.0
+            failing = cells.failing(self._trefp_s, temp_c, 1.0) & ~cells.is_true
         elif pattern is PatternKind.ALL_ONES:
-            stress_ones, coupling = True, 1.0
+            failing = cells.failing(self._trefp_s, temp_c, 1.0) & cells.is_true
         elif pattern is PatternKind.CHECKERBOARD:
-            stress_ones, coupling = None, retention.coupling_checker
+            failing = cells.failing(self._trefp_s, temp_c,
+                                    retention.coupling_checker) \
+                & cells.keep_checker
         else:
-            stress_ones, coupling = None, retention.coupling_random
-        rows, cols, is_true = weak_map.failing_arrays(
-            self._trefp_s, temp_c, stored_ones=stress_ones, coupling=coupling)
-        if pattern in (PatternKind.CHECKERBOARD, PatternKind.RANDOM):
-            # Non-solid patterns charge about half the weak cells; take
-            # the deterministic half by column parity (checker) or a
-            # seeded coin implicit in the cell's column (random-like).
-            shift = rows if pattern is PatternKind.RANDOM else 0
-            keep = (cols + shift) % 2 == np.where(is_true, 0, 1)
-            rows, cols = rows[keep], cols[keep]
-        return self._decode_failures(rows, cols, now_s)
+            failing = cells.failing(self._trefp_s, temp_c,
+                                    retention.coupling_random) \
+                & cells.keep_random
+        return self._decode_failures(cells.keys[failing], cells.col_bits,
+                                     cells.row_bits, now_s)
 
-    def _decode_failures(self, rows: np.ndarray, cols: np.ndarray,
-                         now_s: float) -> ScrubResult:
-        """Classify every corrupted codeword of the bank in one pass.
+    def _decode_failures(self, keys: np.ndarray, col_bits: int,
+                         row_bits: int, now_s: float) -> ScrubResult:
+        """Classify every corrupted codeword of the banks in one pass.
 
-        The stored data is all-zero and every failing bit lands in a
-        word's 64 data bits, so the SECDED truth table pins the verdict
-        of the common cases without running the decoder: a word with one
-        distinct failing bit is always corrected, one with two is always
-        a detected double-bit error. Only words with >= 3 distinct
-        failing bits -- where syndrome aliasing decides between a UE and
-        a silent miscorrection -- go through the real code. The counts
-        are bit-identical to decoding every word individually.
+        ``keys`` are the failing cells' packed ``(bank, row, col)`` keys,
+        ``col`` in the low ``col_bits`` bits and ``row`` in the
+        ``row_bits`` above them. The stored data is all-zero and every
+        failing bit lands in a word's 64 data bits, so the SECDED truth
+        table pins the verdict of the common cases without running the
+        decoder: a word with one distinct failing bit is always
+        corrected, one with two is always a detected double-bit error.
+        Only words with >= 3 distinct failing bits -- where syndrome
+        aliasing decides between a UE and a silent miscorrection -- go
+        through the real code. The counts are bit-identical to decoding
+        every word individually.
         """
-        raw_bit_errors = int(rows.size)
+        raw_bit_errors = int(keys.size)
         if raw_bit_errors == 0:
             return ScrubResult(0, 0, 0, 0, 0, 0)
-        # Deduplicate (row, col) and group into (row, word) codewords;
-        # np.unique sorts, matching the scrub's address-ordered readback.
-        cells = np.unique(
-            rows.astype(np.int64) << np.int64(32) | cols.astype(np.int64))
-        cell_cols = cells & np.int64(0xFFFFFFFF)
-        word_keys = ((cells >> np.int64(32)) << np.int64(32)
-                     | cell_cols // WORD_DATA_BITS)
+        # Deduplicate cells and group them into (bank, row, word)
+        # codewords; np.unique sorts, matching the scrub's address-ordered
+        # readback bank by bank.
+        cells = np.unique(keys)
+        cell_bits = (cells & ((1 << col_bits) - 1)) % WORD_DATA_BITS
+        word_keys = cells - cell_bits
         words, counts = np.unique(word_keys, return_counts=True)
         corrected = int(np.count_nonzero(counts == 1))
         uncorrectable = even_words = int(np.count_nonzero(counts == 2))
@@ -138,8 +144,7 @@ class MemoryControlUnit:
             starts = np.searchsorted(word_keys, words)
             for index in np.nonzero(counts >= 3)[0]:
                 lo = starts[index]
-                bits = (cell_cols[lo:lo + counts[index]]
-                        % WORD_DATA_BITS).tolist()
+                bits = cell_bits[lo:lo + counts[index]].tolist()
                 even_words += len(bits) % 2 == 0
                 codeword = self._code.flip_bits(self._code.encode(true_data),
                                                 sorted(bits))
@@ -152,7 +157,8 @@ class MemoryControlUnit:
                     raise ConfigurationError("corrupted word decoded as clean")
                 multi_status[int(words[index])] = result.status
         if self.slimpro is not None:
-            self._report_words(words, counts, multi_status, now_s)
+            self._report_words(words, counts, multi_status, col_bits,
+                               row_bits, now_s)
         return ScrubResult(
             raw_bit_errors=raw_bit_errors,
             corrected_words=corrected,
@@ -163,10 +169,17 @@ class MemoryControlUnit:
         )
 
     def _report_words(self, words: np.ndarray, counts: np.ndarray,
-                      multi_status, now_s: float) -> None:
-        """Forward per-word CE/UE events to SLIMpro in address order."""
+                      multi_status, col_bits: int, row_bits: int,
+                      now_s: float) -> None:
+        """Forward per-word CE/UE events to SLIMpro in address order.
+
+        The reported address is the word's bank-local ``row << 16 |
+        word`` position.
+        """
+        row_mask, col_mask = (1 << row_bits) - 1, (1 << col_bits) - 1
         for key, count in zip(words.tolist(), counts.tolist()):
-            address = ((key >> 32) << 16) | (key & 0xFFFFFFFF)
+            address = (((key >> col_bits) & row_mask) << 16
+                       | (key & col_mask) // WORD_DATA_BITS)
             if count == 1:
                 self._report(now_s, correctable=True, address=address)
             elif count == 2:

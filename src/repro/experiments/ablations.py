@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.dram.cells import DramDevicePopulation
 from repro.dram.controller import MemoryControlUnit, ScrubResult
 from repro.experiments.common import RunOptions, format_table, map_units
-from repro.experiments.table1_weak_cells import merge_scrubs
 from repro.rand import SeedLike, resolve_seed
 from repro.thermal.testbed import ThermalTestbed, ZoneConfig
 from repro.units import RELAXED_REFRESH_S
@@ -168,8 +167,7 @@ def run_ecc_ablation(seed: SeedLike = None) -> EccAblationResult:
     # The default profile (62 degC) would reject the 65 and 70 degC points.
     population = DramDevicePopulation(seed=base, profile_interval_s=4.0,
                                       profile_temp_c=72.0)
-    maps = [population.bank_map(device, bank)
-            for device in range(SWEEP_DEVICES) for bank in range(8)]
+    cells = population.device_cells(range(SWEEP_DEVICES))
     mcu = MemoryControlUnit(0, trefp_s=RELAXED_REFRESH_S)
     testbed = ThermalTestbed([ZoneConfig(setpoint_c=SWEEP_TEMPS_C[0])],
                              seed=base)
@@ -179,8 +177,7 @@ def run_ecc_ablation(seed: SeedLike = None) -> EccAblationResult:
         held = testbed.run(600.0)[0].final_c
         points.append(EccSweepPoint(
             temp_c=temp, held_c=held,
-            weak_cells=sum(m.unique_locations(mcu.trefp_s, temp)
-                           for m in maps),
-            scrub=merge_scrubs([mcu.scrub_bank(m, temp) for m in maps])))
+            weak_cells=sum(cells.unique_locations(mcu.trefp_s, temp)),
+            scrub=mcu.scrub_banks(cells, temp)))
     return EccAblationResult(trefp_s=mcu.trefp_s, devices=SWEEP_DEVICES,
                              points=tuple(points))

@@ -159,28 +159,25 @@ def _profile_device_chunk(task: Tuple[int, Tuple[int, ...], Tuple[float, ...]]
     weak-cell map draws from a ``weakcells-d{dev}-b{bank}`` substream, so
     a bank samples identically in any process) and returns, per
     temperature, the chunk's bank totals, per-device totals, and SECDED
-    scrub results in device order.
+    scrub results in device order. Each device's 8 banks are sampled
+    into one flat view, queried once per temperature, and released
+    before the next device is sampled.
     """
     seed, devices, temps = task
     geometry = DEFAULT_GEOMETRY
     population = DramDevicePopulation(geometry=geometry, seed=seed)
     mcu = MemoryControlUnit(index=0, geometry=geometry,
                             trefp_s=RELAXED_REFRESH_S)
-    out: Dict[float, Tuple[List[int], List[int], List[ScrubResult]]] = {}
-    for temp in temps:
-        bank_totals = [0] * geometry.banks_per_device
-        chip_totals: List[int] = []
-        device_scrubs: List[ScrubResult] = []
-        for dev in devices:
-            per_bank = population.device_unique_locations(
-                dev, RELAXED_REFRESH_S, temp)
+    out: Dict[float, Tuple[List[int], List[int], List[ScrubResult]]] = {
+        temp: ([0] * geometry.banks_per_device, [], []) for temp in temps}
+    for dev in devices:
+        cells = population.device_cells([dev])
+        for temp, (bank_totals, chip_totals, device_scrubs) in out.items():
+            per_bank = cells.unique_locations(RELAXED_REFRESH_S, temp)
             chip_totals.append(sum(per_bank))
             for bank, value in enumerate(per_bank):
                 bank_totals[bank] += value
-            for bank in range(geometry.banks_per_device):
-                device_scrubs.append(
-                    mcu.scrub_bank(population.bank_map(dev, bank), temp))
-        out[temp] = (bank_totals, chip_totals, device_scrubs)
+            device_scrubs.append(mcu.scrub_banks(cells, temp))
     return out
 
 

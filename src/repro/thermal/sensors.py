@@ -9,7 +9,7 @@ they agree within the expected offset band.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, List
 
 import numpy as np
 
@@ -22,7 +22,8 @@ class Thermocouple:
     """K-type thermocouple taped to the heating element side.
 
     Fast response, small gaussian read noise, small fixed bias from its
-    mounting position (closer to the element than the DRAM dies).
+    mounting position (closer to the element than the DRAM dies). Reads
+    take their noise from a buffer that :meth:`reserve` fills.
     """
 
     source: Callable[[], float]
@@ -30,14 +31,30 @@ class Thermocouple:
     bias_c: float = 0.3
     seed: SeedLike = None
     _rng: np.random.Generator = field(init=False, repr=False)
+    #: Reserved read noise, the next read's at the end.
+    _noise: List[float] = field(default_factory=list, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self) -> None:
         if self.noise_c < 0:
             raise ConfigurationError("noise cannot be negative")
         self._rng = substream(self.seed, "thermocouple")
 
+    def reserve(self, reads: int) -> None:
+        """Draw the noise of the next ``reads`` reads in one call.
+
+        One ``normal(size=reads)`` draw equals ``reads`` scalar draws
+        and leaves the generator in the same state, so reads return the
+        same values however their noise was reserved.
+        """
+        drawn = self._rng.normal(0.0, self.noise_c, size=reads).tolist()
+        drawn.reverse()
+        self._noise[:0] = drawn
+
     def read_c(self) -> float:
-        return float(self.source()) + self.bias_c + float(self._rng.normal(0.0, self.noise_c))
+        if not self._noise:
+            self.reserve(1)
+        return float(self.source()) + self.bias_c + self._noise.pop()
 
 
 @dataclass

@@ -144,51 +144,70 @@ class ThermalTestbed:
     # ------------------------------------------------------------------
     # Control loop
     # ------------------------------------------------------------------
-    def _tick(self, now: float, dt: float) -> None:
-        for i, plant in enumerate(self.plants):
-            state = self._fault_states[i]
+    def _run_zone(self, zone: int, start: float, period: float,
+                  ticks: int) -> None:
+        """Tick one zone ``ticks`` times from ``start``, one period each.
+
+        Zones share no state, so running each through the whole window
+        in turn gives every zone the same trajectory as ticking all
+        zones once per period.
+        """
+        plant = self.plants[zone]
+        state = self._fault_states[zone]
+        thermocouple = self.thermocouples[zone]
+        spd_sensor = self.spd_sensors[zone]
+        monitor = self.monitors[zone]
+        pid = self.pids[zone]
+        relay = self.relays[zone]
+        history = self._history[zone]
+        times = self._times[zone]
+        duty = self._last_duty[zone]
+        thermocouple.reserve(ticks)
+        for k in range(1, ticks + 1):
+            now = start + k * period
             if state is not None:
                 plant.ambient_c = self._base_ambient_c \
                     + state.ambient_offset_c(now)
-            plant.step(dt)
+            plant.step(period)
             # The controller sees only what the channels report -- raw
             # sensor reads lensed through any active rig faults, fused by
             # the zone monitor. Plant internals (true bias, temperature)
             # are off-limits to the control path.
-            tc = self.thermocouples[i].read_c()
-            spd = self.spd_sensors[i].read_c(now)
+            tc = thermocouple.read_c()
+            spd = spd_sensor.read_c(now)
             if state is not None:
                 tc = state.thermocouple_reading(tc, now)
                 spd = state.spd_reading(spd, now)
-            monitor = self.monitors[i]
-            fused = monitor.observe(now, dt, tc, spd, self._last_duty[i])
+            fused = monitor.observe(now, period, tc, spd, duty)
             if monitor.quarantine is not None:
                 duty = 0.0  # hard safe-state: heater cutoff
             else:
-                duty = self.pids[i].update(fused, dt)
-            power = self.relays[i].command(duty)
+                duty = pid.update(fused, period)
+            power = relay.command(duty)
             if state is not None:
-                power = state.delivered_power_w(
-                    power, now, self.relays[i].max_power_w)
+                power = state.delivered_power_w(power, now, relay.max_power_w)
             plant.set_heater(power)
-            self._last_duty[i] = duty
-            self._history[i].append(plant.temperature_c)
-            self._times[i].append(now)
+            history.append(plant.temperature_c)
+            times.append(now)
+        self._last_duty[zone] = duty
 
     def run(self, duration_s: float) -> List[ZoneReport]:
         """Regulate for ``duration_s`` of virtual time; return reports.
 
-        The zones tick at ``start + k * control_period_s`` for ``k = 1 ..
-        floor(duration_s / control_period_s)``, each one period long, and
-        the clock then stands at ``start + duration_s``; so windows of
-        whole periods tile (``run(400)`` then ``run(500)`` ticks exactly
-        as ``run(900)``) and a window shorter than a period ticks none.
+        Every zone ticks at ``start + k * control_period_s`` for ``k = 1
+        .. floor(duration_s / control_period_s)``, each one period long,
+        and the clock then stands at ``start + duration_s``; so windows
+        of whole periods tile (``run(400)`` then ``run(500)`` ticks
+        exactly as ``run(900)``) and a window shorter than a period
+        ticks none. Each zone runs through the whole window before the
+        next one starts.
         """
         if duration_s <= 0:
             raise ConfigurationError("duration must be positive")
         start, period = self.now, self.control_period_s
-        for k in range(1, int(duration_s // period) + 1):
-            self._tick(start + k * period, period)
+        ticks = int(duration_s // period)
+        for zone in range(len(self.configs)):
+            self._run_zone(zone, start, period, ticks)
         self.now = start + duration_s
         return [self._report(i) for i in range(len(self.configs))]
 

@@ -5,7 +5,16 @@ import pytest
 from repro.experiments.fig8a_ber import run_figure8a
 from repro.experiments.fig8b_refresh_power import run_figure8b
 from repro.experiments.stencil_scheduling import run_stencil_study
-from repro.experiments.table1_weak_cells import PAPER_COUNTS, run_table1, spread_pct
+from repro.dram.cells import DramDevicePopulation
+from repro.dram.controller import MemoryControlUnit
+from repro.experiments.table1_weak_cells import (
+    PAPER_COUNTS,
+    _profile_device_chunk,
+    merge_scrubs,
+    run_table1,
+    spread_pct,
+)
+from repro.units import RELAXED_REFRESH_S
 
 SEED = 1
 
@@ -64,6 +73,32 @@ def test_table1_chip_variation(table1):
 def test_table1_format(table1):
     text = table1.format()
     assert "bank0" in text and "spread" in text
+
+
+def _per_bank_chunk(seed, devices, temps):
+    """The chunk's rows from one map query and one scrub per bank."""
+    population = DramDevicePopulation(seed=seed)
+    mcu = MemoryControlUnit(0, trefp_s=RELAXED_REFRESH_S)
+    out = {}
+    for temp in temps:
+        bank_totals, chip_totals, device_scrubs = [0] * 8, [], []
+        for device in devices:
+            per_bank = population.device_unique_locations(
+                device, RELAXED_REFRESH_S, temp)
+            chip_totals.append(sum(per_bank))
+            bank_totals = [a + b for a, b in zip(bank_totals, per_bank)]
+            device_scrubs.append(merge_scrubs(
+                [mcu.scrub_bank(population.bank_map(device, bank), temp)
+                 for bank in range(8)]))
+        out[temp] = (bank_totals, chip_totals, device_scrubs)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_device_chunk_equals_per_bank_profiling(seed):
+    devices, temps = tuple(range(20, 32)), (36.0, 45.0, 55.0, 60.0)
+    assert _profile_device_chunk((seed, devices, temps)) == \
+        _per_bank_chunk(seed, devices, temps)
 
 
 def test_spread_pct_helper():

@@ -52,6 +52,17 @@ def test_substream_none_uses_default_seed():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("k", [0, 1, 450])
+def test_batched_normal_equals_scalar_draws(k):
+    """One ``normal(size=k)`` call draws what k scalar calls draw, and
+    leaves the stream where they leave it -- the thermocouple's
+    per-window noise draw relies on this."""
+    batched, scalar = substream(5, "thermocouple"), substream(5, "thermocouple")
+    draws = batched.normal(0.0, 0.08, size=k)
+    assert draws.tolist() == [float(scalar.normal(0.0, 0.08)) for _ in range(k)]
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
 # ----------------------------------------------------------------------
 # substream == default_rng(SeedSequence([base, crc32(label), *indices]))
 # ----------------------------------------------------------------------

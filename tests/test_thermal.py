@@ -143,6 +143,17 @@ def test_thermocouple_noise_varies_reads():
     assert len({tc.read_c() for _ in range(10)}) > 1
 
 
+def test_thermocouple_reserved_reads_equal_unreserved_reads():
+    reserved = Thermocouple(source=lambda: 50.0, seed=4)
+    unreserved = Thermocouple(source=lambda: 50.0, seed=4)
+    reserved.reserve(3)
+    reserved.reserve(2)
+    first = [reserved.read_c() for _ in range(4)]
+    reserved.reserve(4)
+    reads = first + [reserved.read_c() for _ in range(7)]
+    assert reads == [unreserved.read_c() for _ in range(11)]
+
+
 def test_spd_sensor_quantizes():
     spd = SpdSensor(source=lambda: 50.13)
     assert spd.read_c(0.0) == pytest.approx(50.25)

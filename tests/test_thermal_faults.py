@@ -180,7 +180,7 @@ def test_zone_fault_state_rejects_foreign_zone():
 # The controller never reads plant ground truth
 # ----------------------------------------------------------------------
 def test_tick_does_not_read_plant_ground_truth():
-    source = inspect.getsource(ThermalTestbed._tick)
+    source = inspect.getsource(ThermalTestbed._run_zone)
     assert "bias_c" not in source
     # The only temperature feeding the PID is the monitor's belief.
     assert "monitor.observe" in source

@@ -133,3 +133,67 @@ def test_regulation_work_is_linear_in_windows():
                  for temp in (36.0, 39.0, 42.0, 45.0))
     ticks_per_window = int(REGULATION_S // testbed.control_period_s)
     assert len(observes) == zones * ticks_per_window * rounds
+
+
+def _time_major_run(testbed, duration_s):
+    """``testbed.run`` ticking every zone once per period, period by
+    period, each thermocouple read drawing its noise by itself."""
+    start, period = testbed.now, testbed.control_period_s
+    for k in range(1, int(duration_s // period) + 1):
+        now = start + k * period
+        for i, plant in enumerate(testbed.plants):
+            state = testbed._fault_states[i]
+            if state is not None:
+                plant.ambient_c = testbed._base_ambient_c \
+                    + state.ambient_offset_c(now)
+            plant.step(period)
+            couple = testbed.thermocouples[i]
+            tc = float(couple.source()) + couple.bias_c \
+                + float(couple._rng.normal(0.0, couple.noise_c))
+            spd = testbed.spd_sensors[i].read_c(now)
+            if state is not None:
+                tc = state.thermocouple_reading(tc, now)
+                spd = state.spd_reading(spd, now)
+            monitor = testbed.monitors[i]
+            fused = monitor.observe(now, period, tc, spd,
+                                    testbed._last_duty[i])
+            duty = 0.0 if monitor.quarantine is not None \
+                else testbed.pids[i].update(fused, period)
+            power = testbed.relays[i].command(duty)
+            if state is not None:
+                power = state.delivered_power_w(
+                    power, now, testbed.relays[i].max_power_w)
+            plant.set_heater(power)
+            testbed._last_duty[i] = duty
+            testbed._history[i].append(plant.temperature_c)
+            testbed._times[i].append(now)
+    testbed.now = start + duration_s
+    return [testbed._report(i) for i in range(len(testbed.configs))]
+
+
+# Zones at distinct setpoints: every zone's thermocouple draws the same
+# noise stream, so equal setpoints would give equal trajectories and
+# hide a zone mix-up.
+@pytest.mark.parametrize("zones,faults", [
+    (4, ()),
+    (4, FaultPlan.random_thermal(9, zones=4).thermal_faults),
+    (8, FaultPlan.random_thermal(4, zones=8,
+                                 unrecoverable_rate=0.5).thermal_faults),
+], ids=["clean", "faulted", "quarantining"])
+def test_zone_major_windows_equal_time_major_ticks(zones, faults):
+    def bed():
+        return ThermalTestbed(
+            [ZoneConfig(setpoint_c=45.0 + 2.0 * zone) for zone in range(zones)],
+            seed=1, faults=faults)
+
+    zone_major, time_major = bed(), bed()
+    for window, setpoint in ((400.0, None), (500.0, 60.0), (301.0, None)):
+        if setpoint is not None:
+            for zone in range(zones):
+                zone_major.set_setpoint(zone, setpoint - zone)
+                time_major.set_setpoint(zone, setpoint - zone)
+        reports = zone_major.run(window)
+        assert reports == _time_major_run(time_major, window)
+        assert zone_major.now == time_major.now
+    if zones == 8:
+        assert any(report.quarantine is not None for report in reports)
