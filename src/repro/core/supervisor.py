@@ -27,13 +27,7 @@ units the same guarantee:
 - **graceful degradation** -- if a worker cannot be started, the map
   goes on with the workers it has, and inline once it has none
   (injected process-level faults are simulated inline, since a real
-  ``os._exit`` would take down the supervisor itself);
-- **single-threaded BLAS in every unit** -- units run with OpenBLAS
-  pinned to one thread, inline (restored to the caller's setting when
-  the map returns) and in every worker (pinned at worker start).
-  A unit is one process's worth of work: a multithreaded BLAS inside it
-  only spins a second thread against the other units, or against the
-  unit's own Python code, for GEMMs far too small to gain from it.
+  ``os._exit`` would take down the supervisor itself).
 
 Every failure is attributed to its unit by construction and the
 :class:`~repro.core.faults.FaultPlan` decides each ``(unit, attempt)``
@@ -46,16 +40,12 @@ property ``tests/test_supervisor.py`` locks down end to end.
 
 from __future__ import annotations
 
-import ctypes
 import multiprocessing
-import sys
 import time
 from collections import Counter, deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from multiprocessing.connection import wait
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.faults import (
     UNIT_EXIT,
@@ -164,81 +154,6 @@ class MapOutcome:
         return list(self.values)
 
 
-#: (getter, setter) symbol pairs of the OpenBLAS thread count: the
-#: scipy-openblas build bundled with numpy wheels, then plain OpenBLAS.
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@lru_cache(maxsize=None)
-def _blas_handles() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
-    """ctypes (getter, setter) of the loaded OpenBLAS's thread count.
-
-    Looked up once, in the first process that maps units, over the
-    OpenBLAS libraries listed in ``/proc/self/maps``; forked workers
-    inherit the handles. ``None`` where there is no such file or no
-    OpenBLAS is loaded -- pinning then does nothing.
-    """
-    if not sys.platform.startswith("linux"):
-        return None
-    paths = set()
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            for line in maps:
-                fields = line.split(None, 5)   # address perms ... pathname
-                if len(fields) == 6 and "openblas" in fields[5].lower():
-                    paths.add(fields[5].strip())
-    except OSError:
-        return None
-    for path in sorted(paths):
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            getter = getattr(library, get_name, None)
-            setter = getattr(library, set_name, None)
-            if getter is not None and setter is not None:
-                getter.restype = ctypes.c_int
-                getter.argtypes = []
-                setter.restype = None
-                setter.argtypes = [ctypes.c_int]
-                return getter, setter
-    return None
-
-
-def blas_threads() -> Optional[int]:
-    """The loaded OpenBLAS's current thread count, ``None`` if unknown."""
-    handles = _blas_handles()
-    return None if handles is None else int(handles[0]())
-
-
-@contextmanager
-def single_threaded_blas() -> Iterator[None]:
-    """Pin BLAS to one thread for the block, then restore the caller's
-    thread count (also when the block raises)."""
-    handles = _blas_handles()
-    if handles is None:
-        yield
-        return
-    getter, setter = handles
-    previous = getter()
-    setter(1)
-    try:
-        yield
-    finally:
-        setter(previous)
-
-
-def _pin_worker_blas() -> None:
-    """Worker bootstrap: one BLAS thread for the worker's life."""
-    handles = _blas_handles()
-    if handles is not None:
-        handles[1](1)
-
-
 def _worker(conn) -> None:
     """Worker-process body: run the units sent over ``conn`` until ``None``.
 
@@ -251,7 +166,6 @@ def _worker(conn) -> None:
     a sleep (answered as a hang if no deadline cut it short), or a
     raised :class:`~repro.core.faults.PoisonError`.
     """
-    _pin_worker_blas()
     for fn, item, directive, hang_seconds in iter(conn.recv, None):
         try:
             if directive is None:
@@ -491,8 +405,7 @@ class SupervisedPool:
         :meth:`MapOutcome.injected`). Results come back by unit index,
         so completion order never reorders downstream aggregation;
         quarantined units are enumerated in :attr:`MapOutcome.failures`,
-        sorted by index. Units run with single-threaded BLAS (see
-        :func:`single_threaded_blas`).
+        sorted by index.
 
         ``settle(index, value | UnitFailure)`` runs in this process once
         per unit, as it finishes for good: on success or on quarantine,
@@ -501,11 +414,10 @@ class SupervisedPool:
         propagates.
         """
         run = _MapRun(self, fn, list(items), faults, settle)
-        with single_threaded_blas():
-            if self.jobs <= 1 or len(run.items) <= 1:
-                run.run_inline(range(len(run.items)))
-            else:
-                run.run_pooled(min(self.jobs, len(run.items)))
+        if self.jobs <= 1 or len(run.items) <= 1:
+            run.run_inline(range(len(run.items)))
+        else:
+            run.run_pooled(min(self.jobs, len(run.items)))
         return run.outcome()
 
 

@@ -27,13 +27,20 @@ are the one-row case. Every float operation a row sees is the same
 whatever else is in the batch -- in particular each row keeps its own
 ``(window/128, 128) x (128, 128)`` GEMM -- so a row is bit-identical
 whether it is synthesized alone or in any batch.
+
+Those GEMMs, the only BLAS calls of a GA evaluation, are far too small
+to gain from a second BLAS thread, so they run inside
+:func:`single_threaded_blas` for every caller, in a pool worker or not.
 """
 
 from __future__ import annotations
 
+import ctypes
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +85,74 @@ _SCAN_CHUNK = 128
 #: temporaries are page-faulted in afresh on every call, at a cost above
 #: that of the arithmetic.
 BLOCK_SCRATCH_BYTES = 128 * 1024
+
+
+#: (getter, setter) symbol pairs of the OpenBLAS thread count: the
+#: scipy-openblas build bundled with numpy wheels, then plain OpenBLAS.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=None)
+def _blas_handles() -> Optional[Tuple[Callable[[], int], Callable[[int], None]]]:
+    """ctypes (getter, setter) of the loaded OpenBLAS's thread count.
+
+    Looked up once per process, at the first pinned GEMM, over the
+    OpenBLAS libraries listed in ``/proc/self/maps``; forked workers
+    inherit the handles. ``None`` where there is no such file or no
+    OpenBLAS is loaded -- pinning then does nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    paths = set()
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            for line in maps:
+                fields = line.split(None, 5)   # address perms ... pathname
+                if len(fields) == 6 and "openblas" in fields[5].lower():
+                    paths.add(fields[5].strip())
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            getter = getattr(library, get_name, None)
+            setter = getattr(library, set_name, None)
+            if getter is not None and setter is not None:
+                getter.restype = ctypes.c_int
+                getter.argtypes = []
+                setter.restype = None
+                setter.argtypes = [ctypes.c_int]
+                return getter, setter
+    return None
+
+
+def blas_threads() -> Optional[int]:
+    """The loaded OpenBLAS's current thread count, ``None`` if unknown."""
+    handles = _blas_handles()
+    return None if handles is None else int(handles[0]())
+
+
+@contextmanager
+def single_threaded_blas() -> Iterator[None]:
+    """Pin BLAS to one thread for the block, then restore the caller's
+    thread count (also when the block raises)."""
+    handles = _blas_handles()
+    if handles is None:
+        yield
+        return
+    getter, setter = handles
+    previous = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 @dataclass(frozen=True)
@@ -218,15 +293,16 @@ def _synthesize(codes: Sequence[bytes], window: int) -> np.ndarray:
     raw = np.zeros((block, chunks, chunk))  # zero tail = the scan padding
     phase = np.empty((block, window), dtype=np.int32)
     lo, hi = np.empty(rows), np.empty(rows)
-    for i in range(0, rows, block):
-        n = min(block, rows - i)
-        x = raw[:n].reshape(n, padded)[:, :window]
-        np.remainder(cycle, period[i:i + n, None], out=phase[:n])
-        x[...] = traversals[start[i:i + n, None] + phase[:n]]
-        lo[i:i + n], hi[i:i + n] = x.min(axis=1), x.max(axis=1)
-        local = out[i:i + n]
-        np.matmul(raw[:n], toeplitz.T, out=local)
-        local *= alpha
+    with single_threaded_blas():
+        for i in range(0, rows, block):
+            n = min(block, rows - i)
+            x = raw[:n].reshape(n, padded)[:, :window]
+            np.remainder(cycle, period[i:i + n, None], out=phase[:n])
+            x[...] = traversals[start[i:i + n, None] + phase[:n]]
+            lo[i:i + n], hi[i:i + n] = x.min(axis=1), x.max(axis=1)
+            local = out[i:i + n]
+            np.matmul(raw[:n], toeplitz.T, out=local)
+            local *= alpha
 
     # Carry the filter state across chunks: the carry into chunk c+1 is
     # the last sample of chunk c, its local response plus decayed carry.

@@ -33,10 +33,6 @@ from repro.dram.retention import (
 from repro.errors import ConfigurationError
 from repro.rand import SeedLike, substream
 
-#: Fraction of weak cells exhibiting variable retention time (VRT): they
-#: flip between a weak and a strong state and fail only intermittently.
-VRT_FRACTION = 0.10
-
 #: Default profiling condition: comfortably beyond the paper's most
 #: aggressive study point (2.283 s at 60 degC) while keeping the sampled
 #: population around a few tens of thousands of cells per bank.
@@ -52,7 +48,6 @@ class WeakCell:
     col: int
     retention_ref_s: float   # retention time at the reference temperature
     is_true_cell: bool       # charged when storing '1'
-    is_vrt: bool             # variable-retention-time cell
 
 
 def sample_weak_cell_count(rng: np.random.Generator, bits: int, probability: float,
@@ -154,7 +149,6 @@ class WeakCellMap:
             "cols": self._rng.integers(self.geometry.bits_per_row, size=count),
             "retention_ref_s": retention_ref,
             "is_true": self._rng.random(count) < params.true_cell_fraction,
-            "is_vrt": self._rng.random(count) < VRT_FRACTION,
         }
 
     # ------------------------------------------------------------------
@@ -195,7 +189,6 @@ class WeakCellMap:
                 col=int(arrays["cols"][i]),
                 retention_ref_s=float(arrays["retention_ref_s"][i]),
                 is_true_cell=bool(arrays["is_true"][i]),
-                is_vrt=bool(arrays["is_vrt"][i]),
             )
             for i in indices
         ]

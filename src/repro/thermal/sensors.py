@@ -23,13 +23,15 @@ class Thermocouple:
 
     Fast response, small gaussian read noise, small fixed bias from its
     mounting position (closer to the element than the DRAM dies). Reads
-    take their noise from a buffer that :meth:`reserve` fills.
+    take their noise from a buffer that :meth:`reserve` fills, drawn from
+    the ``zone``'s own stream.
     """
 
     source: Callable[[], float]
     noise_c: float = 0.08
     bias_c: float = 0.3
     seed: SeedLike = None
+    zone: int = 0
     _rng: np.random.Generator = field(init=False, repr=False)
     #: Reserved read noise, the next read's at the end.
     _noise: List[float] = field(default_factory=list, init=False, repr=False,
@@ -38,7 +40,7 @@ class Thermocouple:
     def __post_init__(self) -> None:
         if self.noise_c < 0:
             raise ConfigurationError("noise cannot be negative")
-        self._rng = substream(self.seed, "thermocouple")
+        self._rng = substream(self.seed, "thermocouple", self.zone)
 
     def reserve(self, reads: int) -> None:
         """Draw the noise of the next ``reads`` reads in one call.

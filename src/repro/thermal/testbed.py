@@ -127,7 +127,8 @@ class ThermalTestbed:
         self.relays = [SolidStateRelay(max_power_w=cfg.plant.heater_max_w)
                        for cfg in configs]
         self.thermocouples = [
-            Thermocouple(source=plant_reader(p), seed=seed) for p in self.plants
+            Thermocouple(source=plant_reader(p), seed=seed, zone=i)
+            for i, p in enumerate(self.plants)
         ]
         self.spd_sensors = [SpdSensor(source=plant_reader(p)) for p in self.plants]
         self.monitors = [

@@ -70,7 +70,6 @@ _SECDED = ("SECDED decoder path: the scrub decodes only words with >= 3 "
 ALLOWED_UNENTERED = {
     # Pool workers.
     "repro.core.supervisor:_worker": _WORKER,
-    "repro.core.supervisor:_pin_worker_blas": _WORKER,
     "repro.core.faults:run_injected_real_fault": _WORKER,
     # Scalar oracles.
     "repro.soc.chip:Chip.observe_run": _ORACLE,
@@ -81,7 +80,7 @@ ALLOWED_UNENTERED = {
     "repro.core.classify:classify_run_log": _ORACLE,
     "repro.dram.ecc:SecdedCode.decode_with_truth": _ORACLE,
     "repro.dram.cells:WeakCellMap.failing_cells": _ORACLE,
-    "repro.core.supervisor:blas_threads":
+    "repro.cpu.execution:blas_threads":
         "the BLAS thread-count reading the pinning tests compare against",
     # Fault paths no command reaches.
     "repro.thermal.testbed:ThermalTestbed.quarantine_zone": _ZONE,

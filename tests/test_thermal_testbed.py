@@ -32,6 +32,13 @@ def test_eight_zones_independent_setpoints():
         assert report.final_c == pytest.approx(50.0 + zone, abs=1.0)
 
 
+def test_zones_at_one_setpoint_read_their_own_noise():
+    """Each zone's thermocouple draws from a stream keyed by its zone, so
+    zones at equal setpoints do not follow one trajectory."""
+    reports = ThermalTestbed([ZoneConfig(45.0)] * 8, seed=5).run(900)
+    assert len({tuple(report.samples) for report in reports}) == 8
+
+
 def test_setpoint_step_retargets():
     testbed = ThermalTestbed([ZoneConfig(setpoint_c=50.0)], seed=1)
     testbed.run(1000.0)
