@@ -64,9 +64,17 @@ def encode_row(row: ResultRow) -> str:
     Uses the same writer and quoting rules as
     :meth:`ResultStore.to_csv_text`, so field values containing commas,
     quotes or newlines (benchmark labels, the global ``run_key``)
-    survive the trip intact.
+    survive the trip intact. A NUL in a text field raises
+    :class:`CampaignError` on every supported Python: 3.10's writer
+    refuses it, and 3.9's reader cannot parse the record back.
     """
-    return csv.writer(_ECHO_FILE).writerow(row)[:-2]  # strip "\r\n"
+    try:
+        line = csv.writer(_ECHO_FILE).writerow(row)
+    except csv.Error as exc:
+        raise CampaignError(f"unencodable row: {exc}") from exc
+    if "\0" in line:
+        raise CampaignError("unencodable row: a field holds a NUL")
+    return line[:-2]  # strip "\r\n"
 
 
 class EncodedRows(NamedTuple):

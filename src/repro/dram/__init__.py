@@ -11,7 +11,8 @@ package provides the simulated equivalent:
   (lognormal weak tail with Arrhenius temperature acceleration and
   data-pattern dependence), following the structure established by Liu
   et al. [19];
-- :mod:`repro.dram.cells` -- lazily-sampled weak-cell maps per bank;
+- :mod:`repro.dram.cells` -- each device's weak cells, sampled once
+  per bank into one flat view;
 - :mod:`repro.dram.refresh` -- inherent refresh from workload row
   accesses;
 - :mod:`repro.dram.ecc` -- a real (72,64) SECDED Hamming code;
@@ -25,12 +26,7 @@ package provides the simulated equivalent:
 
 from repro.dram.geometry import BankAddress, DramGeometry, DEFAULT_GEOMETRY
 from repro.dram.retention import RetentionModel, RetentionParams, DEFAULT_RETENTION
-from repro.dram.cells import (
-    DramDevicePopulation,
-    WeakCell,
-    WeakCellMap,
-    sample_weak_cell_count,
-)
+from repro.dram.cells import DramDevicePopulation, sample_weak_cell_count
 from repro.dram.refresh import AccessTrace, access_interval_coverage
 from repro.dram.ecc import SecdedCode, DecodeStatus, DecodeResult
 from repro.dram.power import DramPowerModel, DramPowerBreakdown
@@ -53,8 +49,6 @@ __all__ = [
     "RetentionModel",
     "RetentionParams",
     "SecdedCode",
-    "WeakCell",
-    "WeakCellMap",
     "access_interval_coverage",
     "sample_weak_cell_count",
 ]

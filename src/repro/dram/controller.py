@@ -6,9 +6,9 @@ and forwards every corrected/detected event to SLIMpro -- the reporting
 path the paper extended for its characterization framework.
 
 The scrub pass is the simulation analogue of the DPBench read-back: given
-the weak cells of one or more banks and the stored pattern, it selects
-the failing bits, groups them into 72-bit codewords, runs the real
-decoder on each, and reports CE/UE/miscorrection counts.
+a view of the weak cells of one or more banks and the stored pattern, it
+selects the failing bits, groups them into 72-bit codewords, runs the
+real decoder on each, and reports CE/UE/miscorrection counts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.dram.cells import WeakCellMap, WeakCellView
+from repro.dram.cells import WeakCellView
 from repro.dram.ecc import DecodeStatus, SecdedCode
 from repro.dram.errors_model import PatternKind
 from repro.dram.geometry import DEFAULT_GEOMETRY, DramGeometry
@@ -74,16 +74,9 @@ class MemoryControlUnit:
     # ------------------------------------------------------------------
     # ECC scrub
     # ------------------------------------------------------------------
-    def scrub_bank(self, weak_map: WeakCellMap, temp_c: float,
+    def scrub_bank(self, cells: WeakCellView, temp_c: float,
                    pattern: PatternKind = PatternKind.RANDOM,
                    now_s: float = 0.0) -> ScrubResult:
-        """Read back one bank through ECC: :meth:`scrub_banks` of it alone."""
-        return self.scrub_banks(WeakCellView([weak_map]), temp_c, pattern,
-                                now_s)
-
-    def scrub_banks(self, cells: WeakCellView, temp_c: float,
-                    pattern: PatternKind = PatternKind.RANDOM,
-                    now_s: float = 0.0) -> ScrubResult:
         """Read back every bank of ``cells`` through ECC, after one
         refresh interval, in one pass.
 

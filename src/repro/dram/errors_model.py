@@ -3,7 +3,7 @@
 Combines the retention statistics, data-pattern stress, and access-driven
 inherent refresh into the BER a workload observes at a given refresh
 period and temperature -- the Figure 8a quantity. Analytic expectations
-keep the experiment drivers fast; the weak-cell maps provide the
+keep the experiment drivers fast; the sampled weak cells provide the
 matching concrete-sample view where needed (Table I, ECC tests).
 """
 

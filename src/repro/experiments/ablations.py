@@ -178,6 +178,6 @@ def run_ecc_ablation(seed: SeedLike = None) -> EccAblationResult:
         points.append(EccSweepPoint(
             temp_c=temp, held_c=held,
             weak_cells=sum(cells.unique_locations(mcu.trefp_s, temp)),
-            scrub=mcu.scrub_banks(cells, temp)))
+            scrub=mcu.scrub_bank(cells, temp)))
     return EccAblationResult(trefp_s=mcu.trefp_s, devices=SWEEP_DEVICES,
                              points=tuple(points))

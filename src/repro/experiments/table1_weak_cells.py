@@ -155,13 +155,14 @@ def _profile_device_chunk(task: Tuple[int, Tuple[int, ...], Tuple[float, ...]]
                                                  List[ScrubResult]]]:
     """Worker body: profile a contiguous chunk of devices.
 
-    Rebuilds the device population from the integer seed (every bank's
-    weak-cell map draws from a ``weakcells-d{dev}-b{bank}`` substream, so
-    a bank samples identically in any process) and returns, per
+    Rebuilds the device population from the integer seed (every bank
+    draws its weak cells from a ``weakcells-d{dev}-b{bank}`` substream,
+    so a bank samples identically in any process) and returns, per
     temperature, the chunk's bank totals, per-device totals, and SECDED
     scrub results in device order. Each device's 8 banks are sampled
-    into one flat view, queried once per temperature, and released
-    before the next device is sampled.
+    once, in one pass, into one flat view; the view is queried and
+    scrubbed once per temperature and released before the next device
+    is sampled.
     """
     seed, devices, temps = task
     geometry = DEFAULT_GEOMETRY
@@ -177,7 +178,7 @@ def _profile_device_chunk(task: Tuple[int, Tuple[int, ...], Tuple[float, ...]]
             chip_totals.append(sum(per_bank))
             for bank, value in enumerate(per_bank):
                 bank_totals[bank] += value
-            device_scrubs.append(mcu.scrub_banks(cells, temp))
+            device_scrubs.append(mcu.scrub_bank(cells, temp))
     return out
 
 

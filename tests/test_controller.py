@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.dram.cells import DramDevicePopulation, WeakCellMap, WeakCellView
+import repro.dram.cells as cells_module
+from repro.dram.cells import DramDevicePopulation
 from repro.dram.controller import MemoryControlUnit, ScrubResult
 from repro.dram.ecc import DecodeStatus, SecdedCode
 from repro.dram.errors_model import PatternKind
-from repro.dram.geometry import BankAddress, DramGeometry
+from repro.dram.geometry import DramGeometry
 from repro.errors import ConfigurationError
 from repro.experiments.ablations import SWEEP_DEVICES
 from repro.experiments.table1_weak_cells import merge_scrubs
@@ -24,8 +25,9 @@ def slimpro() -> SLIMpro:
 
 
 @pytest.fixture(scope="module")
-def weak_map() -> WeakCellMap:
-    return WeakCellMap(BankAddress(0, 0), seed=77)
+def weak_map():
+    """Bank 0 of device 0 as a one-bank view."""
+    return DramDevicePopulation(seed=77).bank_map(0, 0)
 
 
 def test_nominal_refresh_scrub_is_clean(weak_map, slimpro):
@@ -63,7 +65,8 @@ def test_solid_patterns_partition_population(weak_map, slimpro):
     mcu = MemoryControlUnit(0, slimpro, trefp_s=RELAXED_REFRESH_S)
     ones = mcu.scrub_bank(weak_map, 60.0, PatternKind.ALL_ONES)
     zeros = mcu.scrub_bank(weak_map, 60.0, PatternKind.ALL_ZEROS)
-    union = weak_map.failing_count(RELAXED_REFRESH_S, 60.0, coupling=1.0)
+    union = int(np.count_nonzero(
+        weak_map.failing(RELAXED_REFRESH_S, 60.0, coupling=1.0)))
     assert ones.raw_bit_errors + zeros.raw_bit_errors == union
 
 
@@ -135,29 +138,38 @@ def test_even_words_counts_the_words_parity_misses():
 # ----------------------------------------------------------------------
 # Multi-bank scrub == the per-bank scrub, decoding every word
 # ----------------------------------------------------------------------
-def _reference_scrub(weak_map, trefp_s, temp_c, pattern=PatternKind.RANDOM):
-    """One bank's scrub, every corrupted word decoded by the real code."""
-    params = weak_map.retention.params
+def _reference_scrub(cells, bank, trefp_s, temp_c, pattern=PatternKind.RANDOM):
+    """Bank ``bank`` of the view ``cells`` scrubbed alone, every
+    corrupted word decoded by the real code."""
+    params = cells.retention.params
     stored_ones, coupling = {
         PatternKind.ALL_ZEROS: (False, 1.0),
         PatternKind.ALL_ONES: (True, 1.0),
         PatternKind.CHECKERBOARD: (None, params.coupling_checker),
         PatternKind.RANDOM: (None, params.coupling_random),
     }[pattern]
-    cells = weak_map.failing_cells(trefp_s, temp_c, stored_ones, coupling)
-    if stored_ones is None:
-        shift = pattern is PatternKind.RANDOM
-        cells = [c for c in cells
-                 if (c.col + shift * c.row) % 2 == (0 if c.is_true_cell else 1)]
+    mask = (cells.bank == bank) & cells.failing(trefp_s, temp_c, coupling)
+    keys, is_true = cells.keys[mask].tolist(), cells.is_true[mask].tolist()
+    shift = pattern is PatternKind.RANDOM
+    failing = []
+    for key, true_cell in zip(keys, is_true):
+        row = (key >> cells.col_bits) & ((1 << cells.row_bits) - 1)
+        col = key & ((1 << cells.col_bits) - 1)
+        if stored_ones is None:
+            charged = (col + shift * row) % 2 == (0 if true_cell else 1)
+        else:
+            charged = true_cell == stored_ones
+        if charged:
+            failing.append((row, col))
     words = {}
-    for cell in cells:
-        words.setdefault((cell.row, cell.col // 64), set()).add(cell.col % 64)
+    for row, col in failing:
+        words.setdefault((row, col // 64), set()).add(col % 64)
     code = SecdedCode()
     statuses = [code.decode_with_truth(
         code.flip_bits(code.encode(0), sorted(bits)), 0).status
         for bits in words.values()]
     return ScrubResult(
-        raw_bit_errors=len(cells),
+        raw_bit_errors=len(failing),
         corrected_words=statuses.count(DecodeStatus.CORRECTED),
         uncorrectable_words=statuses.count(DecodeStatus.DETECTED_UNCORRECTABLE),
         miscorrected_words=statuses.count(DecodeStatus.MISCORRECTED),
@@ -166,19 +178,28 @@ def _reference_scrub(weak_map, trefp_s, temp_c, pattern=PatternKind.RANDOM):
     )
 
 
+def _per_bank_scrubs(population, devices, temp, pattern=PatternKind.RANDOM):
+    """The reference scrub of each bank of ``devices``, sampled alone."""
+    return merge_scrubs([
+        _reference_scrub(population.bank_map(device, bank), 0,
+                         RELAXED_REFRESH_S, temp, pattern)
+        for device in devices for bank in range(8)])
+
+
 @pytest.mark.parametrize("seed", [3, 11, 2024])
 @pytest.mark.parametrize("temp", [36.0, 45.0, 50.0, 60.0])
 def test_device_view_equals_per_bank_path(seed, temp):
-    """Per-device counts and summed scrub of one view equal the banks'."""
+    """Per-bank counts and summed scrub of one device view equal those
+    of its banks, each sampled into a view of its own."""
     population = DramDevicePopulation(seed=seed)
     mcu = MemoryControlUnit(0, trefp_s=RELAXED_REFRESH_S)
     for device in (0, 17, 71):
         cells = population.device_cells([device])
-        assert cells.unique_locations(RELAXED_REFRESH_S, temp) == \
-            population.device_unique_locations(device, RELAXED_REFRESH_S, temp)
-        maps = [population.bank_map(device, bank) for bank in range(8)]
-        assert mcu.scrub_banks(cells, temp) == merge_scrubs(
-            [_reference_scrub(m, RELAXED_REFRESH_S, temp) for m in maps])
+        assert cells.unique_locations(RELAXED_REFRESH_S, temp) == [
+            population.bank_map(device, bank).unique_locations(
+                RELAXED_REFRESH_S, temp)[0] for bank in range(8)]
+        assert mcu.scrub_bank(cells, temp) == \
+            _per_bank_scrubs(population, [device], temp)
 
 
 @pytest.mark.parametrize("pattern", list(PatternKind))
@@ -186,23 +207,20 @@ def test_scrub_banks_every_pattern(pattern):
     population = DramDevicePopulation(seed=5)
     mcu = MemoryControlUnit(0, trefp_s=RELAXED_REFRESH_S)
     cells = population.device_cells([2, 3])
-    maps = [population.bank_map(device, bank)
-            for device in (2, 3) for bank in range(8)]
-    assert mcu.scrub_banks(cells, 60.0, pattern) == merge_scrubs(
-        [_reference_scrub(m, RELAXED_REFRESH_S, 60.0, pattern) for m in maps])
+    assert mcu.scrub_bank(cells, 60.0, pattern) == \
+        _per_bank_scrubs(population, [2, 3], 60.0, pattern)
 
 
 def test_scrub_banks_reports_each_bank_in_address_order():
     population = DramDevicePopulation(seed=8)
-    maps = [population.bank_map(4, bank) for bank in range(8)]
     together, apart = SLIMpro(), SLIMpro()
     together.boot()
     apart.boot()
-    MemoryControlUnit(0, together, trefp_s=RELAXED_REFRESH_S).scrub_banks(
-        WeakCellView(maps), 60.0, now_s=2.0)
+    MemoryControlUnit(0, together, trefp_s=RELAXED_REFRESH_S).scrub_bank(
+        population.device_cells([4]), 60.0, now_s=2.0)
     per_bank = MemoryControlUnit(0, apart, trefp_s=RELAXED_REFRESH_S)
-    for weak_map in maps:
-        per_bank.scrub_bank(weak_map, 60.0, now_s=2.0)
+    for bank in range(8):
+        per_bank.scrub_bank(population.bank_map(4, bank), 60.0, now_s=2.0)
     assert together.ecc_events() == apart.ecc_events()
     assert len(together.ecc_events()) > 8
 
@@ -215,28 +233,31 @@ def test_scrub_banks_equals_per_bank_path_with_double_bit_words(temp):
                                       profile_interval_s=4.0,
                                       profile_temp_c=72.0)
     mcu = MemoryControlUnit(0, trefp_s=RELAXED_REFRESH_S)
-    devices = range(SWEEP_DEVICES)
-    result = mcu.scrub_banks(population.device_cells(devices), temp)
+    cells = population.device_cells(range(SWEEP_DEVICES))
+    result = mcu.scrub_bank(cells, temp)
     assert result == merge_scrubs(
-        [_reference_scrub(population.bank_map(device, bank),
-                          RELAXED_REFRESH_S, temp)
-         for device in devices for bank in range(8)])
+        [_reference_scrub(cells, bank, RELAXED_REFRESH_S, temp)
+         for bank in range(cells.banks)])
     if temp == 70.0:
         assert result.uncorrectable_words > 0
 
 
-def test_view_rejects_a_key_wider_than_63_bits():
-    """32 row bits + 31 column bits + 1 bank bit: checked before sampling."""
+def _no_generator(seed, name):
+    raise AssertionError(f"substream {name} drawn before the key check")
+
+
+def test_view_rejects_a_key_wider_than_63_bits(monkeypatch):
+    """32 row bits + 31 column bits + 3 bank bits: checked before sampling
+    (one bank fits in 63 bits, but would sample 2**63 bits)."""
     wide = DramGeometry(rows_per_bank=2 ** 32, bits_per_row=2 ** 31)
-    with pytest.raises(ConfigurationError, match="64 bits"):
-        WeakCellView([WeakCellMap(BankAddress(0, bank), geometry=wide)
-                      for bank in range(2)])
+    population = DramDevicePopulation(geometry=wide)
+    monkeypatch.setattr(cells_module, "substream", _no_generator)
+    with pytest.raises(ConfigurationError, match="66 bits"):
+        population.device_cells([0])
 
 
-def test_view_rejects_banks_profiled_differently():
-    with pytest.raises(ConfigurationError):
-        WeakCellView([])
-    with pytest.raises(ConfigurationError):
-        WeakCellView([WeakCellMap(BankAddress(0, 0), seed=1),
-                      WeakCellMap(BankAddress(0, 1), seed=1,
-                                  profile_temp_c=72.0)])
+def test_view_rejects_banks_profiled_differently(monkeypatch):
+    population = DramDevicePopulation()
+    monkeypatch.setattr(cells_module, "substream", _no_generator)
+    with pytest.raises(ConfigurationError, match="at least one bank"):
+        population.device_cells([])

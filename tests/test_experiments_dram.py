@@ -76,20 +76,20 @@ def test_table1_format(table1):
 
 
 def _per_bank_chunk(seed, devices, temps):
-    """The chunk's rows from one map query and one scrub per bank."""
+    """The chunk's rows from one query and one scrub per one-bank view."""
     population = DramDevicePopulation(seed=seed)
     mcu = MemoryControlUnit(0, trefp_s=RELAXED_REFRESH_S)
     out = {}
     for temp in temps:
         bank_totals, chip_totals, device_scrubs = [0] * 8, [], []
         for device in devices:
-            per_bank = population.device_unique_locations(
-                device, RELAXED_REFRESH_S, temp)
+            banks = [population.bank_map(device, bank) for bank in range(8)]
+            per_bank = [cells.unique_locations(RELAXED_REFRESH_S, temp)[0]
+                        for cells in banks]
             chip_totals.append(sum(per_bank))
             bank_totals = [a + b for a, b in zip(bank_totals, per_bank)]
             device_scrubs.append(merge_scrubs(
-                [mcu.scrub_bank(population.bank_map(device, bank), temp)
-                 for bank in range(8)]))
+                [mcu.scrub_bank(cells, temp) for cells in banks]))
         out[temp] = (bank_totals, chip_totals, device_scrubs)
     return out
 

@@ -79,7 +79,6 @@ ALLOWED_UNENTERED = {
     "repro.pdn.em:EmSensor.measure_block": _ORACLE,
     "repro.core.classify:classify_run_log": _ORACLE,
     "repro.dram.ecc:SecdedCode.decode_with_truth": _ORACLE,
-    "repro.dram.cells:WeakCellMap.failing_cells": _ORACLE,
     "repro.cpu.execution:blas_threads":
         "the BLAS thread-count reading the pinning tests compare against",
     # Fault paths no command reaches.

@@ -19,9 +19,11 @@ pytestmark = pytest.mark.slow
 
 # Text fields may carry anything a benchmark label or run signature can
 # hold -- including CSV delimiters, quotes, newlines and the serial
-# frame's '|' separator.
-field_text = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=40)
+# frame's '|' separator -- except a NUL, which the codec refuses
+# (``test_encode_rejects_any_row_holding_a_nul``).
+row_chars = st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\0")
+field_text = st.text(alphabet=row_chars, max_size=40)
 finite_floats = st.floats(allow_nan=False, width=64)
 counts = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -68,7 +70,7 @@ line_chars = st.one_of(special_chars,
 label_text = st.text(alphabet=st.one_of(
     st.sampled_from([",", '"', "\r", "\n", "\u00e9", "\u2028",
                      "\U0001f600"]),
-    st.characters(blacklist_categories=("Cs",))), max_size=12)
+    row_chars), max_size=12)
 labelled_rows = result_rows().flatmap(lambda row: st.builds(
     lambda benchmark, run_key: row._replace(benchmark=benchmark,
                                             run_key=run_key),
@@ -128,6 +130,17 @@ def reference_decode(line: str):
 @settings(max_examples=300, deadline=None)
 def test_encode_matches_the_csv_writer_of_str_fields(row):
     assert encode_row(row) == reference_encode(row)
+
+
+@given(row=result_rows(), field=st.sampled_from(
+    ["benchmark", "suite", "cores", "outcome", "verdict", "run_key"]),
+    cut=st.integers(min_value=0))
+@settings(max_examples=150, deadline=None)
+def test_encode_rejects_any_row_holding_a_nul(row, field, cut):
+    text = getattr(row, field)
+    cut %= len(text) + 1
+    with pytest.raises(CampaignError):
+        encode_row(row._replace(**{field: text[:cut] + "\0" + text[cut:]}))
 
 
 @given(line=any_lines)

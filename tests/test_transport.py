@@ -13,6 +13,7 @@ from repro.core.transport import (
     SerialLink,
     decode_row,
     encode_row,
+    encode_rows,
 )
 from repro.errors import CampaignError
 
@@ -234,6 +235,17 @@ def test_decode_rejects_non_numeric_fields():
         decode_row(line)
 
 
+@pytest.mark.parametrize("field", ["benchmark", "cores", "run_key"])
+def test_encode_rejects_a_nul_on_every_python(field):
+    """csv.writer refuses a NUL on 3.10 but encodes it on 3.9 and 3.11+,
+    and only 3.11+ reads it back: the codec refuses it everywhere."""
+    with_nul = row()._replace(**{field: "a\0b"})
+    with pytest.raises(CampaignError, match="NUL|unencodable"):
+        encode_row(with_nul)
+    with pytest.raises(CampaignError):
+        encode_rows([row(), with_nul])
+
+
 def test_decode_falls_back_to_csv_reader_on_each_trigger(monkeypatch):
     """A quote, CR, LF or NUL anywhere in the line, or a line longer than
     ``csv.field_size_limit()``, sends ``decode_row`` through
@@ -262,7 +274,7 @@ def test_decode_falls_back_to_csv_reader_on_each_trigger(monkeypatch):
         assert decode_row(encode_row(value)) == value
     assert len(parses) == len(roundtrips)
 
-    # Built by hand: csv.writer quotes (3.9) or refuses (3.10) a NUL.
+    # Built by hand: encode_row refuses a NUL.
     with_nul = plain._replace(cores="0\0")
     nul_line = ",".join(str(value) for value in with_nul)
     if sys.version_info >= (3, 11):
