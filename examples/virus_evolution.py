@@ -42,7 +42,7 @@ def main() -> None:
                         seed=SEED)
     ga = __import__("repro.viruses.genetic", fromlist=["GeneticAlgorithm"])
     engine = ga.GeneticAlgorithm(
-        search.em_fitness, config=search.config, seed=SEED)
+        search.fitness.batch, config=search.config, seed=SEED)
     result = engine.run(progress=lambda gen, best: print(
         f"{gen:10d} | {best.fitness:17.4f} | {best.loop.describe()[:48]}"))
     virus, _ = search.run()
@@ -59,7 +59,7 @@ def main() -> None:
     }
     for name, loop in comparisons.items():
         analysis = analyze_loop(loop)
-        em = search.em_fitness(loop)
+        em = search.fitness.batch([loop])[0]
         print(f"  {name:22s} swing {analysis.resonant_swing:5.3f}  "
               f"droop {analysis.droop_mv:6.1f} mV  em {em:6.4f}")
 

@@ -100,8 +100,7 @@ def run_figure4(seed: SeedLike = None, repetitions: int = 10,
     injected faults (lost units re-execute; results are unchanged --
     see :class:`repro.experiments.common.RunOptions`).
     """
-    base = resolve_seed(seed) if jobs > 1 or options.faults is not None \
-        else seed
+    base = resolve_seed(seed)
     suite = spec_suite()
     tasks: List[VminTask] = [(base, corner, workload, repetitions)
                              for corner in ProcessCorner

@@ -9,13 +9,13 @@ The paper's observations, all reproduced here:
   because frequent row accesses inherently refresh rows;
 - across the four Rodinia applications BER varies by up to ~2.5x.
 
-The measurement can be gated on the thermal rig: ``regulate=True`` (or
-thermal faults in the driver's ``options``) first drives a testbed zone
-to the setpoint with fault-tolerant regulation; an unrecoverable rig
-fault quarantines the zone and the result comes back *invalid* with the
-typed quarantine record -- BER is never reported from an untrusted
-temperature. Recoverable faults re-regulate deterministically, so the
-reported rows stay bit-identical to the clean run.
+The measurement can be gated on the thermal rig: a thermal fault plan
+in the driver's ``options`` first drives a testbed zone to the setpoint
+with fault-tolerant regulation; an unrecoverable rig fault quarantines
+the zone and the result comes back *invalid* with the typed quarantine
+record -- BER is never reported from an untrusted temperature.
+Recoverable faults re-regulate deterministically, so the reported rows
+stay bit-identical to the clean run.
 """
 
 from __future__ import annotations
@@ -111,25 +111,22 @@ class Figure8aResult:
 
 def run_figure8a(seed: SeedLike = None, temp_c: float = 60.0,
                  interval_s: float = RELAXED_REFRESH_S,
-                 regulate: bool = False,
                  options: RunOptions = RunOptions()) -> Figure8aResult:
     """Compute the Figure 8a BER comparison.
 
-    With ``regulate`` (implied by thermal faults in ``options``) a
-    single-zone testbed is first driven to ``temp_c`` under the
-    fault-tolerant regulation loop; the BER model is evaluated only once
-    the zone's belief is steady-in-band. An unrecoverable fault yields
+    With a thermal fault plan in ``options`` a single-zone testbed is
+    first driven to ``temp_c`` under the fault-tolerant regulation loop;
+    the BER model is evaluated only once the zone's belief is
+    steady-in-band. An unrecoverable fault yields
     an *invalid* result carrying the quarantine record instead of BER
     rows measured at a wrong temperature.
     """
     plan = options.thermal_plan(1)
-    regulate = regulate or plan is not None
     quarantines: Tuple[ZoneQuarantine, ...] = ()
     rounds_used = 0
-    if regulate:
-        testbed = ThermalTestbed(
-            [ZoneConfig(setpoint_c=temp_c)], seed=seed,
-            faults=plan.thermal_faults if plan is not None else ())
+    if plan is not None:
+        testbed = ThermalTestbed([ZoneConfig(setpoint_c=temp_c)], seed=seed,
+                                 faults=plan.thermal_faults)
         rounds_used = regulate_to_setpoint(testbed, temp_c)
         quarantines = testbed.zone_quarantines()
         if quarantines:

@@ -42,7 +42,6 @@ from repro.experiments.common import (
     regulate_to_setpoint,
 )
 from repro.rand import SeedLike, resolve_seed
-from repro.thermal.binding import ZoneBinding
 from repro.thermal.monitor import ZoneQuarantine
 from repro.thermal.testbed import NUM_ZONES, ThermalTestbed, ZoneConfig
 from repro.units import RELAXED_REFRESH_S
@@ -230,6 +229,7 @@ def run_table1(seed: SeedLike = None,
     Execution is supervised: ``options`` also sets the deadline, the
     retry budget and any process faults the engine recovers from.
     """
+    base = resolve_seed(seed)
     geometry = DEFAULT_GEOMETRY
     sample_devices = min(sample_devices, geometry.num_devices)
     plan = options.thermal_plan(NUM_ZONES)
@@ -242,7 +242,7 @@ def run_table1(seed: SeedLike = None,
     if regulate:
         testbed = ThermalTestbed(
             [ZoneConfig(setpoint_c=temps_c[0]) for _ in range(NUM_ZONES)],
-            seed=seed, faults=plan.thermal_faults if plan is not None else ())
+            seed=base, faults=plan.thermal_faults if plan is not None else ())
         for temp in temps_c:
             rounds_used[temp] = regulate_to_setpoint(testbed, temp)
             regulation_ok = regulation_ok and all(
@@ -252,15 +252,14 @@ def run_table1(seed: SeedLike = None,
         quarantines = testbed.zone_quarantines()
         regulation_ok = regulation_ok and not quarantines
         if quarantines:
-            zone_map = ZoneBinding.paper_default(geometry)
+            # A zone heats one rank; zones are numbered dimm-major.
             bad_zones = {q.zone for q in quarantines}
-            devices = [d for d in range(sample_devices)
-                       if zone_map.zone_of_device(d) not in bad_zones]
-            excluded = tuple(d for d in range(sample_devices)
-                             if zone_map.zone_of_device(d) in bad_zones)
+            locations = map(geometry.device_location, range(sample_devices))
+            excluded = tuple(
+                d for d, (dimm, rank, _slot) in enumerate(locations)
+                if dimm * geometry.ranks_per_dimm + rank in bad_zones)
+            devices = [d for d in range(sample_devices) if d not in excluded]
 
-    base = resolve_seed(seed) if jobs > 1 or options.faults is not None \
-        else seed
     tasks = [(base, chunk, tuple(temps_c))
              for chunk in _device_chunks(devices, jobs)]
     shards = map_units(_profile_device_chunk, tasks, jobs, options).unwrap()

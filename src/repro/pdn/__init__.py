@@ -19,12 +19,11 @@ platform:
 
 from repro.pdn.rlc import PdnModel, PdnParams, DEFAULT_PDN
 from repro.pdn.droop import DroopAnalysis, analyze_loop
-from repro.pdn.em import EmSensor, EmReading
+from repro.pdn.em import EmSensor
 
 __all__ = [
     "DEFAULT_PDN",
     "DroopAnalysis",
-    "EmReading",
     "EmSensor",
     "PdnModel",
     "PdnParams",

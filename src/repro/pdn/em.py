@@ -18,23 +18,25 @@ band-limit around the resonance and measurement noise, so the proxy is
 strong but imperfect, as in reality. ``tests/test_em_proxy.py``
 quantifies the correlation.
 
-Measurement noise follows a *counter-based* protocol: read ``r`` of
-evaluation ``e`` is ``substream(seed, "em-read", e, r).normal(0.0,
-noise_floor)``, where ``e`` is a per-sensor evaluation counter. Every
-read goes through :meth:`EmSensor.read_amplitude`, which consumes one
-counter value per clean amplitude and derives all of a batch's reads
-together with :func:`~repro.rand.substream_normals` -- exactly the
-values ``substream`` gives, without a generator per read
-(``tests/test_rand.py::test_substream_normals_match_substream``). A
-block measurement of N waveforms is therefore bit-identical to N serial
-measurements -- the property that lets the GA batch its fitness
-evaluations without perturbing a single result.
+A measurement has one path, in two steps. :meth:`EmSensor.clean_block`
+takes a stack of same-length waveforms and returns each row's noise-free
+amplitude and peak frequency; its rows are bit-identical at any stack
+size. :meth:`EmSensor.read_amplitude` then adds receiver noise under a
+*counter-based* protocol: read ``r`` of evaluation ``e`` is
+``substream(seed, "em-read", e, r).normal(0.0, noise_floor)``, where
+``e`` is a per-sensor evaluation counter that each clean amplitude
+advances by one. All of a batch's reads are derived together with
+:func:`~repro.rand.substream_normals` -- exactly the values
+``substream`` gives, without a generator per read
+(``tests/test_rand.py::test_substream_normals_match_substream``). Reading
+N amplitudes at once is therefore bit-identical to reading them one at
+a time -- the property that lets the GA score a whole cohort in one call
+without perturbing a single result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -42,18 +44,6 @@ from repro.cpu.execution import BLOCK_SCRATCH_BYTES
 from repro.errors import ConfigurationError
 from repro.pdn.rlc import DEFAULT_PDN, PdnModel
 from repro.rand import DEFAULT_SEED, SeedLike, substream_normals
-
-
-@dataclass(frozen=True)
-class EmReading:
-    """One EM measurement: amplitude (arbitrary units) and its frequency."""
-
-    amplitude: float
-    peak_freq_hz: float
-
-    def __post_init__(self) -> None:
-        if self.amplitude < 0:
-            raise ConfigurationError("EM amplitude cannot be negative")
 
 
 class EmSensor:
@@ -171,47 +161,3 @@ class EmSensor:
                                   self.noise_floor)
         noisy = clean[:, None] + noise.reshape(len(clean), repeats)
         return np.where(noisy > 0.0, noisy, 0.0).mean(axis=1)
-
-    # ------------------------------------------------------------------
-    # Measurement API
-    # ------------------------------------------------------------------
-    def measure(self, waveform: np.ndarray, freq_ghz: float,
-                current_scale_a: float = 10.0) -> EmReading:
-        """Measure the radiated amplitude of a current waveform.
-
-        The probe output is ``|Z(w)| * I(w) * G(w)`` -- the tank-current
-        pickup shaped by a Gaussian receiver window ``G`` around the PDN
-        resonance -- plus additive receiver noise. The reported peak
-        frequency comes from the noise-free radiated spectrum.
-        """
-        return self.measure_averaged(waveform, freq_ghz, repeats=1,
-                                     current_scale_a=current_scale_a)
-
-    def measure_averaged(self, waveform: np.ndarray, freq_ghz: float,
-                         repeats: int = 4,
-                         current_scale_a: float = 10.0) -> EmReading:
-        """Average ``repeats`` reads to knock down receiver noise.
-
-        The peak frequency derives from the noise-free radiated spectrum
-        (receiver noise only perturbs amplitude), so the reported
-        resonance never depends on read ordering.
-        """
-        return self.measure_block(waveform, freq_ghz, repeats=repeats,
-                                  current_scale_a=current_scale_a)[0]
-
-    def measure_block(self, waveforms: np.ndarray, freq_ghz: float,
-                      repeats: int = 1,
-                      current_scale_a: float = 10.0) -> List[EmReading]:
-        """Measure N stacked same-length waveforms in one spectral pass.
-
-        Bit-identical to N serial :meth:`measure_averaged` calls with the
-        same ``repeats`` (and to :meth:`measure` when ``repeats == 1``):
-        the deterministic amplitudes come from one batched FFT whose rows
-        match the serial computation exactly, and row ``i`` consumes
-        evaluation counter ``counter + i`` -- the same noise a serial
-        caller would have drawn.
-        """
-        amplitudes, peaks = self.clean_block(waveforms, freq_ghz, current_scale_a)
-        noisy = self.read_amplitude(amplitudes, repeats=repeats)
-        return [EmReading(amplitude=amp, peak_freq_hz=peak)
-                for amp, peak in zip(noisy.tolist(), peaks.tolist())]

@@ -241,23 +241,6 @@ class Chip:
             return RunOutcome.SDC
         return RunOutcome.UNCORRECTED_ERROR
 
-    def observe_runs(self, core: CoreId, swing: float, voltage_mv: float,
-                     freq_ghz: float = NOMINAL_FREQ_GHZ, n: int = 1,
-                     sdc_bias: float = 0.25,
-                     rng: Optional[np.random.Generator] = None) -> List[RunOutcome]:
-        """Sample ``n`` repetition outcomes for one core in one numpy pass.
-
-        Draw-for-draw identical to calling :meth:`observe_run` ``n``
-        times with the same generator: the failure-mode branch is a pure
-        function of the operating margin, so all ``n`` uniforms are
-        drawn in a single batch and classified vectorized.
-        """
-        codes = self.observe_run_block(
-            (core,), swing, voltage_mv, freq_ghz=freq_ghz, repetitions=n,
-            sdc_bias=sdc_bias, rng=rng,
-        )
-        return [OUTCOME_FROM_CODE[int(code)] for code in codes[:, 0]]
-
     def observe_run_block(self, cores: Sequence[CoreId], swing: float,
                           voltage_mv: float,
                           freq_ghz: float = NOMINAL_FREQ_GHZ,

@@ -22,11 +22,12 @@ This package simulates that rig end-to-end:
   and the hard safe-state (heater cutoff + typed zone quarantine);
 - :mod:`repro.thermal.testbed` -- the 8-zone controller board on one
   fixed-period control tick, with the <1 degC regulation property
-  verified by the test suite.
+  verified by the test suite. Zone ``z`` heats rank ``z`` of the
+  dimm-major rank order, so Table I drops exactly the devices on a
+  quarantined zone's rank.
 """
 
 from repro.core.faults import ThermalFault
-from repro.thermal.binding import ZoneBinding
 from repro.thermal.faults import ZoneFaultState
 from repro.thermal.monitor import (
     MonitorParams,
@@ -51,7 +52,6 @@ __all__ = [
     "ThermalPlant",
     "ThermalTestbed",
     "Thermocouple",
-    "ZoneBinding",
     "ZoneConfig",
     "ZoneFaultState",
     "ZoneMonitor",

@@ -140,7 +140,6 @@ class ZoneMonitor:
         self._in_band_since: Optional[float] = None
         self._oob_since: Optional[float] = 0.0
         self._cold_saturated_s = 0.0
-        self._now = 0.0
 
     # ------------------------------------------------------------------
     # Status
@@ -291,7 +290,6 @@ class ZoneMonitor:
         updating its belief from whatever sensor survives (telemetry
         stays honest) but its heater is already cut off by the testbed.
         """
-        self._now = now_s
         if self.quarantine is not None:
             reading = self._fuse(tc_c, spd_c, dt_s)
             if reading is not None:

@@ -58,8 +58,8 @@ class ZoneReport:
     """Regulation telemetry for one zone after a run.
 
     ``samples`` is the plant's true trajectory (the simulator's
-    validation channel); ``fused_final_c`` and the validity fields come
-    from the controller's own belief -- the only view a real rig has.
+    validation channel); ``status`` and the validity fields come from
+    the controller's own belief -- the only view a real rig has.
     """
 
     zone: int
@@ -69,9 +69,7 @@ class ZoneReport:
     settle_time_s: Optional[float]
     samples: List[float] = field(default_factory=list)
     status: str = "ok"
-    fused_final_c: Optional[float] = None
     measurement_valid: bool = True
-    in_band_duration_s: float = 0.0
     quarantine: Optional[ZoneQuarantine] = None
     out_of_band_windows: Tuple[Tuple[float, float], ...] = ()
 
@@ -291,9 +289,7 @@ class ThermalTestbed:
             settle_time_s=settle,
             samples=list(history),
             status=monitor.status,
-            fused_final_c=monitor.estimate_c,
             measurement_valid=self.zone_measurement_valid(zone),
-            in_band_duration_s=monitor.in_band_duration_s(self.now),
             quarantine=monitor.quarantine,
             out_of_band_windows=tuple(monitor.out_of_band_windows),
         )

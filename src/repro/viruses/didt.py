@@ -70,8 +70,8 @@ class EmFitness:
     counter-based protocol. ``clean`` is cached across generations and
     computed once per distinct genome within a batch, keyed by the
     genome's byte code (:attr:`InstructionLoop.code`); noise is always
-    drawn per evaluation, so serial (:meth:`__call__`) and batched
-    (:meth:`batch`) scoring consume identical counters and return
+    drawn per evaluation, so a cohort scored in one :meth:`batch` call
+    or split across several consumes identical counters and returns
     identical values.
     """
 
@@ -83,10 +83,6 @@ class EmFitness:
         self.repeats = repeats
         #: Noise-free amplitude by genome, keyed by ``InstructionLoop.code``.
         self._clean_cache: Dict[bytes, float] = {}
-
-    def __call__(self, loop: InstructionLoop) -> float:
-        """Serial entry point: one evaluation, one counter value."""
-        return self.batch([loop])[0]
 
     def batch(self, loops: Sequence[InstructionLoop]) -> List[float]:
         """Score a whole cohort in one stacked waveform + FFT pass."""
@@ -135,10 +131,6 @@ class DidtSearch:
         self.fitness = EmFitness(self._exec_model, self.sensor,
                                  freq_ghz, em_repeats)
 
-    def em_fitness(self, loop: InstructionLoop) -> float:
-        """Averaged EM amplitude of a candidate loop (serial entry)."""
-        return self.fitness(loop)
-
     def run(self, polish: bool = True) -> Tuple[DidtVirus, GaResult]:
         """Evolve a virus; returns it plus the raw GA result.
 
@@ -150,18 +142,18 @@ class DidtSearch:
         far more reliably than the GA alone (quantified by the
         ``ablation-ga`` experiment).
 
-        The GA scores each generation in one batched fitness call,
-        bit-identical to scoring it serially (``tests/test_em_batch.py``
-        asserts it).
+        The GA scores each generation, and the polish its candidates, in
+        one batched fitness call each, bit-identical to scoring them one
+        loop at a time (``tests/test_em_batch.py`` asserts it).
         """
-        ga = GeneticAlgorithm(self.fitness, config=self.config,
-                              seed=substream(self._seed, "didt-ga"),
-                              batch_fitness=self.fitness.batch)
+        ga = GeneticAlgorithm(self.fitness.batch, config=self.config,
+                              seed=substream(self._seed, "didt-ga"))
         result = ga.run()
         best = result.best
         if polish:
-            for candidate in self._polish_candidates():
-                fitness = self.fitness(candidate)
+            candidates = list(self._polish_candidates())
+            for candidate, fitness in zip(candidates,
+                                          self.fitness.batch(candidates)):
                 if fitness > best.fitness:
                     best = Individual(loop=candidate, fitness=fitness)
         polished = GaResult(best=best, history=result.history + (best.fitness,),
@@ -227,7 +219,8 @@ def random_search_baseline(seed: SeedLike = None, evaluations: int = 1200,
     noise protocol the result is identical at any batch size.
     """
     search = DidtSearch(pdn=pdn, seed=seed)
-    ga = GeneticAlgorithm(search.fitness, seed=substream(seed, "rand-baseline"))
+    ga = GeneticAlgorithm(search.fitness.batch,
+                          seed=substream(seed, "rand-baseline"))
     best_loop, best_fit = None, float("-inf")
     remaining = evaluations
     while remaining > 0:

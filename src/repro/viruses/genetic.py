@@ -4,19 +4,18 @@ The paper (following references [8] and [14]) uses a GA to craft the
 instruction loop maximizing radiated EM amplitude. This module provides
 the search engine: tournament selection, one-point crossover on loop
 bodies, per-gene mutation with an alphabet swap / insert / delete mix,
-and elitism. The fitness function is injected, so the same engine serves
-the EM-guided dI/dt search and any ablation (e.g. droop-oracle fitness).
+and elitism. The fitness is injected, so the same engine serves the
+EM-guided dI/dt search and any ablation (e.g. droop-oracle fitness).
 
-The engine supports a batched evaluation mode: pass ``batch_fitness``
-and every generation is scored in one call instead of one call per
-genome. Genome operators draw no randomness during evaluation, so the
-two modes walk identical populations; a batch fitness whose noise
-follows a counter-based protocol (see :class:`repro.pdn.em.EmSensor`)
-makes them bit-identical end to end -- same best loop, same history,
-same evaluation count. Batch implementations are expected to
-deduplicate identical genomes within a batch and memoize the
-deterministic part of the fitness across generations (see
-:class:`repro.viruses.didt.EmFitness`).
+Fitness is a cohort scorer: it takes a sequence of loops and returns one
+score per loop, and the engine scores each generation in one call.
+Genome operators draw no randomness during evaluation, so the
+population walk depends only on the scores. Scorers are expected to
+deduplicate identical genomes within a cohort and memoize the
+deterministic part of the fitness across generations;
+:class:`repro.viruses.didt.EmFitness` does both, and its counter-based
+noise (see :class:`repro.pdn.em.EmSensor`) gives the same scores however
+a cohort is split.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ from repro.cpu.isa import GA_ALPHABET, InstrClass
 from repro.cpu.kernels import MAX_LOOP_LEN, MIN_LOOP_LEN, InstructionLoop
 from repro.errors import SearchError
 from repro.rand import SeedLike, substream
-
-FitnessFn = Callable[[InstructionLoop], float]
-BatchFitnessFn = Callable[[Sequence[InstructionLoop]], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -78,14 +74,14 @@ class GaResult:
 class GeneticAlgorithm:
     """Steady-state GA over :class:`InstructionLoop` genomes."""
 
-    def __init__(self, fitness: FitnessFn, config: GaConfig = GaConfig(),
+    def __init__(self,
+                 fitness: Callable[[Sequence[InstructionLoop]], Sequence[float]],
+                 config: GaConfig = GaConfig(),
                  alphabet: Sequence[InstrClass] = GA_ALPHABET,
-                 seed: SeedLike = None,
-                 batch_fitness: Optional[BatchFitnessFn] = None) -> None:
+                 seed: SeedLike = None) -> None:
         if not alphabet:
             raise SearchError("alphabet cannot be empty")
         self.fitness = fitness
-        self.batch_fitness = batch_fitness
         self.config = config
         self.alphabet = tuple(alphabet)
         self._rng = substream(seed, "ga")
@@ -124,24 +120,21 @@ class GeneticAlgorithm:
         return InstructionLoop.of(genes)
 
     def _evaluate_all(self, loops: Sequence[InstructionLoop]) -> List[Individual]:
-        """Score a cohort of genomes: one batched call when available.
+        """Score a cohort of genomes in one fitness call.
 
         Evaluation draws nothing from the GA's own random stream, so
         scoring a whole generation after generating it is operator-order
-        identical to the interleaved serial loop.
+        identical to scoring each genome as it is made.
         """
         loops = list(loops)
         self._evaluations += len(loops)
-        if self.batch_fitness is not None:
-            scores = list(self.batch_fitness(loops))
-            if len(scores) != len(loops):
-                raise SearchError(
-                    f"batch fitness returned {len(scores)} scores "
-                    f"for {len(loops)} genomes")
-            return [Individual(loop=loop, fitness=float(score))
-                    for loop, score in zip(loops, scores)]
-        return [Individual(loop=loop, fitness=float(self.fitness(loop)))
-                for loop in loops]
+        scores = list(self.fitness(loops))
+        if len(scores) != len(loops):
+            raise SearchError(
+                f"fitness returned {len(scores)} scores "
+                f"for {len(loops)} genomes")
+        return [Individual(loop=loop, fitness=float(score))
+                for loop, score in zip(loops, scores)]
 
     def _tournament(self, population: List[Individual]) -> Individual:
         picks = self._rng.integers(len(population), size=self.config.tournament_size)

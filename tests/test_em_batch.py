@@ -2,7 +2,7 @@
 
 The batched pipeline's contract is *bit-identity*: batching is purely an
 execution strategy, never a numerics change. These tests pin down every
-layer of that contract -- stacked spectral measurement vs serial reads,
+layer of that contract -- a stacked spectral read vs one row at a time,
 the counter-based noise protocol under interleaving, blocked waveform
 synthesis vs the profile path, batch-mode GA runs vs serial runs, and
 process-sharded searches at any worker count.
@@ -42,6 +42,24 @@ def _random_loops(seed: int, count: int) -> list:
     ]
 
 
+def _read_rows(sensor, waveforms, repeats):
+    """The one-row-at-a-time reference: each waveform cleaned and read
+    alone, in order."""
+    amplitudes, peaks = [], []
+    for waveform in waveforms:
+        clean, peak = sensor.clean_block(waveform, 2.4)
+        amplitudes += sensor.read_amplitude(clean, repeats=repeats).tolist()
+        peaks += peak.tolist()
+    return amplitudes, peaks
+
+
+def _read_stack(sensor, waveforms, repeats):
+    """The batched path: one ``clean_block`` and one ``read_amplitude``."""
+    clean, peaks = sensor.clean_block(waveforms, 2.4)
+    return (sensor.read_amplitude(clean, repeats=repeats).tolist(),
+            peaks.tolist())
+
+
 # ----------------------------------------------------------------------
 # Sensor layer
 # ----------------------------------------------------------------------
@@ -49,52 +67,49 @@ def _random_loops(seed: int, count: int) -> list:
 @settings(max_examples=60, deadline=None)
 def test_measure_block_matches_serial_bit_for_bit(seed, count, repeats):
     waveforms = _random_waveforms(seed, count)
-    serial_sensor = EmSensor(seed=seed)
-    block_sensor = EmSensor(seed=seed)
-    serial = [serial_sensor.measure_averaged(w, 2.4, repeats=repeats)
-              for w in waveforms]
-    block = block_sensor.measure_block(waveforms, 2.4, repeats=repeats)
-    assert len(block) == count
-    for a, b in zip(serial, block):
-        assert a.amplitude == b.amplitude
-        assert a.peak_freq_hz == b.peak_freq_hz
+    serial = _read_rows(EmSensor(seed=seed), waveforms, repeats)
+    block = _read_stack(EmSensor(seed=seed), waveforms, repeats)
+    assert len(block[0]) == len(block[1]) == count
+    assert block == serial
 
 
 def test_measure_block_single_repeat_matches_measure():
     waveforms = _random_waveforms(7, 4)
-    serial_sensor = EmSensor(seed=7)
-    block_sensor = EmSensor(seed=7)
-    serial = [serial_sensor.measure(w, 2.4) for w in waveforms]
-    block = block_sensor.measure_block(waveforms, 2.4, repeats=1)
-    assert [r.amplitude for r in serial] == [r.amplitude for r in block]
+    serial, _ = _read_rows(EmSensor(seed=7), waveforms, repeats=1)
+    block, _ = _read_stack(EmSensor(seed=7), waveforms, repeats=1)
+    assert serial == block
 
 
 def test_counter_protocol_survives_interleaving():
-    """A block of N consumes the same counters as N serial measurements,
-    so mixed serial/block call sequences stay aligned."""
+    """A stack of N consumes the same counters as N one-row reads, so
+    mixed call sequences stay aligned."""
     waveforms = _random_waveforms(11, 3)
-    serial_sensor = EmSensor(seed=3)
+    serial, _ = _read_rows(EmSensor(seed=3), waveforms, repeats=2)
     mixed_sensor = EmSensor(seed=3)
-    serial = [serial_sensor.measure_averaged(w, 2.4, repeats=2)
-              for w in waveforms]
-    mixed = mixed_sensor.measure_block(waveforms[:2], 2.4, repeats=2)
-    mixed.append(mixed_sensor.measure_averaged(waveforms[2], 2.4, repeats=2))
-    assert [r.amplitude for r in serial] == [r.amplitude for r in mixed]
+    mixed, _ = _read_stack(mixed_sensor, waveforms[:2], repeats=2)
+    mixed += _read_rows(mixed_sensor, waveforms[2:], repeats=2)[0]
+    assert serial == mixed
 
 
 def test_peak_freq_is_noise_free_and_repeat_invariant():
-    """Satellite fix: the reported resonance comes from the noise-free
-    spectrum, so it cannot depend on how many reads were averaged."""
+    """The reported resonance comes from the noise-free spectrum, so it
+    depends neither on the receiver noise nor on the reads taken."""
     waveform = _random_waveforms(5, 1)[0]
-    one = EmSensor(seed=9).measure_averaged(waveform, 2.4, repeats=1)
-    many = EmSensor(seed=9).measure_averaged(waveform, 2.4, repeats=8)
-    assert one.peak_freq_hz == many.peak_freq_hz
+    quiet = EmSensor(seed=9, noise_floor=0.0)
+    noisy = EmSensor(seed=9, noise_floor=0.5)
+    _, before = noisy.clean_block(waveform, 2.4)
+    _read_stack(noisy, [waveform], repeats=8)
+    _, after = noisy.clean_block(waveform, 2.4)
+    assert before.tolist() == after.tolist() \
+        == quiet.clean_block(waveform, 2.4)[1].tolist()
 
 
 def test_measure_block_validates_repeats():
     from repro.errors import ConfigurationError
+    sensor = EmSensor()
+    clean, _ = sensor.clean_block(np.ones((2, 128)), 2.4)
     with pytest.raises(ConfigurationError):
-        EmSensor().measure_block(np.ones((2, 128)), 2.4, repeats=0)
+        sensor.read_amplitude(clean, repeats=0)
 
 
 @pytest.mark.parametrize("count", [0, 1, 7])
@@ -114,9 +129,7 @@ def test_read_amplitude_matches_serial_measure_averaged():
     waveforms = _random_waveforms(17, 5)
     clean, _ = EmSensor(seed=4).clean_block(waveforms, 2.4)
     batched = EmSensor(seed=4).read_amplitude(clean, repeats=3)
-    serial_sensor = EmSensor(seed=4)
-    serial = [serial_sensor.measure_averaged(w, 2.4, repeats=3).amplitude
-              for w in waveforms]
+    serial, _ = _read_rows(EmSensor(seed=4), waveforms, repeats=3)
     assert batched.tolist() == serial
 
 
@@ -170,9 +183,13 @@ def test_ga_batch_run_reproduces_serial_result(seed):
 
     def evolve(batched):
         fitness = DidtSearch(config=config, seed=seed).fitness
+
+        def one_at_a_time(loops):
+            return [fitness.batch([loop])[0] for loop in loops]
+
+        scorer = fitness.batch if batched else one_at_a_time
         return GeneticAlgorithm(
-            fitness, config=config, seed=substream(seed, "didt-ga"),
-            batch_fitness=fitness.batch if batched else None).run()
+            scorer, config=config, seed=substream(seed, "didt-ga")).run()
 
     result_b, result_s = evolve(True), evolve(False)
     assert result_b.best == result_s.best
@@ -187,7 +204,7 @@ def test_batch_fitness_dedups_but_noise_stays_per_eval():
     search = DidtSearch(seed=21)
     batch = search.fitness.batch([loop, loop, loop])
     serial_search = DidtSearch(seed=21)
-    serial = [serial_search.fitness(loop) for _ in range(3)]
+    serial = [serial_search.fitness.batch([loop])[0] for _ in range(3)]
     assert batch == serial
     assert len(set(batch)) == 3  # distinct noise per evaluation
 

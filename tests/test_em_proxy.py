@@ -15,7 +15,7 @@ from repro.cpu.isa import InstrClass
 from repro.cpu.kernels import InstructionLoop, square_wave_loop
 from repro.errors import ConfigurationError
 from repro.pdn.droop import analyze_loop
-from repro.pdn.em import EmReading, EmSensor
+from repro.pdn.em import EmSensor
 from repro.pdn.rlc import PdnModel
 
 
@@ -29,6 +29,17 @@ def exec_model() -> ExecutionModel:
     return ExecutionModel(window_cycles=4096)
 
 
+def _read(sensor, waveforms, repeats=1):
+    """Noisy amplitudes of a stack of waveforms: ``clean_block`` then
+    ``read_amplitude``, the sensor's one measurement path."""
+    clean, _ = sensor.clean_block(np.asarray(waveforms), 2.4)
+    return sensor.read_amplitude(clean, repeats=repeats)
+
+
+def _waveforms(exec_model, loops):
+    return [exec_model.profile(loop).waveform for loop in loops]
+
+
 def _loops():
     res_cycles = int(2.4e9 / PdnModel().params.resonant_freq_hz)
     return [
@@ -40,23 +51,18 @@ def _loops():
 
 
 def test_em_amplitude_non_negative(sensor, exec_model):
-    for loop in _loops():
-        reading = sensor.measure(exec_model.profile(loop).waveform, 2.4)
-        assert reading.amplitude >= 0.0
+    assert (_read(sensor, _waveforms(exec_model, _loops())) >= 0.0).all()
 
 
 def test_resonant_square_wave_reads_highest(sensor, exec_model):
-    readings = [sensor.measure_averaged(exec_model.profile(loop).waveform,
-                                        2.4, repeats=6).amplitude
-                for loop in _loops()]
+    readings = _read(sensor, _waveforms(exec_model, _loops()), repeats=6)
     assert np.argmax(readings) == 3
 
 
 def test_em_ranks_match_droop_ranks(sensor, exec_model):
     """The proxy property: EM ordering == droop ordering."""
     loops = _loops()
-    em = [sensor.measure_averaged(exec_model.profile(loop).waveform, 2.4,
-                                  repeats=8).amplitude for loop in loops]
+    em = _read(sensor, _waveforms(exec_model, loops), repeats=8)
     droop = [analyze_loop(loop).droop_v for loop in loops]
     assert np.argsort(em).tolist() == np.argsort(droop).tolist()
 
@@ -66,50 +72,46 @@ def test_em_correlates_with_droop_across_random_loops(exec_model):
     rng = np.random.default_rng(3)
     sensor = EmSensor(seed=3, noise_floor=0.005)
     classes = list(InstrClass)
-    em, droop = [], []
-    for _ in range(20):
-        body = [classes[int(i)] for i in rng.integers(len(classes), size=48)]
-        loop = InstructionLoop.of(body)
-        em.append(sensor.measure_averaged(
-            exec_model.profile(loop).waveform, 2.4, repeats=4).amplitude)
-        droop.append(analyze_loop(loop).droop_v)
+    loops = [InstructionLoop.of([classes[int(i)]
+                                 for i in rng.integers(len(classes), size=48)])
+             for _ in range(20)]
+    em = _read(sensor, _waveforms(exec_model, loops), repeats=4)
+    droop = [analyze_loop(loop).droop_v for loop in loops]
     r = np.corrcoef(em, droop)[0, 1]
     assert r > 0.95
 
 
+def _square_waveform():
+    model = ExecutionModel(window_cycles=2048)
+    return model.profile(square_wave_loop(InstrClass.SIMD,
+                                          InstrClass.NOP, 24)).waveform
+
+
 def test_measurement_noise_present():
     noisy = EmSensor(seed=11, noise_floor=0.05)
-    model = ExecutionModel(window_cycles=2048)
-    waveform = model.profile(square_wave_loop(InstrClass.SIMD,
-                                              InstrClass.NOP, 24)).waveform
-    reads = {noisy.measure(waveform, 2.4).amplitude for _ in range(5)}
+    reads = set(_read(noisy, [_square_waveform()] * 5).tolist())
     assert len(reads) > 1  # distinct reads: real receivers are noisy
 
 
 def test_averaging_reduces_noise():
     noisy = EmSensor(seed=11, noise_floor=0.05)
-    model = ExecutionModel(window_cycles=2048)
-    waveform = model.profile(square_wave_loop(InstrClass.SIMD,
-                                              InstrClass.NOP, 24)).waveform
-    singles = np.array([noisy.measure(waveform, 2.4).amplitude
-                        for _ in range(32)])
-    averaged = np.array([noisy.measure_averaged(waveform, 2.4, repeats=8).amplitude
-                         for _ in range(32)])
+    waveforms = [_square_waveform()] * 32
+    singles = _read(noisy, waveforms)
+    averaged = _read(noisy, waveforms, repeats=8)
     assert averaged.std() < singles.std()
 
 
 def test_peak_frequency_near_resonance(sensor, exec_model):
     loop = square_wave_loop(InstrClass.SIMD, InstrClass.NOP, 24)
-    reading = sensor.measure(exec_model.profile(loop).waveform, 2.4)
+    _, peak = sensor.clean_block(exec_model.profile(loop).waveform, 2.4)
     f_res = PdnModel().params.resonant_freq_hz
-    assert abs(reading.peak_freq_hz - f_res) < f_res * 0.5
+    assert abs(peak[0] - f_res) < f_res * 0.5
 
 
 def test_invalid_configs_rejected():
     with pytest.raises(ConfigurationError):
         EmSensor(bandwidth_hz=0.0)
-    with pytest.raises(ConfigurationError):
-        EmReading(amplitude=-1.0, peak_freq_hz=1.0)
     sensor = EmSensor(seed=1)
+    clean, _ = sensor.clean_block(np.ones(128), 2.4)
     with pytest.raises(ConfigurationError):
-        sensor.measure_averaged(np.ones(128), 2.4, repeats=0)
+        sensor.read_amplitude(clean, repeats=0)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.campaign import CharacterizationRun, CharacterizationSetup
-from repro.core.executor import CampaignExecutor, NOMINAL_RUNTIME_S
+from repro.core.classify import RunLog, classify_run_log
+from repro.core.executor import CampaignExecutor, NOMINAL_RUNTIME_S, classify_codes
 from repro.cpu.outcomes import RunOutcome
+from repro.soc.chip import OUTCOME_FROM_CODE
 from repro.soc.topology import CoreId
 from repro.workloads.spec import spec_workload
 
@@ -59,3 +61,23 @@ def test_executor_deterministic(ttt_chip):
     a = CampaignExecutor(ttt_chip, seed=5).execute_run(make_run(922.0, reps=10))
     b = CampaignExecutor(ttt_chip, seed=5).execute_run(make_run(922.0, reps=10))
     assert a.counts.counts == b.counts.counts
+
+
+@pytest.mark.parametrize("worst", range(len(OUTCOME_FROM_CODE)),
+                         ids=[o.value for o in OUTCOME_FROM_CODE])
+@pytest.mark.parametrize("ce", [0, 1, 2])
+@pytest.mark.parametrize("ue", [0, 1, 2])
+def test_classify_codes_matches_the_run_log_oracle(worst, ce, ue):
+    """The batched fold agrees with the RunLog the harness would store
+    for the repetition, passed through ``classify_run_log``."""
+    outcome = OUTCOME_FROM_CODE[worst]
+    stopped = outcome in (RunOutcome.CRASH, RunOutcome.HANG)
+    log = RunLog(
+        exited_cleanly=not stopped,
+        responded_to_watchdog=outcome is not RunOutcome.HANG,
+        corrected_errors=ce,
+        uncorrected_errors=ue,
+        output_matches_golden=None if stopped
+        else outcome is not RunOutcome.SDC,
+    )
+    assert classify_codes(worst, ce, ue) is classify_run_log(log)

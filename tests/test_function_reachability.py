@@ -73,10 +73,6 @@ ALLOWED_UNENTERED = {
     "repro.core.faults:run_injected_real_fault": _WORKER,
     # Scalar oracles.
     "repro.soc.chip:Chip.observe_run": _ORACLE,
-    "repro.soc.chip:Chip.observe_runs": _ORACLE,
-    "repro.pdn.em:EmSensor.measure": _ORACLE,
-    "repro.pdn.em:EmSensor.measure_averaged": _ORACLE,
-    "repro.pdn.em:EmSensor.measure_block": _ORACLE,
     "repro.core.classify:classify_run_log": _ORACLE,
     "repro.dram.ecc:SecdedCode.decode_with_truth": _ORACLE,
     "repro.cpu.execution:blas_threads":
@@ -86,8 +82,6 @@ ALLOWED_UNENTERED = {
     "repro.thermal.monitor:ZoneMonitor.force_quarantine": _ZONE,
     "repro.thermal.monitor:ZoneMonitor._trip": _ZONE,
     "repro.thermal.monitor:ZoneQuarantine.describe": _ZONE,
-    "repro.thermal.binding:ZoneBinding.paper_default": _ZONE,
-    "repro.thermal.binding:ZoneBinding.zone_of_device": _ZONE,
     "repro.dram.geometry:DramGeometry.device_location": _ZONE,
     "repro.core.faults:thermal_faults_recoverable": _ZONE,
     "repro.core.faults:ThermalFault.overlaps": _ZONE,
@@ -107,9 +101,6 @@ ALLOWED_UNENTERED = {
     # Input validation.
     "repro.core.classify:RunLog.__post_init__":
         "rejects negative error counts",
-    "repro.pdn.em:EmReading.__post_init__": "rejects a negative amplitude",
-    "repro.thermal.binding:ZoneBinding.__post_init__":
-        "rejects a binding that misses a (dimm, rank) pair",
     "repro.soc.domains:DomainName.__str__":
         "names the rail in the regulators' range-check errors",
 }

@@ -9,9 +9,10 @@ from repro.viruses.genetic import GaConfig, GeneticAlgorithm
 
 
 def count_fitness(target: InstrClass):
-    """Toy fitness: fraction of the loop made of one target class."""
-    def fitness(loop: InstructionLoop) -> float:
-        return sum(1 for k in loop if k is target) / len(loop)
+    """Toy cohort scorer: each loop's fraction of one target class."""
+    def fitness(loops):
+        return [sum(1 for k in loop if k is target) / len(loop)
+                for loop in loops]
     return fitness
 
 
@@ -75,7 +76,7 @@ def test_progress_callback_invoked():
 def test_genome_lengths_stay_legal():
     from repro.cpu.kernels import MAX_LOOP_LEN, MIN_LOOP_LEN
     lengths = []
-    ga = GeneticAlgorithm(lambda loop: float(len(loop)),
+    ga = GeneticAlgorithm(lambda loops: [float(len(loop)) for loop in loops],
                           GaConfig(population_size=16, generations=10), seed=2)
     result = ga.run(progress=lambda g, b: lengths.append(len(b.loop)))
     assert all(MIN_LOOP_LEN <= n <= MAX_LOOP_LEN for n in lengths)
@@ -89,4 +90,11 @@ def test_config_validation():
     with pytest.raises(SearchError):
         GaConfig(elite_count=40, population_size=40)
     with pytest.raises(SearchError):
-        GeneticAlgorithm(lambda loop: 0.0, alphabet=[])
+        GeneticAlgorithm(lambda loops: [0.0] * len(loops), alphabet=[])
+
+
+def test_fitness_must_score_every_genome():
+    ga = GeneticAlgorithm(lambda loops: [0.0] * (len(loops) - 1),
+                          GaConfig(population_size=8, generations=1), seed=1)
+    with pytest.raises(SearchError, match="7 scores for 8 genomes"):
+        ga.run()

@@ -2,9 +2,8 @@
 
 Three layers of guarantees, each locked down here:
 
-- ``Chip.observe_runs``/``observe_run_block`` are draw-for-draw
-  identical to looping the scalar ``observe_run`` with the same
-  generator;
+- ``Chip.observe_run_block`` is draw-for-draw identical to looping
+  the scalar ``observe_run`` with the same generator;
 - ``execute_shards`` produces bit-identical result rows at any worker
   count, matching a serial per-campaign loop;
 - the sharded experiment drivers (``run_figure4``, ``run_table1``)
@@ -22,7 +21,7 @@ from repro.experiments.fig4_spec_vmin import run_figure4
 from repro.experiments.pipeline import execute_shards
 from repro.experiments.table1_weak_cells import _device_chunks, run_table1
 from repro.rand import DEFAULT_SEED, resolve_seed
-from repro.soc.chip import FAILURE_ONSET_BAND_MV, Chip
+from repro.soc.chip import FAILURE_ONSET_BAND_MV, OUTCOME_FROM_CODE, Chip
 from repro.soc.corners import ProcessCorner
 from repro.soc.topology import CoreId
 from repro.workloads.spec import spec_suite
@@ -48,7 +47,9 @@ def test_observe_runs_matches_scalar_loop(offset_mv):
 
     rng_a = np.random.default_rng(1234)
     rng_b = np.random.default_rng(1234)
-    batched = chip.observe_runs(core, swing, voltage, 2.4, n=REPS, rng=rng_a)
+    codes = chip.observe_run_block((core,), swing, voltage, 2.4,
+                                   repetitions=REPS, rng=rng_a)
+    batched = [OUTCOME_FROM_CODE[int(code)] for code in codes[:, 0]]
     loop = [chip.observe_run(core, swing, voltage, 2.4, rng=rng_b)
             for _ in range(REPS)]
     assert batched == loop
@@ -148,6 +149,14 @@ def test_resolve_seed_rejects_negative_seeds():
     assert resolve_seed(0) == 0
     with pytest.raises(CampaignError, match="non-negative"):
         resolve_seed(-1)
+
+
+@pytest.mark.parametrize("driver", [run_figure4, run_table1])
+def test_drivers_refuse_a_generator_seed_at_one_job(driver):
+    """The seed is resolved at any ``jobs``: a live generator cannot be
+    re-derived, so it is refused before any work runs."""
+    with pytest.raises(CampaignError, match="integer seed"):
+        driver(seed=np.random.default_rng(0), jobs=1)
 
 
 def test_figure4_jobs_invariant():

@@ -17,7 +17,7 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
 
 def make_ga(seed: int) -> GeneticAlgorithm:
-    return GeneticAlgorithm(lambda loop: 0.0,
+    return GeneticAlgorithm(lambda loops: [0.0] * len(loops),
                             config=GaConfig(population_size=8, generations=1),
                             seed=seed)
 

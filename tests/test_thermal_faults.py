@@ -33,6 +33,7 @@ from repro.core.faults import (
     ThermalFault,
     thermal_faults_recoverable,
 )
+from repro.dram.geometry import DEFAULT_GEOMETRY
 from repro.errors import CampaignError
 from repro.experiments.common import RunOptions
 from repro.experiments.fig8a_ber import run_figure8a
@@ -401,6 +402,16 @@ def test_table1_unrecoverable_zone_is_typed_quarantine():
     assert _rows(results[0]) == _rows(results[1])
     assert results[0].thermal_quarantine == results[1].thermal_quarantine
     assert results[0].excluded_devices == results[1].excluded_devices
+    # Zone z heats rank z of the dimm-major rank order, so one dead
+    # heater on zone 1 drops exactly the devices on dimm 0, rank 1.
+    one = FaultPlan(thermal_faults=(
+        ThermalFault(zone=1, kind=HEATER_FAILED, start_s=100.0),))
+    result = run_table1(seed=SEED, sample_devices=24,
+                        options=RunOptions(faults=one))
+    assert [q.zone for q in result.thermal_quarantine] == [1]
+    assert result.excluded_devices == tuple(
+        d for d in range(24)
+        if DEFAULT_GEOMETRY.device_location(d)[:2] == (0, 1))
 
 
 def test_fig8a_recoverable_faults_bit_identical():
